@@ -64,6 +64,8 @@ struct PsbConfig
     StreamBufferConfig buffers;
     AllocPolicy alloc = AllocPolicy::Confidence;
     SchedPolicy sched = SchedPolicy::Priority;
+
+    bool operator==(const PsbConfig &) const = default;
 };
 
 /** See file comment. */

@@ -24,6 +24,8 @@ struct GshareConfig
     unsigned historyBits = 14;  ///< 16K-entry pattern history table
     unsigned btbEntries = 512;
     unsigned btbAssoc = 4;
+
+    bool operator==(const GshareConfig &) const = default;
 };
 
 /** gshare + BTB. The trace-driven core resolves branches at execute

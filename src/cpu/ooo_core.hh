@@ -60,6 +60,8 @@ struct CoreConfig
     unsigned numFpAdd = 2;
     unsigned numIntMulDiv = 2;
     unsigned numFpMulDiv = 2;
+
+    bool operator==(const CoreConfig &) const = default;
 };
 
 /** Execution statistics gathered by the core. */

@@ -30,6 +30,8 @@ struct CacheGeometry
     unsigned blockBytes = 32;
 
     uint64_t numSets() const { return sizeBytes / (assoc * blockBytes); }
+
+    bool operator==(const CacheGeometry &) const = default;
 };
 
 /** Result of a victim selection: the evicted block, if any. */

@@ -62,6 +62,8 @@ struct MemoryConfig
     unsigned tlbEntries = 128;
     uint64_t pageBytes = 8192;
     CycleDelta tlbMissPenalty{30};
+
+    bool operator==(const MemoryConfig &) const = default;
 };
 
 /** L1D-tag/MSHR/TLB state for one data access. */

@@ -7,8 +7,8 @@
  * simulated higher-order Markov predictors and the correlation
  * predictor of Bekerman et al. and "saw little to no improvement in
  * prediction accuracy and coverage over first order" for its
- * benchmarks; this class exists so bench/ablation_order can reproduce
- * that claim inside the PSB framework.
+ * benchmarks; this class exists so experiments/ablation-order.json can
+ * reproduce that claim inside the PSB framework.
  *
  * Implemented as a full AddressPredictor: a two-delta stride filter in
  * front (same as SFM) with an order-k hashed-history Markov table
@@ -62,8 +62,10 @@ class ContextPredictor : public AddressPredictor
     uint64_t population() const;
     const ContextConfig &config() const { return _cfg; }
 
-  private:
+    /** Largest supported historyLength (the order k). */
     static constexpr unsigned maxHistory = 4;
+
+  private:
     static constexpr unsigned numStreamSlots = 64;
 
     struct Entry

@@ -8,7 +8,7 @@
  *
  * A transition whose block delta does not fit the configured bit width
  * cannot be represented and is simply not recorded — exactly the
- * coverage loss Figure 4 quantifies; bench/fig4_markov_bits sweeps the
+ * coverage loss Figure 4 quantifies; experiments/fig4.json sweeps the
  * width to regenerate that figure.
  */
 
@@ -32,6 +32,8 @@ struct DiffMarkovConfig
     unsigned blockBytes = 32; ///< granularity of the stored deltas
     unsigned deltaBits = 16;  ///< signed width of the stored difference
     unsigned tagBits = 16;    ///< partial-tag width
+
+    bool operator==(const DiffMarkovConfig &) const = default;
 };
 
 /** Direct-mapped, partial-tagged, delta-compressed Markov table. */

@@ -48,6 +48,8 @@ struct SfmConfig
     StrideTableConfig stride;
     DiffMarkovConfig markov;
     SfmMode mode = SfmMode::Sfm;
+
+    bool operator==(const SfmConfig &) const = default;
 };
 
 /** See file comment. */

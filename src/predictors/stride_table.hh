@@ -37,6 +37,8 @@ struct StrideTableConfig
     unsigned assoc = 4;
     unsigned blockBytes = 32;       ///< prediction granularity
     uint32_t confidenceMax = 7;     ///< accuracy counter saturation
+
+    bool operator==(const StrideTableConfig &) const = default;
 };
 
 /**

@@ -11,10 +11,10 @@
  *
  * The paper implemented this scheme and found it "uniformly
  * outperformed by the per-load stride detector of Farkas et al.", so
- * it reports only PC-stride results; bench/ablation_prefetchers
- * reproduces that comparison. Expressed, like the other stream-buffer
- * designs, as a PredictorDirectedStreamBuffers instance around a
- * MinDeltaPredictor.
+ * it reports only PC-stride results;
+ * experiments/ablation-prefetchers.json reproduces that comparison.
+ * Expressed, like the other stream-buffer designs, as a
+ * PredictorDirectedStreamBuffers instance around a MinDeltaPredictor.
  */
 
 #ifndef PSB_PREFETCH_MIN_DELTA_STREAM_BUFFERS_HH

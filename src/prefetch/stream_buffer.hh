@@ -43,6 +43,8 @@ struct StreamBufferConfig
      * page boundary.
      */
     bool cacheTlbTranslation = false;
+
+    bool operator==(const StreamBufferConfig &) const = default;
 };
 
 /** One stream-buffer entry: a predicted block and its fill status. */

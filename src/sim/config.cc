@@ -1,6 +1,11 @@
 #include "sim/config.hh"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
+
+#include "predictors/context_predictor.hh"
+#include "util/bitfield.hh"
 
 namespace psb
 {
@@ -21,20 +26,6 @@ parseUInt(const std::string &value, uint64_t &out)
 }
 
 bool
-parseBool(const std::string &value, bool &out)
-{
-    if (value == "true") {
-        out = true;
-        return true;
-    }
-    if (value == "false") {
-        out = false;
-        return true;
-    }
-    return false;
-}
-
-bool
 badValue(const std::string &key, const std::string &value,
          const char *expected, std::string &error)
 {
@@ -43,87 +34,122 @@ badValue(const std::string &key, const std::string &value,
     return false;
 }
 
+/** The accepted spellings of an enum-valued key, in help order. */
+template <typename E>
+using Spellings = std::vector<std::pair<const char *, E>>;
+
+/** Set @p out to the value @p value spells, or fail listing them all. */
+template <typename E>
+bool
+parseSpelling(const std::string &key, const std::string &value,
+              const Spellings<E> &spellings, E &out, std::string &error)
+{
+    std::string expected;
+    for (const auto &[name, e] : spellings) {
+        if (value == name) {
+            out = e;
+            return true;
+        }
+        if (!expected.empty())
+            expected += '|';
+        expected += name;
+    }
+    return badValue(key, value, expected.c_str(), error);
+}
+
 } // namespace
 
 const std::vector<std::string> &
 simConfigKeys()
 {
     static const std::vector<std::string> keys = {
-        "alloc",       "buffers",    "delta-bits", "entries",
-        "fastforward", "insts",      "l1d-assoc",  "l1d-kb",
-        "markov-entries", "nodis",   "order",      "prefetcher",
-        "sched",       "tlb-cache",  "warmup",
+        "aging",       "alloc",          "buffers",    "conf-threshold",
+        "config",      "delta-bits",     "disambig",   "entries",
+        "fastforward", "insts",          "l1d-assoc",  "l1d-kb",
+        "markov-entries", "order",       "prefetcher", "sched",
+        "sfm-mode",    "tlb-cache",      "warmup",
     };
     return keys;
+}
+
+bool
+isConfigKey(const std::string &key)
+{
+    const std::vector<std::string> &keys = simConfigKeys();
+    return std::binary_search(keys.begin(), keys.end(), key);
 }
 
 bool
 applyConfigKey(SimConfig &cfg, const std::string &key,
                const std::string &value, std::string &error)
 {
-    uint64_t n = 0;
-    bool b = false;
-    if (key == "prefetcher") {
-        if (value == "none")
-            cfg.prefetcher = PrefetcherKind::None;
-        else if (value == "pcstride")
-            cfg.prefetcher = PrefetcherKind::PcStride;
-        else if (value == "psb")
-            cfg.prefetcher = PrefetcherKind::Psb;
-        else if (value == "sequential")
-            cfg.prefetcher = PrefetcherKind::Sequential;
-        else if (value == "nextline")
-            cfg.prefetcher = PrefetcherKind::NextLine;
-        else if (value == "markov")
-            cfg.prefetcher = PrefetcherKind::MarkovDemand;
-        else if (value == "mindelta")
-            cfg.prefetcher = PrefetcherKind::MinDelta;
-        else
-            return badValue(key, value,
-                            "none|pcstride|psb|sequential|nextline|"
-                            "markov|mindelta",
-                            error);
+    if (key == "config") {
+        Spellings<PaperConfig> machines;
+        for (PaperConfig pc : paperConfigs)
+            machines.emplace_back(paperConfigName(pc), pc);
+        PaperConfig pc{};
+        if (!parseSpelling(key, value, machines, pc, error))
+            return false;
+        SimConfig paper = makePaperConfig(pc);
+        cfg.prefetcher = paper.prefetcher;
+        cfg.psb.alloc = paper.psb.alloc;
+        cfg.psb.sched = paper.psb.sched;
         return true;
+    }
+    if (key == "prefetcher") {
+        return parseSpelling<PrefetcherKind>(
+            key, value,
+            {{"none", PrefetcherKind::None},
+             {"pcstride", PrefetcherKind::PcStride},
+             {"psb", PrefetcherKind::Psb},
+             {"sequential", PrefetcherKind::Sequential},
+             {"nextline", PrefetcherKind::NextLine},
+             {"markov", PrefetcherKind::MarkovDemand},
+             {"mindelta", PrefetcherKind::MinDelta}},
+            cfg.prefetcher, error);
     }
     if (key == "alloc") {
-        if (value == "2miss")
-            cfg.psb.alloc = AllocPolicy::TwoMiss;
-        else if (value == "conf")
-            cfg.psb.alloc = AllocPolicy::Confidence;
-        else if (value == "always")
-            cfg.psb.alloc = AllocPolicy::Always;
-        else
-            return badValue(key, value, "2miss|conf|always", error);
-        return true;
+        return parseSpelling<AllocPolicy>(
+            key, value,
+            {{"2miss", AllocPolicy::TwoMiss},
+             {"conf", AllocPolicy::Confidence},
+             {"always", AllocPolicy::Always}},
+            cfg.psb.alloc, error);
     }
     if (key == "sched") {
-        if (value == "rr")
-            cfg.psb.sched = SchedPolicy::RoundRobin;
-        else if (value == "priority")
-            cfg.psb.sched = SchedPolicy::Priority;
-        else
-            return badValue(key, value, "rr|priority", error);
-        return true;
+        return parseSpelling<SchedPolicy>(
+            key, value,
+            {{"rr", SchedPolicy::RoundRobin},
+             {"priority", SchedPolicy::Priority}},
+            cfg.psb.sched, error);
     }
-    if (key == "nodis" || key == "tlb-cache" || key == "fastforward") {
-        if (!parseBool(value, b))
-            return badValue(key, value, "true|false", error);
-        if (key == "nodis") {
-            cfg.core.disambiguation = b ? DisambiguationMode::None
-                                        : DisambiguationMode::Perfect;
-        } else if (key == "tlb-cache") {
-            cfg.psb.buffers.cacheTlbTranslation = b;
-        } else {
-            cfg.fastForward = b;
-        }
-        return true;
+    if (key == "sfm-mode") {
+        return parseSpelling<SfmMode>(
+            key, value,
+            {{"sfm", SfmMode::Sfm},
+             {"stride-only", SfmMode::StrideOnly},
+             {"markov-only", SfmMode::MarkovOnly}},
+            cfg.sfm.mode, error);
+    }
+    if (key == "disambig") {
+        return parseSpelling<DisambiguationMode>(
+            key, value,
+            {{"perfect", DisambiguationMode::Perfect},
+             {"none", DisambiguationMode::None},
+             {"learned", DisambiguationMode::Learned}},
+            cfg.core.disambiguation, error);
+    }
+    if (key == "tlb-cache" || key == "fastforward") {
+        return parseSpelling<bool>(
+            key, value, {{"true", true}, {"false", false}},
+            key == "tlb-cache" ? cfg.psb.buffers.cacheTlbTranslation
+                               : cfg.fastForward,
+            error);
     }
     // Every remaining key takes a non-negative integer.
+    uint64_t n = 0;
     if (!parseUInt(value, n)) {
-        bool known = false;
-        for (const std::string &k : simConfigKeys())
-            known = known || k == key;
-        if (!known) {
+        if (!isConfigKey(key)) {
             error = "unknown config key '" + key + "'";
             return false;
         }
@@ -131,9 +157,16 @@ applyConfigKey(SimConfig &cfg, const std::string &key,
     }
     if (key == "insts") {
         cfg.maxInstructions = n;
-    } else if (key == "warmup") {
+        return true;
+    }
+    if (key == "warmup") {
         cfg.warmupInstructions = n;
-    } else if (key == "l1d-kb") {
+        return true;
+    }
+    // The rest land in 32-bit fields; a wider value must not wrap.
+    if (n > UINT32_MAX && isConfigKey(key))
+        return badValue(key, value, "an integer below 2^32", error);
+    if (key == "l1d-kb") {
         cfg.memory.l1d.sizeBytes = n * 1024;
     } else if (key == "l1d-assoc") {
         cfg.memory.l1d.assoc = unsigned(n);
@@ -147,11 +180,40 @@ applyConfigKey(SimConfig &cfg, const std::string &key,
         cfg.sfm.markov.deltaBits = unsigned(n);
     } else if (key == "order") {
         cfg.psbContextOrder = unsigned(n);
+    } else if (key == "aging") {
+        cfg.psb.buffers.agingPeriod = unsigned(n);
+    } else if (key == "conf-threshold") {
+        cfg.psb.buffers.allocConfThreshold = uint32_t(n);
     } else {
         error = "unknown config key '" + key + "'";
         return false;
     }
     return true;
+}
+
+bool
+applyConfigKeys(SimConfig &cfg,
+                const std::vector<std::pair<std::string, std::string>>
+                    &settings,
+                std::string &error)
+{
+    bool paper = false, piece = false;
+    for (const auto &[key, value] : settings) {
+        paper = paper || key == "config";
+        piece = piece || key == "prefetcher" || key == "alloc" ||
+                key == "sched";
+    }
+    if (paper && piece) {
+        error = "config key 'config' names a paper machine and cannot "
+                "be combined with 'prefetcher', 'alloc' or 'sched'";
+        return false;
+    }
+    for (const auto &[key, value] : settings) {
+        if (!applyConfigKey(cfg, key, value, error))
+            return false;
+    }
+    cfg.harmonize();
+    return cfg.validate(error);
 }
 
 const char *
@@ -177,6 +239,39 @@ SimConfig::harmonize()
     sfm.stride.blockBytes = block;
     sfm.markov.blockBytes = block;
     stride.blockBytes = block;
+}
+
+bool
+SimConfig::validate(std::string &error) const
+{
+    auto reject = [&error](const std::string &msg) {
+        error = "invalid configuration: " + msg;
+        return false;
+    };
+    const CacheGeometry &l1d = memory.l1d;
+    if (l1d.assoc == 0)
+        return reject("l1d-assoc must be at least 1");
+    if (l1d.sizeBytes == 0 || l1d.sizeBytes % (uint64_t(l1d.assoc) *
+                                               l1d.blockBytes) != 0 ||
+        !isPowerOf2(l1d.numSets()))
+        return reject("l1d-kb / l1d-assoc must give a power-of-two "
+                      "number of " +
+                      std::to_string(l1d.blockBytes) + "-byte-line sets");
+    if (psb.buffers.numBuffers == 0)
+        return reject("buffers must be at least 1");
+    if (psb.buffers.entriesPerBuffer == 0 ||
+        psb.buffers.entriesPerBuffer > 64)
+        return reject("entries must be 1..64");
+    if (psb.buffers.agingPeriod == 0)
+        return reject("aging must be at least 1");
+    if (!isPowerOf2(sfm.markov.entries))
+        return reject("markov-entries must be a power of two");
+    if (sfm.markov.deltaBits < 2 || sfm.markov.deltaBits > 63)
+        return reject("delta-bits must be 2..63");
+    if (psbContextOrder > ContextPredictor::maxHistory)
+        return reject("order must be 0.." +
+                      std::to_string(ContextPredictor::maxHistory));
+    return true;
 }
 
 std::string

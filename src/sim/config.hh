@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/psb.hh"
@@ -72,8 +73,21 @@ struct SimConfig
      */
     void harmonize();
 
+    /**
+     * Check every value the config keys can set against the domain
+     * the components accept (a power-of-two L1D set count, 1..64
+     * buffer entries, 2..63 delta bits, ...), so a bad value is a
+     * clean error instead of a constructor assertion or a SIGFPE.
+     * Call after harmonize().
+     * @param error Names the offending key when returning false.
+     */
+    bool validate(std::string &error) const;
+
     /** A short label like "ConfAlloc-Priority" or "PCStride". */
     std::string label() const;
+
+    /** Field for field (every nested config struct defaults == too). */
+    bool operator==(const SimConfig &) const = default;
 };
 
 /**
@@ -83,6 +97,9 @@ struct SimConfig
  */
 const std::vector<std::string> &simConfigKeys();
 
+/** Whether @p key is one of simConfigKeys(). */
+bool isConfigKey(const std::string &key);
+
 /**
  * Apply one "key = value" pair to @p cfg, strictly: an unknown key, a
  * malformed value, or an out-of-domain enum name is an error, never
@@ -91,8 +108,14 @@ const std::vector<std::string> &simConfigKeys();
  *
  * Keys mirror the psb-sim flags: prefetcher, alloc, sched, insts,
  * warmup, l1d-kb, l1d-assoc, buffers, entries, markov-entries,
- * delta-bits, order, nodis, tlb-cache. Values are flat tokens
- * ("psb", "32", "true").
+ * delta-bits, order, tlb-cache, fastforward, plus
+ *   - config: one of the six paperConfigName() strings; sets only
+ *     prefetcher/alloc/sched, copied from makePaperConfig();
+ *   - sfm-mode: sfm|stride-only|markov-only;
+ *   - aging: priority aging period; conf-threshold: confidence
+ *     allocation threshold;
+ *   - disambig: perfect|none|learned.
+ * Values are flat tokens ("psb", "32", "true").
  *
  * @param error Set to a message naming the key (and the accepted
  *        grammar where helpful) when returning false.
@@ -100,6 +123,18 @@ const std::vector<std::string> &simConfigKeys();
  */
 bool applyConfigKey(SimConfig &cfg, const std::string &key,
                     const std::string &value, std::string &error);
+
+/**
+ * Apply an ordered key/value list (later entries win), then
+ * harmonize() and validate() the result. Rejects "config" together
+ * with any of "prefetcher", "alloc" or "sched": a paper machine name
+ * and a hand-picked policy would each silently undo the other.
+ * The one path from flags and sweep specs to a runnable SimConfig.
+ */
+bool applyConfigKeys(
+    SimConfig &cfg,
+    const std::vector<std::pair<std::string, std::string>> &settings,
+    std::string &error);
 
 /** The paper's five prefetching configurations plus the baseline. */
 enum class PaperConfig

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "prefetch/attribution.hh"
+#include "sim/sweep_spec.hh"
 #include "util/json.hh"
 #include "util/stats_json.hh"
 
@@ -262,10 +263,109 @@ buildIntervals(const std::string &jsonl, const StatsMap &stats,
     return true;
 }
 
-bool
-buildSweep(const std::string &json, Section &sec, std::string &error)
+/** Fixed-decimal rendering of a table cell; "%+" for speedups. */
+std::string
+fmtCell(double v, int digits, bool signedPercent)
 {
-    sec.heading = "Sweep cells";
+    char buf[48];
+    std::snprintf(buf, sizeof(buf), signedPercent ? "%+.*f%%" : "%.*f",
+                  digits, v);
+    return buf;
+}
+
+/**
+ * The first of @p col's stat paths present in job @p key, or null
+ * with @p error set (a missing or failed job is an error too: a
+ * table must never quietly render a hole).
+ */
+const JsonValue *
+columnStat(const JsonValue &jobs, const std::string &key,
+           const SweepTableColumn &col, std::string &error)
+{
+    const JsonValue *job = jobs.find(key);
+    const JsonValue *status = job ? job->find("status") : nullptr;
+    const JsonValue *stats = job ? job->find("stats") : nullptr;
+    if (!status || status->str != "ok" || !stats) {
+        error = "sweep document: job \"" + key +
+                (job ? "\" did not succeed" : "\" is missing");
+        return nullptr;
+    }
+    for (const std::string &path : col.stats) {
+        if (const JsonValue *v = stats->find(path))
+            return v;
+    }
+    std::string paths;
+    for (const std::string &path : col.stats)
+        paths += (paths.empty() ? "" : ", ") + path;
+    error = "sweep document: job \"" + key + "\" has none of " + paths +
+            " (column \"" + col.label + "\")";
+    return nullptr;
+}
+
+/** Render one spec table (sim/sweep_spec.hh) from the merged jobs. */
+bool
+buildSpecTable(const SweepSpec &spec, const SweepTable &table,
+               const JsonValue &jobs, Section &sec, std::string &error)
+{
+    sec.heading = table.title;
+    Table t;
+    t.header.push_back("workload");
+    for (const SweepTableColumn &col : table.columns)
+        t.header.push_back(col.label);
+    std::vector<double> sums(table.columns.size(), 0.0);
+    for (const std::string &workload : table.rows) {
+        for (uint64_t seed : spec.seeds) {
+            std::vector<std::string> row{workload};
+            if (spec.seeds.size() > 1)
+                row[0] += "/seed=" + std::to_string(seed);
+            for (size_t c = 0; c < table.columns.size(); ++c) {
+                const SweepTableColumn &col = table.columns[c];
+                const JsonValue *v = columnStat(
+                    jobs, sweepJobKey(workload, seed, col.job), col,
+                    error);
+                if (!v)
+                    return false;
+                double value = v->number;
+                if (!col.vs.empty()) {
+                    const JsonValue *b = columnStat(
+                        jobs, sweepJobKey(workload, seed, col.vs), col,
+                        error);
+                    if (!b)
+                        return false;
+                    value = b->number > 0.0
+                                ? 100.0 * (v->number / b->number - 1.0)
+                                : 0.0;
+                    row.push_back(fmtCell(
+                        value, col.digits < 0 ? 1 : col.digits, true));
+                } else {
+                    row.push_back(col.digits < 0
+                                      ? v->raw
+                                      : fmtCell(value, col.digits, false));
+                }
+                sums[c] += value;
+            }
+            t.rows.push_back(std::move(row));
+        }
+    }
+    if (table.average) {
+        double n = double(table.rows.size() * spec.seeds.size());
+        std::vector<std::string> row{"average"};
+        for (size_t c = 0; c < table.columns.size(); ++c) {
+            const SweepTableColumn &col = table.columns[c];
+            bool vs = !col.vs.empty();
+            int digits = col.digits < 0 ? (vs ? 1 : 6) : col.digits;
+            row.push_back(fmtCell(sums[c] / n, digits, vs));
+        }
+        t.rows.push_back(std::move(row));
+    }
+    sec.tables.push_back(std::move(t));
+    return true;
+}
+
+bool
+buildSweep(const std::string &json, std::vector<Section> &sections,
+           std::string &error)
+{
     JsonValue doc;
     if (!parseJson(json, doc, error)) {
         error = "sweep document: " + error;
@@ -276,6 +376,25 @@ buildSweep(const std::string &json, Section &sec, std::string &error)
         error = "sweep document: missing \"jobs\" object";
         return false;
     }
+    SweepSpec spec;
+    if (const JsonValue *specDoc = doc.find("spec")) {
+        if (!parseSweepSpec(*specDoc, spec, error)) {
+            error = "sweep document: " + error;
+            return false;
+        }
+    }
+    if (!spec.tables.empty()) {
+        for (const SweepTable &table : spec.tables) {
+            Section sec;
+            if (!buildSpecTable(spec, table, *jobs, sec, error))
+                return false;
+            sections.push_back(std::move(sec));
+        }
+        return true;
+    }
+
+    Section sec;
+    sec.heading = "Sweep cells";
     Table t;
     t.header = {"Config cell", "Status", "IPC", "PF issued",
                 "PF accuracy"};
@@ -314,6 +433,7 @@ buildSweep(const std::string &json, Section &sec, std::string &error)
     sec.paragraphs.push_back(fmtUint(uint64_t(t.rows.size())) +
                              " config cells.");
     sec.tables.push_back(std::move(t));
+    sections.push_back(std::move(sec));
     return true;
 }
 
@@ -532,15 +652,17 @@ bool
 renderRunReport(const RunReportInputs &in, ReportFormat format,
                 std::string &out, std::string &error)
 {
+    // A sweep document stands alone; everything else needs stats.
     StatsMap stats;
-    if (!parseStatsJson(in.statsJson, stats, error)) {
-        error = "stats document: " + error;
-        return false;
-    }
-
     std::vector<Section> sections;
-    sections.push_back(buildSummary(stats));
-    sections.push_back(buildAttribution(stats));
+    if (!in.statsJson.empty() || in.sweepJson.empty()) {
+        if (!parseStatsJson(in.statsJson, stats, error)) {
+            error = "stats document: " + error;
+            return false;
+        }
+        sections.push_back(buildSummary(stats));
+        sections.push_back(buildAttribution(stats));
+    }
 
     if (!in.intervalsJsonl.empty()) {
         Section sec;
@@ -548,12 +670,9 @@ renderRunReport(const RunReportInputs &in, ReportFormat format,
             return false;
         sections.push_back(std::move(sec));
     }
-    if (!in.sweepJson.empty()) {
-        Section sec;
-        if (!buildSweep(in.sweepJson, sec, error))
-            return false;
-        sections.push_back(std::move(sec));
-    }
+    if (!in.sweepJson.empty() &&
+        !buildSweep(in.sweepJson, sections, error))
+        return false;
     if (!in.benchJson.empty()) {
         Section sec;
         if (!buildBench(in.benchJson, in.benchBaselineJson, sec, error))

@@ -13,7 +13,10 @@
  *     coverage / timeliness, per-source breakdown, distance and
  *     lateness percentiles (DESIGN.md §13)
  *   - interval series summary with the telescoping check re-verified
- *   - per-cell sweep table (IPC + attribution accuracy per config)
+ *   - the tables a sweep spec declares (sim/sweep_spec.hh), rendered
+ *     from the psb-sweep merged document — every paper figure is one
+ *     such table — or, for a spec without tables, a per-cell sweep
+ *     table (IPC + attribution accuracy per config)
  *   - bench trajectory with deltas against a baseline document
  *   - golden-drift summary (added / removed / changed stats)
  *
@@ -37,7 +40,7 @@ namespace psb
 struct RunReportInputs
 {
     std::string title;             ///< report heading (optional)
-    std::string statsJson;         ///< --stats-json dump (required)
+    std::string statsJson;         ///< --stats-json dump (see below)
     std::string intervalsJsonl;    ///< --interval-stats series
     std::string sweepJson;         ///< psb-sweep merged document
     std::string benchJson;         ///< BENCH_psb.json trajectory
@@ -53,6 +56,8 @@ enum class ReportFormat
 
 /**
  * Render the report for @p in as @p format into @p out.
+ * The stats document is required unless a sweep document is given;
+ * without it the run summary and attribution sections are omitted.
  * @retval false (with @p error set) when a provided document fails to
  *         parse; absent optional documents simply omit their section.
  */

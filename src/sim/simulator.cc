@@ -13,71 +13,6 @@
 namespace psb
 {
 
-namespace
-{
-
-/**
- * Transparent prefetcher decorator that exposes the committed L1D
- * load-miss stream to an observer (Figure 4 harness).
- */
-class HookedPrefetcher : public Prefetcher
-{
-  public:
-    HookedPrefetcher(Prefetcher &inner,
-                     const std::function<void(Addr, Addr)> *hook)
-        : _inner(inner), _hook(hook)
-    {}
-
-    PrefetchLookup
-    lookup(Addr addr, Cycle now) override
-    {
-        return _inner.lookup(addr, now);
-    }
-
-    void
-    trainLoad(Addr pc, Addr addr, bool l1_miss,
-              bool store_forwarded) override
-    {
-        // The observer hook is a measurement-harness callback, not
-        // modelled hardware; its dispatch is sanctioned on the hot
-        // path (and a null/empty hook short-circuits above).
-        if (l1_miss && !store_forwarded && *_hook)
-            (*_hook)(pc, addr); // psb-analyze: allow(R12)
-        _inner.trainLoad(pc, addr, l1_miss, store_forwarded);
-    }
-
-    void
-    demandMiss(Addr pc, Addr addr, Cycle now) override
-    {
-        _inner.demandMiss(pc, addr, now);
-    }
-
-    void tick(Cycle now) override { _inner.tick(now); }
-
-    bool
-    fastForwardTicks(Cycle from, uint64_t n) override
-    {
-        return _inner.fastForwardTicks(from, n);
-    }
-
-    const PrefetcherStats &stats() const override { return _inner.stats(); }
-    void resetStats() override { _inner.resetStats(); }
-    void endOfSim(Cycle now) override { _inner.endOfSim(now); }
-
-    void
-    registerStats(StatsRegistry &reg,
-                  const std::string &prefix) const override
-    {
-        _inner.registerStats(reg, prefix);
-    }
-
-  private:
-    Prefetcher &_inner;
-    const std::function<void(Addr, Addr)> *_hook;
-};
-
-} // namespace
-
 Simulator::Simulator(const SimConfig &cfg, TraceSource &trace) : _cfg(cfg)
 {
     _cfg.harmonize();
@@ -134,10 +69,8 @@ Simulator::Simulator(const SimConfig &cfg, TraceSource &trace) : _cfg(cfg)
       }
     }
 
-    _hookWrapper =
-        std::make_unique<HookedPrefetcher>(*_prefetcher, &_missHook);
     _core = std::make_unique<OoOCore>(_cfg.core, *_hierarchy,
-                                      *_hookWrapper, trace);
+                                      *_prefetcher, trace);
     buildStatsRegistry();
 }
 
@@ -194,12 +127,6 @@ Simulator::buildStatsRegistry()
 Simulator::~Simulator() = default;
 
 void
-Simulator::setMissHook(std::function<void(Addr, Addr)> hook)
-{
-    _missHook = std::move(hook);
-}
-
-void
 Simulator::setIntervalStats(uint64_t period, std::ostream &out)
 {
     _intervalStats =
@@ -239,7 +166,7 @@ Simulator::maybeFastForward()
         if (n > cap)
             n = cap;
     }
-    if (n == 0 || !_hookWrapper->fastForwardTicks(_now, n))
+    if (n == 0 || !_prefetcher->fastForwardTicks(_now, n))
         return;
     _core->skipIdleCycles(n);
     _now += CycleDelta(n);
@@ -259,7 +186,7 @@ Simulator::stepCycle()
         maybeFastForward();
     PSB_TRACE_SET_NOW(_now);
     _core->tick(_now);
-    _hookWrapper->tick(_now);
+    _prefetcher->tick(_now);
     ++_now;
 }
 
@@ -301,7 +228,7 @@ Simulator::run()
         // the final document. The settle path is per-cycle-class
         // work and stays inside the no-alloc scope.
         PSB_TRACE_SET_NOW(_now);
-        _hookWrapper->endOfSim(_now);
+        _prefetcher->endOfSim(_now);
     }
 
     if (_intervalStats)

@@ -9,7 +9,6 @@
 #ifndef PSB_SIM_SIMULATOR_HH
 #define PSB_SIM_SIMULATOR_HH
 
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -23,13 +22,13 @@ namespace psb
 {
 
 /**
- * Everything the bench harnesses read out of one simulation.
+ * The headline numbers of one simulation.
  *
  * This is a thin copied-out view over the stats registry: every field
  * here is also registered under a stable dotted path (core.*, l1d.*,
  * l2.*, bus.*, the prefetcher's prefix, sim.*) and exported by
- * Simulator::statsJson(); the struct remains for the bench harnesses
- * that index fields directly.
+ * Simulator::statsJson(); the struct remains for psb-sim's text
+ * report, the examples, and the tests that index fields directly.
  */
 struct SimResult
 {
@@ -68,12 +67,6 @@ class Simulator
      * @return Aggregated results of the measurement region.
      */
     SimResult run();
-
-    /**
-     * Observe the committed L1D load-miss stream (PC, address) during
-     * run(); used by the Figure 4 harness to analyse Markov deltas.
-     */
-    void setMissHook(std::function<void(Addr, Addr)> hook);
 
     MemoryHierarchy &hierarchy() { return *_hierarchy; }
     Prefetcher &prefetcher() { return *_prefetcher; }
@@ -117,9 +110,7 @@ class Simulator
     std::unique_ptr<MemoryHierarchy> _hierarchy;
     std::unique_ptr<AddressPredictor> _predictor; ///< PSB kind only
     std::unique_ptr<Prefetcher> _prefetcher;
-    std::unique_ptr<Prefetcher> _hookWrapper;
     std::unique_ptr<OoOCore> _core;
-    std::function<void(Addr, Addr)> _missHook;
     std::unique_ptr<IntervalStatsWriter> _intervalStats;
     Cycle _now{};
 };

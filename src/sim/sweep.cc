@@ -298,10 +298,14 @@ SweepEngine::run(const std::vector<SweepJob> &jobs)
 }
 
 std::string
-SweepEngine::mergeStatsJson(const std::vector<JobResult> &results)
+SweepEngine::mergeStatsJson(const std::vector<JobResult> &results,
+                            const std::string &spec)
 {
     std::ostringstream out;
-    out << "{\n  \"jobs\": {";
+    out << "{\n";
+    if (!spec.empty())
+        out << "  \"spec\": " << indentPayload(spec, 2) << ",\n";
+    out << "  \"jobs\": {";
     bool first = true;
     for (const JobResult &r : results) {
         out << (first ? "\n" : ",\n");

@@ -154,6 +154,7 @@ class SweepEngine
      * deterministic JSON document keyed by job key:
      *
      *   {
+     *     "spec": { ...@p spec verbatim, when given... },
      *     "jobs": {
      *       "<key>": {
      *         "status": "ok",
@@ -166,10 +167,13 @@ class SweepEngine
      *
      * Failed jobs carry "error" instead of "stats". Byte-identical
      * for byte-identical results — no timestamps, durations, or host
-     * facts are ever included.
+     * facts are ever included. psb-sweep passes the spec text as
+     * @p spec so psb-report can render the spec's tables from the
+     * merged document alone.
      */
     static std::string mergeStatsJson(
-        const std::vector<JobResult> &results);
+        const std::vector<JobResult> &results,
+        const std::string &spec = "");
 
   private:
     SweepOptions _opts;

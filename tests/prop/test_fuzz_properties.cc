@@ -378,6 +378,14 @@ struct RejectCase
     const char *text;
 };
 
+// Without a printer gtest dumps the row's raw bytes, which are
+// per-process pointers, into the discovered ctest names.
+void
+PrintTo(const RejectCase &c, std::ostream *os)
+{
+    *os << c.label;
+}
+
 const RejectCase kRejectCases[] = {
     {"UnknownTopLevelKey", R"({"seed": 1, "bogus": 2})"},
     {"UnknownPhaseKey", R"({"phases": [{"stride": 1, "pace": 2}]})"},

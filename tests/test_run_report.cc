@@ -115,6 +115,74 @@ TEST(RunReport, SweepCellsAreSortedByKey)
     EXPECT_LT(a, z) << "cells must render in sorted key order";
 }
 
+/** A merged document whose spec declares one table (sim/sweep_spec.hh). */
+std::string
+tableSweep(const std::string &columns, const std::string &extra = "")
+{
+    return R"({"spec": {"workloads": ["w1", "w2"],
+                "axes": {"config": ["Base", "PCStride"]},
+                "tables": [{"title": "Speedups", "average": true,
+                            "columns": [)" +
+           columns + R"(]}]},
+      "jobs": {)" +
+           extra + R"(
+        "w1/seed=1/config=Base": {"status": "ok", "attempts": 1,
+          "stats": {"core.ipc": 0.5, "psb.accuracy": 0.25}},
+        "w1/seed=1/config=PCStride": {"status": "ok", "attempts": 1,
+          "stats": {"core.ipc": 0.75, "pcstride.accuracy": 0.875}},
+        "w2/seed=1/config=Base": {"status": "ok", "attempts": 1,
+          "stats": {"core.ipc": 1, "psb.accuracy": 0.5}},
+        "w2/seed=1/config=PCStride": {"status": "ok", "attempts": 1,
+          "stats": {"core.ipc": 1.1, "pcstride.accuracy": 0.5}}}})";
+}
+
+TEST(RunReport, SweepSpecTablesRenderWithoutStatsDocument)
+{
+    RunReportInputs in;
+    in.sweepJson = tableSweep(
+        R"({"label": "IPC", "job": "config=PCStride", "stat": "core.ipc"},
+           {"label": "acc", "job": "config=PCStride",
+            "stat": "pcstride.accuracy,psb.accuracy", "digits": 2},
+           {"label": "base acc", "job": "config=Base",
+            "stat": "pcstride.accuracy,psb.accuracy", "digits": 2},
+           {"label": "speedup", "job": "config=PCStride",
+            "stat": "core.ipc", "vs": "config=Base"})");
+    std::string md = render(in, ReportFormat::Markdown);
+    EXPECT_EQ(md.find("## Run summary"), std::string::npos) << md;
+    EXPECT_NE(md.find("## Speedups"), std::string::npos) << md;
+    EXPECT_NE(md.find("| workload | IPC | acc | base acc | speedup |"),
+              std::string::npos)
+        << md;
+    EXPECT_NE(md.find("| w1 | 0.75 | 0.88 | 0.25 | +50.0% |"),
+              std::string::npos)
+        << md;
+    EXPECT_NE(md.find("| w2 | 1.1 | 0.50 | 0.50 | +10.0% |"),
+              std::string::npos)
+        << md;
+    EXPECT_NE(md.find("| average | 0.925000 | 0.69 | 0.38 | +30.0% |"),
+              std::string::npos)
+        << md;
+}
+
+TEST(RunReport, SweepSpecTablesRefuseHoles)
+{
+    RunReportInputs in;
+    std::string out, error;
+    in.sweepJson = tableSweep(
+        R"({"label": "x", "job": "config=Base", "stat": "core.nope"})");
+    EXPECT_FALSE(renderRunReport(in, ReportFormat::Markdown, out, error));
+    EXPECT_NE(error.find("core.nope"), std::string::npos) << error;
+
+    // A failed job cannot fill a cell either.
+    std::string failed = tableSweep(
+        R"({"label": "x", "job": "config=Base", "stat": "core.ipc"})");
+    failed.replace(failed.find("\"status\": \"ok\""), 14,
+                   "\"status\": \"failed\"");
+    in.sweepJson = failed;
+    EXPECT_FALSE(renderRunReport(in, ReportFormat::Markdown, out, error));
+    EXPECT_NE(error.find("did not succeed"), std::string::npos) << error;
+}
+
 TEST(RunReport, BenchSectionSkipsWallFieldsAndComputesDeltas)
 {
     RunReportInputs in;

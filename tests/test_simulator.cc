@@ -144,27 +144,6 @@ TEST(SimulatorTest, WarmupExcludedFromStats)
                 double(cold.core.instructions), 16.0);
 }
 
-TEST(SimulatorTest, MissHookSeesLoadMissStream)
-{
-    auto w = makeWorkload("health");
-    SimConfig cfg = makePaperConfig(PaperConfig::Base);
-    cfg.warmupInstructions = 5000;
-    cfg.maxInstructions = 30000;
-    Simulator sim(cfg, *w);
-    uint64_t hook_calls = 0;
-    sim.setMissHook([&](Addr pc, Addr addr) {
-        EXPECT_GE(pc, Addr{0x00400000});
-        EXPECT_GE(addr, Addr{0x10000000});
-        ++hook_calls;
-    });
-    SimResult r = sim.run();
-    EXPECT_GT(hook_calls, 0u);
-    // Hook fires for load misses; store misses and forwards excluded,
-    // so it cannot exceed total misses plus SB-serviced accesses.
-    EXPECT_LE(hook_calls,
-              r.core.l1dMisses + r.core.sbServiced + r.core.loads);
-}
-
 TEST(SimulatorTest, EveryPrefetcherKindConstructsAndRuns)
 {
     for (PrefetcherKind kind :

@@ -136,8 +136,31 @@ TEST(SweepConfigKeyTest, AcceptsTheDocumentedGrammar)
     EXPECT_TRUE(applyConfigKey(cfg, "l1d-assoc", "2", err)) << err;
     EXPECT_TRUE(applyConfigKey(cfg, "buffers", "8", err)) << err;
     EXPECT_TRUE(applyConfigKey(cfg, "entries", "4", err)) << err;
-    EXPECT_TRUE(applyConfigKey(cfg, "nodis", "true", err)) << err;
     EXPECT_TRUE(applyConfigKey(cfg, "tlb-cache", "false", err)) << err;
+    EXPECT_TRUE(applyConfigKey(cfg, "disambig", "learned", err)) << err;
+    EXPECT_EQ(cfg.core.disambiguation, DisambiguationMode::Learned);
+    EXPECT_TRUE(applyConfigKey(cfg, "sfm-mode", "markov-only", err))
+        << err;
+    EXPECT_EQ(cfg.sfm.mode, SfmMode::MarkovOnly);
+    EXPECT_TRUE(applyConfigKey(cfg, "aging", "20", err)) << err;
+    EXPECT_EQ(cfg.psb.buffers.agingPeriod, 20u);
+    EXPECT_TRUE(applyConfigKey(cfg, "conf-threshold", "3", err)) << err;
+    EXPECT_EQ(cfg.psb.buffers.allocConfThreshold, 3u);
+    EXPECT_TRUE(applyConfigKey(cfg, "config", "2Miss-RR", err)) << err;
+    EXPECT_EQ(cfg.psb.alloc, AllocPolicy::TwoMiss);
+    EXPECT_EQ(cfg.psb.sched, SchedPolicy::RoundRobin);
+}
+
+TEST(SweepConfigKeyTest, ConfigKeyIsExactlyMakePaperConfig)
+{
+    for (PaperConfig pc : paperConfigs) {
+        SimConfig cfg;
+        std::string err;
+        ASSERT_TRUE(applyConfigKeys(cfg, {{"config", paperConfigName(pc)}},
+                                    err))
+            << err;
+        EXPECT_TRUE(cfg == makePaperConfig(pc)) << paperConfigName(pc);
+    }
 }
 
 TEST(SweepConfigKeyTest, RejectsUnknownKeys)
@@ -156,8 +179,37 @@ TEST(SweepConfigKeyTest, RejectsBadValues)
     EXPECT_FALSE(applyConfigKey(cfg, "prefetcher", "warp", err));
     EXPECT_FALSE(applyConfigKey(cfg, "insts", "12banana", err));
     EXPECT_FALSE(applyConfigKey(cfg, "insts", "-5", err));
-    EXPECT_FALSE(applyConfigKey(cfg, "nodis", "yes", err));
+    EXPECT_FALSE(applyConfigKey(cfg, "tlb-cache", "yes", err));
     EXPECT_FALSE(applyConfigKey(cfg, "buffers", "", err));
+    EXPECT_FALSE(applyConfigKey(cfg, "buffers", "4294967297", err));
+    EXPECT_FALSE(applyConfigKey(cfg, "config", "Turbo", err));
+    EXPECT_FALSE(applyConfigKey(cfg, "disambig", "true", err));
+    EXPECT_FALSE(applyConfigKey(cfg, "sfm-mode", "both", err));
+}
+
+TEST(SweepConfigKeyTest, ValidateRejectsOutOfRangeValues)
+{
+    // Unvalidated, each of these reaches a constructor assertion or a
+    // SIGFPE inside the Simulator.
+    const std::pair<const char *, const char *> cases[] = {
+        {"l1d-assoc", "0"},      {"buffers", "0"},    {"entries", "0"},
+        {"entries", "65"},       {"l1d-kb", "0"},     {"l1d-kb", "3"},
+        {"markov-entries", "0"}, {"markov-entries", "3"},
+        {"delta-bits", "0"},     {"delta-bits", "70"}, {"order", "9"},
+        {"aging", "0"},
+    };
+    for (const auto &[key, value] : cases) {
+        SimConfig cfg;
+        std::string err;
+        EXPECT_FALSE(applyConfigKeys(cfg, {{key, value}}, err))
+            << key << "=" << value;
+        EXPECT_NE(err.find(key), std::string::npos) << err;
+    }
+    SimConfig ok;
+    std::string err;
+    EXPECT_TRUE(ok.validate(err)) << err;
+    for (PaperConfig pc : paperConfigs)
+        EXPECT_TRUE(makePaperConfig(pc).validate(err)) << err;
 }
 
 TEST(SweepConfigKeyTest, KeyListIsSortedAndComplete)
@@ -174,7 +226,10 @@ TEST(SweepConfigKeyTest, KeyListIsSortedAndComplete)
                   applyConfigKey(cfg, key, "true", err) ||
                   applyConfigKey(cfg, key, "psb", err) ||
                   applyConfigKey(cfg, key, "conf", err) ||
-                  applyConfigKey(cfg, key, "rr", err);
+                  applyConfigKey(cfg, key, "rr", err) ||
+                  applyConfigKey(cfg, key, "Base", err) ||
+                  applyConfigKey(cfg, key, "sfm", err) ||
+                  applyConfigKey(cfg, key, "none", err);
         EXPECT_TRUE(ok) << "advertised key not applicable: " << key;
     }
 }
@@ -243,6 +298,116 @@ TEST(SweepSpecTest, RejectsBaseAxesCollision)
             "axes": {"buffers": [4, 8]}})",
         spec, err));
     EXPECT_NE(err.find("buffers"), std::string::npos) << err;
+}
+
+TEST(SweepSpecTest, NewKeysRoundTripThroughExpansion)
+{
+    SweepSpec spec;
+    std::string err;
+    ASSERT_TRUE(parseSweepSpec(
+        R"({"workloads": ["health"],
+            "base": {"config": "ConfAlloc-RR", "aging": 5},
+            "axes": {"sfm-mode": ["stride-only"],
+                     "conf-threshold": [3],
+                     "disambig": ["none", "learned"]}})",
+        spec, err))
+        << err;
+    std::vector<SweepRun> runs;
+    ASSERT_TRUE(expandSweepSpec(spec, runs, err)) << err;
+    ASSERT_EQ(runs.size(), 2u);
+    EXPECT_EQ(runs[1].key, "health/seed=1/sfm-mode=stride-only,"
+                           "conf-threshold=3,disambig=learned");
+    SimConfig want = makePaperConfig(PaperConfig::ConfAllocRR);
+    want.psb.buffers.agingPeriod = 5;
+    want.sfm.mode = SfmMode::StrideOnly;
+    want.psb.buffers.allocConfThreshold = 3;
+    want.core.disambiguation = DisambiguationMode::Learned;
+    EXPECT_TRUE(runs[1].cfg == want);
+}
+
+TEST(SweepSpecTest, RejectsConfigBesideItsFields)
+{
+    for (const char *field : {"\"prefetcher\": [\"psb\"]",
+                              "\"alloc\": [\"conf\"]",
+                              "\"sched\": [\"rr\"]"}) {
+        SweepSpec spec;
+        std::string err;
+        ASSERT_TRUE(parseSweepSpec(
+            std::string(R"({"workloads": ["health"],
+                           "base": {"config": "Base"}, "axes": {)") +
+                field + "}}",
+            spec, err))
+            << err;
+        std::vector<SweepRun> runs;
+        EXPECT_FALSE(expandSweepSpec(spec, runs, err)) << field;
+        EXPECT_NE(err.find("'config'"), std::string::npos) << err;
+    }
+}
+
+TEST(SweepSpecTest, ParsesTables)
+{
+    SweepSpec spec;
+    std::string err;
+    ASSERT_TRUE(parseSweepSpec(
+        R"({"workloads": ["health", "burg"],
+            "axes": {"config": ["Base", "PCStride"], "buffers": [4, 8]},
+            "tables": [{"title": "t", "rows": ["burg"], "average": true,
+              "columns": [{"label": "L", "stat": "a.x, b.x",
+                           "job": "buffers=8,config=PCStride",
+                           "vs": "config=Base", "digits": 2}]}]})",
+        spec, err))
+        << err;
+    ASSERT_EQ(spec.tables.size(), 1u);
+    const SweepTable &t = spec.tables[0];
+    EXPECT_EQ(t.title, "t");
+    EXPECT_EQ(t.rows, std::vector<std::string>{"burg"});
+    EXPECT_TRUE(t.average);
+    ASSERT_EQ(t.columns.size(), 1u);
+    const SweepTableColumn &c = t.columns[0];
+    // Stored in spec axis order, whatever order the column names them.
+    EXPECT_EQ(sweepJobKey("burg", 1, c.job),
+              "burg/seed=1/config=PCStride,buffers=8");
+    EXPECT_EQ(c.stats, (std::vector<std::string>{"a.x", "b.x"}));
+    // "vs" substitutes into the column's own job.
+    EXPECT_EQ(sweepJobKey("burg", 1, c.vs),
+              "burg/seed=1/config=Base,buffers=8");
+    EXPECT_EQ(c.digits, 2);
+}
+
+TEST(SweepSpecTest, RejectsBadTables)
+{
+    const char *head = R"({"workloads": ["health"],
+        "axes": {"config": ["Base", "PCStride"]}, "tables": )";
+    const std::pair<const char *, const char *> cases[] = {
+        {R"([{"colour": 1, "columns": []}])", "colour"},
+        {R"([{"columns": [{"label": "x", "job": "config=Base",
+                           "stat": "core.ipc", "colour": 1}]}])",
+         "colour"},
+        {R"([{"columns": [{"label": "x", "job": "buffers=4",
+                           "stat": "core.ipc"}]}])",
+         "buffers"},
+        {R"([{"columns": [{"label": "x", "job": "config=Base",
+                           "stat": " , "}]}])",
+         "no stat"},
+        {R"([{"columns": [{"label": "x", "job": "config=Turbo",
+                           "stat": "core.ipc"}]}])",
+         "Turbo"},
+        {R"([{"columns": [{"label": "x", "job": "config=Base",
+                           "stat": "core.ipc", "vs": "order=1"}]}])",
+         "order"},
+        {R"([{"rows": ["gs"], "columns": [{"label": "x",
+              "job": "config=Base", "stat": "core.ipc"}]}])",
+         "rows"},
+        {R"([{"title": "no columns"}])", "columns"},
+    };
+    for (const auto &[tables, needle] : cases) {
+        SweepSpec spec;
+        std::string err;
+        EXPECT_FALSE(parseSweepSpec(std::string(head) + tables + "}",
+                                    spec, err))
+            << tables;
+        EXPECT_NE(err.find(needle), std::string::npos) << err;
+    }
 }
 
 TEST(SweepSpecTest, RejectsBadAxisValueAtExpansion)

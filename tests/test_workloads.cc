@@ -248,6 +248,14 @@ struct CharacterCase
     void (*run)();
 };
 
+// Without a printer gtest dumps the row's raw bytes, which are
+// per-process pointers, into the discovered ctest names.
+void
+PrintTo(const CharacterCase &c, std::ostream *os)
+{
+    *os << c.workload << "_" << c.trait;
+}
+
 void
 turb3dStrideDominated()
 {

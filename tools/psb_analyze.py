@@ -80,8 +80,8 @@ R1a (true canonical types, catching typedef'd uint64_t) and R3
 merged and deduplicated. `--backend libclang` makes that pass
 mandatory, `--backend internal` disables it.
 
-The tree walk covers src/ plus tools/*.cc and bench/ (the analysis
-rules apply to the offline tooling too — a nondeterministic merge key
+The tree walk covers src/ plus tools/*.cc (the analysis rules apply
+to the offline tooling too — a nondeterministic merge key
 in psb-sweep corrupts golden output just as surely as one in the
 simulator). `--jobs N` tokenizes and scope-scans the translation
 units in a worker pool; the per-file models are merged in sorted
@@ -2846,17 +2846,13 @@ def run_tree(args):
                 print(msg, file=sys.stderr)
                 return EXIT_NO_COMPILE_DB
         files = sorted(src.rglob("*.hh")) + sorted(src.rglob("*.cc"))
-        # The rules apply to the offline tooling and the benchmark
-        # layer too: a nondeterministic merge key in psb-sweep or a
-        # tainted bench JSON field corrupts golden output the same
-        # way simulator code would.
+        # The rules apply to the offline tooling too: a
+        # nondeterministic merge key in psb-sweep or a tainted bench
+        # JSON field corrupts golden output the same way simulator
+        # code would.
         tools_dir = root / "tools"
         if tools_dir.is_dir():
             files += sorted(tools_dir.glob("*.cc"))
-        bench_dir = root / "bench"
-        if bench_dir.is_dir():
-            files += sorted(bench_dir.rglob("*.hh"))
-            files += sorted(bench_dir.rglob("*.cc"))
     findings, suppressions = analyze_files(files, root,
                                            jobs=args.jobs)
 

@@ -5,9 +5,11 @@
  *
  * Usage:
  *   psb-report --stats-json FILE [options]
- *     --stats-json FILE      flat stats dump (required)
+ *   psb-report --sweep FILE [options]
+ *     --stats-json FILE      flat stats dump (required without --sweep)
  *     --intervals FILE       --interval-stats JSONL series
- *     --sweep FILE           psb-sweep merged document
+ *     --sweep FILE           psb-sweep merged document; renders the
+ *                            spec's "tables" (every paper figure)
  *     --bench FILE           BENCH_psb.json trajectory
  *     --bench-baseline FILE  baseline BENCH document (enables deltas)
  *     --golden FILE          golden stats file (drift summary)
@@ -54,6 +56,7 @@ usage(int code)
         "psb-report: render a consolidated run report\n"
         "  psb-report --stats-json FILE [--intervals FILE]\n"
         "             [--sweep FILE] [--bench FILE]\n"
+        "  psb-report --sweep FILE [...]   (no --stats-json needed)\n"
         "             [--bench-baseline FILE] [--golden FILE]\n"
         "             [--title STR] [--md PATH] [--html PATH]\n"
         "  At least one of --md / --html; \"-\" writes to stdout.\n",
@@ -101,8 +104,10 @@ parseArgs(int argc, char **argv)
             usage(2);
         }
     }
-    if (opts.statsPath.empty()) {
-        std::fputs("psb-report: --stats-json is required\n", stderr);
+    if (opts.statsPath.empty() && opts.sweepPath.empty()) {
+        std::fputs("psb-report: --stats-json is required without "
+                   "--sweep\n",
+                   stderr);
         usage(2);
     }
     if (opts.mdPath.empty() && opts.htmlPath.empty()) {
@@ -158,7 +163,7 @@ int
 main(int argc, char **argv)
 {
     Options opts = parseArgs(argc, argv);
-    if (!readFile(opts.statsPath, opts.inputs.statsJson) ||
+    if (!readOptional(opts.statsPath, opts.inputs.statsJson) ||
         !readOptional(opts.intervalsPath, opts.inputs.intervalsJsonl) ||
         !readOptional(opts.sweepPath, opts.inputs.sweepJson) ||
         !readOptional(opts.benchPath, opts.inputs.benchJson) ||

@@ -11,6 +11,11 @@
  *                         (default health)
  *     --fuzz-spec PATH    fuzz scenario JSON ("-" = stdin); implies
  *                         and requires --workload fuzz
+ *     --config NAME       one of the paper's six machines (Base,
+ *                         PCStride, 2Miss-RR, 2Miss-Priority,
+ *                         ConfAlloc-RR, ConfAlloc-Priority); sets
+ *                         the prefetcher/alloc/sched trio and cannot
+ *                         be combined with those three flags
  *     --prefetcher NAME   none|pcstride|psb|sequential|nextline|
  *                         markov|mindelta          (default psb)
  *     --alloc NAME        2miss|conf|always        (default conf)
@@ -25,7 +30,11 @@
  *     --markov-entries N  Markov table entries     (default 2048)
  *     --delta-bits N      Markov delta width       (default 16)
  *     --order K           order-K context predictor instead of SFM
- *     --nodis             disable memory disambiguation
+ *     --sfm-mode MODE     sfm|stride-only|markov-only (default sfm)
+ *     --aging N           priority aging period    (default 10)
+ *     --conf-threshold N  confidence allocation threshold (default 1)
+ *     --disambig MODE     perfect|none|learned     (default perfect)
+ *     --nodis             same as --disambig none
  *     --tlb-cache         cache TLB translations in buffers (§4.5)
  *     --no-fastforward    tick every cycle (A/B timing; results are
  *                         identical either way)
@@ -46,6 +55,10 @@
  *                         measured cycles (requires --interval-out)
  *     --interval-out PATH interval time-series sink ("-" = stdout)
  *     --help
+ *
+ * Every config flag goes through applyConfigKeys() (sim/config.hh),
+ * the grammar sweep specs use too, so a malformed or out-of-range
+ * value exits 1 with a message naming the flag instead of crashing.
  */
 
 #include <cstdio>
@@ -80,6 +93,8 @@ usage(int code)
         "graph|hashjoin|logscan|fuzz\n"
         "  --fuzz-spec PATH    fuzz scenario JSON (\"-\" = stdin); "
         "requires --workload fuzz\n"
+        "  --config NAME       Base|PCStride|2Miss-RR|2Miss-Priority|"
+        "ConfAlloc-RR|ConfAlloc-Priority\n"
         "  --prefetcher NAME   none|pcstride|psb|sequential|nextline|"
         "markov|mindelta\n"
         "  --alloc NAME        2miss|conf|always\n"
@@ -87,7 +102,9 @@ usage(int code)
         "  --insts N --warmup N --seed N\n"
         "  --l1d-kb N --l1d-assoc N\n"
         "  --buffers N --entries N --markov-entries N --delta-bits N\n"
-        "  --order K --nodis --tlb-cache --no-fastforward\n"
+        "  --order K --sfm-mode sfm|stride-only|markov-only\n"
+        "  --aging N --conf-threshold N --disambig perfect|none|learned\n"
+        "  --nodis --tlb-cache --no-fastforward\n"
         "  --assert-no-alloc   fatal heap use in the steady-state "
         "loop (PSB_ALLOC_GUARD builds)\n"
         "  --stats-json PATH --stats\n"
@@ -105,6 +122,20 @@ usage(int code)
         "  --help\n",
         code == 0 ? stdout : stderr);
     std::exit(code);
+}
+
+/**
+ * "--KEY VALUE" for every config key (sim/config.hh) except the two
+ * booleans, which keep their value-less flags (--tlb-cache,
+ * --no-fastforward).
+ */
+bool
+isValueConfigFlag(const std::string &flag)
+{
+    if (flag.rfind("--", 0) != 0)
+        return false;
+    std::string key = flag.substr(2);
+    return key != "tlb-cache" && key != "fastforward" && isConfigKey(key);
 }
 
 uint64_t
@@ -143,6 +174,8 @@ main(int argc, char **argv)
     cfg.psb.sched = SchedPolicy::Priority;
     cfg.warmupInstructions = 250'000;
     cfg.maxInstructions = 1'000'000;
+    // Config flags, in command-line order, for applyConfigKeys().
+    std::vector<std::pair<std::string, std::string>> settings;
 
     for (int i = 1; i < argc; ++i) {
         std::string flag = argv[i];
@@ -160,68 +193,16 @@ main(int argc, char **argv)
             workload = value();
         } else if (flag == "--fuzz-spec") {
             fuzzSpecPath = value();
-        } else if (flag == "--prefetcher") {
-            std::string v = value();
-            if (v == "none")
-                cfg.prefetcher = PrefetcherKind::None;
-            else if (v == "pcstride")
-                cfg.prefetcher = PrefetcherKind::PcStride;
-            else if (v == "psb")
-                cfg.prefetcher = PrefetcherKind::Psb;
-            else if (v == "sequential")
-                cfg.prefetcher = PrefetcherKind::Sequential;
-            else if (v == "nextline")
-                cfg.prefetcher = PrefetcherKind::NextLine;
-            else if (v == "markov")
-                cfg.prefetcher = PrefetcherKind::MarkovDemand;
-            else if (v == "mindelta")
-                cfg.prefetcher = PrefetcherKind::MinDelta;
-            else
-                usage(1);
-        } else if (flag == "--alloc") {
-            std::string v = value();
-            if (v == "2miss")
-                cfg.psb.alloc = AllocPolicy::TwoMiss;
-            else if (v == "conf")
-                cfg.psb.alloc = AllocPolicy::Confidence;
-            else if (v == "always")
-                cfg.psb.alloc = AllocPolicy::Always;
-            else
-                usage(1);
-        } else if (flag == "--sched") {
-            std::string v = value();
-            if (v == "rr")
-                cfg.psb.sched = SchedPolicy::RoundRobin;
-            else if (v == "priority")
-                cfg.psb.sched = SchedPolicy::Priority;
-            else
-                usage(1);
-        } else if (flag == "--insts") {
-            cfg.maxInstructions = parseNum(value(), "--insts");
-        } else if (flag == "--warmup") {
-            cfg.warmupInstructions = parseNum(value(), "--warmup");
         } else if (flag == "--seed") {
             seed = parseNum(value(), "--seed");
-        } else if (flag == "--l1d-kb") {
-            cfg.memory.l1d.sizeBytes =
-                parseNum(value(), "--l1d-kb") * 1024;
-        } else if (flag == "--l1d-assoc") {
-            cfg.memory.l1d.assoc =
-                unsigned(parseNum(value(), "--l1d-assoc"));
-        } else if (flag == "--buffers") {
-            cfg.psb.buffers.numBuffers =
-                unsigned(parseNum(value(), "--buffers"));
-        } else if (flag == "--entries") {
-            cfg.psb.buffers.entriesPerBuffer =
-                unsigned(parseNum(value(), "--entries"));
-        } else if (flag == "--markov-entries") {
-            cfg.sfm.markov.entries =
-                unsigned(parseNum(value(), "--markov-entries"));
-        } else if (flag == "--delta-bits") {
-            cfg.sfm.markov.deltaBits =
-                unsigned(parseNum(value(), "--delta-bits"));
-        } else if (flag == "--order") {
-            cfg.psbContextOrder = unsigned(parseNum(value(), "--order"));
+        } else if (flag == "--nodis") {
+            settings.emplace_back("disambig", "none");
+        } else if (flag == "--tlb-cache") {
+            settings.emplace_back("tlb-cache", "true");
+        } else if (flag == "--no-fastforward") {
+            settings.emplace_back("fastforward", "false");
+        } else if (isValueConfigFlag(flag)) {
+            settings.emplace_back(flag.substr(2), value());
         } else if (flag == "--stats-json") {
             statsJsonPath = value();
         } else if (flag == "--stats") {
@@ -242,12 +223,6 @@ main(int argc, char **argv)
                 fatal("--interval-stats period must be positive");
         } else if (flag == "--interval-out") {
             intervalOut = value();
-        } else if (flag == "--nodis") {
-            cfg.core.disambiguation = DisambiguationMode::None;
-        } else if (flag == "--tlb-cache") {
-            cfg.psb.buffers.cacheTlbTranslation = true;
-        } else if (flag == "--no-fastforward") {
-            cfg.fastForward = false;
         } else if (flag == "--assert-no-alloc") {
             if (!AllocGuard::compiledIn()) {
                 fatal("--assert-no-alloc needs a PSB_ALLOC_GUARD "
@@ -259,6 +234,12 @@ main(int argc, char **argv)
                          flag.c_str());
             usage(1);
         }
+    }
+
+    std::string configError;
+    if (!applyConfigKeys(cfg, settings, configError)) {
+        std::fprintf(stderr, "psb-sim: %s\n", configError.c_str());
+        return 1;
     }
 
     std::unique_ptr<Workload> trace;
@@ -324,7 +305,6 @@ main(int argc, char **argv)
     if (intervalCycles == 0 && !intervalOut.empty())
         fatal("--interval-out needs --interval-stats N");
 
-    cfg.harmonize();
     psb::Simulator sim(cfg, *trace);
 
     std::ofstream intervalFile;

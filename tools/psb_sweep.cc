@@ -16,9 +16,12 @@
  *
  * The merged document is byte-identical regardless of --jobs and of
  * job completion order (jobs are keyed and sorted; every value comes
- * from the deterministic %.17g stats writer). Exit status: 0 when
- * every job succeeded, 1 otherwise (the merged document is still
- * written, with per-job "status"/"error" members).
+ * from the deterministic %.17g stats writer). It opens with the spec
+ * itself ("spec"), so psb-report --sweep can render the spec's
+ * "tables" from it. Exit status: 0 when every job succeeded, 1
+ * otherwise (the merged document is still written, with per-job
+ * "status"/"error" members), 2 for a usage error or a spec that
+ * fails to parse or expand (nothing is run).
  */
 
 #include <cstdio>
@@ -51,7 +54,8 @@ usage(int code)
         "  --quiet         no per-job progress lines\n"
         "  --help\n"
         "spec: {\"jobs\": N, \"workloads\": [...], \"seeds\": [...],\n"
-        "       \"base\": {key: value, ...}, \"axes\": {key: [v, ...]}}\n"
+        "       \"base\": {key: value, ...}, \"axes\": {key: [v, ...]},\n"
+        "       \"tables\": [...]}  (see sim/sweep_spec.hh)\n"
         "config keys mirror the psb-sim flags (sim/config.hh)\n",
         code == 0 ? stdout : stderr);
     std::exit(code);
@@ -176,7 +180,8 @@ main(int argc, char **argv)
 
     SweepEngine engine(opts);
     std::vector<JobResult> results = engine.run(jobs);
-    std::string merged = SweepEngine::mergeStatsJson(results);
+    std::string merged =
+        SweepEngine::mergeStatsJson(results, specText.str());
 
     if (outPath == "-") {
         std::fputs(merged.c_str(), stdout);
