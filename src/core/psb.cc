@@ -193,14 +193,9 @@ void
 PredictorDirectedStreamBuffers::makePrediction(Cycle now)
 {
     // One buffer per cycle gets the shared predictor port.
-    auto candidate = [this](unsigned b) {
-        const StreamBuffer &buf = _file.buffer(b);
-        return buf.allocated() && buf.freeEntry() >= 0;
-    };
-    auto tie_stamp = [this](unsigned b) {
-        return _file.buffer(b).lastPredictStamp;
-    };
-    int winner = _predictSched.pick(_file, candidate, tie_stamp);
+    int winner = _predictSched.pick(
+        _file, [this](unsigned b) { return portCandidate(b); },
+        [this](unsigned b) { return _file.buffer(b).lastPredictStamp; });
     if (winner < 0)
         return;
 
@@ -296,6 +291,13 @@ PredictorDirectedStreamBuffers::tick(Cycle now)
 }
 
 bool
+PredictorDirectedStreamBuffers::portCandidate(unsigned b) const
+{
+    const StreamBuffer &buf = _file.buffer(b);
+    return buf.allocated() && buf.freeEntry() >= 0;
+}
+
+bool
 PredictorDirectedStreamBuffers::fastForwardTicks(Cycle from, uint64_t n)
 {
     bool predict_candidate = false;
@@ -310,22 +312,65 @@ PredictorDirectedStreamBuffers::fastForwardTicks(Cycle from, uint64_t n)
             prefetch_candidate = true;
     }
 
-    // A buffer would win the predictor port and advance its stream.
-    if (predict_candidate)
-        return false;
-
-    // issuePrefetch() consults the scheduler only on bus-free cycles.
+    // issuePrefetch() consults the scheduler only on bus-free cycles,
+    // and a queued prefetch would issue on the first of them. Nothing
+    // below enqueues one: a replayed port only suppresses duplicates.
     uint64_t bus_free = _hierarchy.l1L2Bus().freeCyclesIn(from, n);
-
-    // A queued prefetch would issue on the first free bus cycle.
     if (prefetch_candidate && bus_free > 0)
         return false;
 
-    // Idle span: every cycle's makePrediction() comes up empty, and
-    // every bus-free cycle's issuePrefetch() does too.
-    _predictSched.addNoCandidatePicks(n);
+    if (predict_candidate) {
+        // Someone wins the port every cycle: replayable only when
+        // every winner's stream is stalled.
+        if (!replayStalledPort(n))
+            return false;
+    } else {
+        _predictSched.addNoCandidatePicks(n);
+    }
     if (!prefetch_candidate)
         _prefetchSched.addNoCandidatePicks(bus_free);
+    return true;
+}
+
+bool
+PredictorDirectedStreamBuffers::replayStalledPort(uint64_t n)
+{
+    // A replay emits none of the per-cycle grant/predict events.
+    if (traceAnyEnabled())
+        return false;
+
+    std::span<const unsigned> cycle = _predictSched.winnerCycle(
+        _file, [this](unsigned b) { return portCandidate(b); },
+        [this](unsigned b) { return _file.buffer(b).lastPredictStamp; });
+    const uint64_t k = cycle.size();
+    const uint64_t winners = n < k ? n : k;
+
+    // Check every winner before touching anything: a refusal leaves
+    // no trace. Pick j goes to cycle[j % k]; a stalled stream's
+    // makePrediction() only restamps it and, when the predictor does
+    // predict, counts a prediction and a duplicate, provided the
+    // block is already in the file (no buffer changes in the span).
+    uint64_t duplicates = 0;
+    for (uint64_t i = 0; i < winners; ++i) {
+        const StreamBuffer &buf = _file.buffer(cycle[i]);
+        PredictFixedPoint fp = _predictor.fixedPoint(buf.state);
+        if (!fp.stalled)
+            return false;
+        if (fp.next) {
+            if (!_file.contains(*fp.next))
+                return false;
+            duplicates += (n - 1 - i) / k + 1;
+        }
+    }
+
+    uint64_t first = _file.takeStamps(n);
+    for (uint64_t i = 0; i < winners; ++i) {
+        uint64_t last_pick = i + (n - 1 - i) / k * k;
+        _file.buffer(cycle[i]).lastPredictStamp = first + last_pick;
+    }
+    _predictSched.replayGrants(cycle, n);
+    _stats.predictions += duplicates;
+    _stats.duplicateSuppressed += duplicates;
     return true;
 }
 

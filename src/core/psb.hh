@@ -90,11 +90,12 @@ class PredictorDirectedStreamBuffers : public Prefetcher
 
     /**
      * Fast-forward support: a span of ticks is replayable iff no
-     * buffer could win the predictor port (so makePrediction() would
-     * only bump the no-candidate count) and no pending prefetch could
-     * reach a free L1-L2 bus cycle (so issuePrefetch() would either
-     * return on the busy bus or bump its no-candidate count). The
-     * replay applies exactly those counter bumps.
+     * pending prefetch can reach a free L1-L2 bus cycle (so
+     * issuePrefetch() either returns on the busy bus or counts a
+     * no-candidate pick) and the predictor port is either idle or
+     * held by stalled streams (replayStalledPort()). The replay applies
+     * exactly the stamps and counter bumps those ticks would have; a
+     * refusal changes nothing.
      */
     bool fastForwardTicks(Cycle from, uint64_t n) override;
 
@@ -111,10 +112,22 @@ class PredictorDirectedStreamBuffers : public Prefetcher
                        const std::string &prefix) const override;
 
     const StreamBufferFile &bufferFile() const { return _file; }
+    const BufferScheduler &predictScheduler() const { return _predictSched; }
     const PsbConfig &config() const { return _cfg; }
 
   private:
+    /** Whether buffer @p b competes for the predictor port. */
+    bool portCandidate(unsigned b) const;
     PSB_HOT_PATH void makePrediction(Cycle now);
+    /**
+     * Replay @p n cycles whose predictor-port winners are all stalled
+     * (AddressPredictor::fixedPoint()) on a block already in the file,
+     * so each tick only restamps its winner and counts a suppressed
+     * duplicate: O(buffers) grants, stamps and counters, no
+     * allocation. Refuses, changing nothing, otherwise or while any
+     * trace flag is on.
+     */
+    bool replayStalledPort(uint64_t n);
     PSB_HOT_PATH void issuePrefetch(Cycle now);
     bool tryAllocate(Addr pc, Addr addr);
     /** Settle evicted-unused terminals before @p buf is re-allocated. */

@@ -51,6 +51,16 @@ class Bus
     bool freeAt(Cycle now) const { return _busyUntil <= now; }
 
     /**
+     * How long the bus stays occupied from cycle @p now on: the gap to
+     * its next free cycle, zero when it is free at @p now.
+     */
+    CycleDelta
+    busyFor(Cycle now) const
+    {
+        return freeAt(now) ? CycleDelta{} : _busyUntil - now;
+    }
+
+    /**
      * How many of the @p n cycles starting at @p from the bus is free
      * for, in closed form. Valid only while no new transaction is
      * queued during the span; the simulator's fast-forward path uses

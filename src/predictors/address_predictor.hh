@@ -77,6 +77,19 @@ struct StreamState
     PredictionSource lastSource = PredictionSource::None;
 };
 
+/** Answer of AddressPredictor::fixedPoint(). */
+struct PredictFixedPoint
+{
+    /**
+     * predictNext() is known to change nothing: not the StreamState,
+     * not the tables, not a counter. False means "unknown", which is
+     * always a correct answer.
+     */
+    bool stalled = false;
+    /** What that predictNext() returns (meaningful when stalled). */
+    std::optional<BlockAddr> next;
+};
+
 /** Shared, stateless-at-prediction-time address predictor. */
 class AddressPredictor
 {
@@ -102,6 +115,27 @@ class AddressPredictor
      */
     virtual std::optional<BlockAddr>
     predictNext(StreamState &state) const = 0;
+
+    /**
+     * Preview predictNext(@p state) without calling it: is the stream
+     * at a fixed point, where the call would change nothing, and what
+     * would it return? The stream-buffer fast-forward uses this to
+     * replay a predictor port that a stalled stream keeps winning
+     * (a stride-0 or self-looping stream re-predicting one block).
+     *
+     * The query must be const in fact, not just in signature: it may
+     * touch no mutable member, no counter and no trace sink. Answer
+     * stalled = true only when a predictNext() with tracing off would
+     * leave the state and every other observable unchanged and return
+     * exactly `next`. The default answers "unknown"; a predictor that
+     * keeps mutable shadow history (ContextPredictor) must keep it.
+     */
+    virtual PredictFixedPoint
+    fixedPoint(const StreamState &state) const
+    {
+        (void)state;
+        return {};
+    }
 
     /**
      * Build the initial per-stream state for a stream buffer allocated

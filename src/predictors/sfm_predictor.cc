@@ -61,29 +61,54 @@ SfmPredictor::train(Addr pc, Addr addr)
 }
 
 std::optional<BlockAddr>
-SfmPredictor::predictNext(StreamState &state) const
+SfmPredictor::peek(const StreamState &state,
+                   PredictionSource &source) const
 {
     const bool use_stride = _cfg.mode != SfmMode::MarkovOnly;
     const bool use_markov = _cfg.mode != SfmMode::StrideOnly;
 
-    std::optional<BlockAddr> next;
-    bool from_markov = false;
     if (use_markov) {
-        next = _markov.lookup(state.lastAddr);
-        from_markov = next.has_value();
+        if (auto next = _markov.lookup(state.lastAddr)) {
+            source = PredictionSource::Markov;
+            return next;
+        }
     }
-    if (!next && use_stride)
-        next = state.lastAddr + state.stride;
+    if (!use_stride)
+        return std::nullopt;
+    source = PredictionSource::Stride;
+    return state.lastAddr + state.stride;
+}
+
+std::optional<BlockAddr>
+SfmPredictor::predictNext(StreamState &state) const
+{
+    PredictionSource source = PredictionSource::None;
+    std::optional<BlockAddr> next = peek(state, source);
     if (!next)
         return std::nullopt;
 
     PSB_TRACE(Sfm, "predict", -1, "block=%llu source=%s",
               (unsigned long long)next->raw(),
-              from_markov ? "markov" : "stride");
+              source == PredictionSource::Markov ? "markov" : "stride");
     state.lastAddr = *next;
-    state.lastSource = from_markov ? PredictionSource::Markov
-                                   : PredictionSource::Stride;
+    state.lastSource = source;
     return next;
+}
+
+PredictFixedPoint
+SfmPredictor::fixedPoint(const StreamState &state) const
+{
+    // predictNext() writes lastAddr and lastSource, nothing else: a
+    // stream is stalled when it would rewrite both with their values
+    // (a stride-0 stream, a self-looping Markov entry), or when no
+    // half predicts at all.
+    PredictionSource source = PredictionSource::None;
+    std::optional<BlockAddr> next = peek(state, source);
+    if (!next)
+        return {true, std::nullopt};
+    if (*next != state.lastAddr || source != state.lastSource)
+        return {};
+    return {true, next};
 }
 
 StreamState

@@ -61,6 +61,8 @@ class SfmPredictor : public AddressPredictor
     PSB_HOT_PATH void train(Addr pc, Addr addr) override;
     PSB_HOT_PATH std::optional<BlockAddr>
     predictNext(StreamState &state) const override;
+    PredictFixedPoint
+    fixedPoint(const StreamState &state) const override;
     StreamState allocateStream(Addr pc, Addr addr) const override;
     uint32_t confidence(Addr pc) const override;
     bool twoMissFilterPass(Addr pc, Addr addr) const override;
@@ -87,6 +89,13 @@ class SfmPredictor : public AddressPredictor
     const SfmConfig &config() const { return _cfg; }
 
   private:
+    /**
+     * The block predictNext() would predict for @p state and, through
+     * @p source, the half that predicts it; nullopt when neither does.
+     */
+    PSB_HOT_PATH std::optional<BlockAddr>
+    peek(const StreamState &state, PredictionSource &source) const;
+
     SfmConfig _cfg;
     unsigned _lineBits;
     StrideTable _stride;

@@ -94,15 +94,19 @@ class Prefetcher
     virtual void tick(Cycle now) = 0;
 
     /**
-     * Replay @p n consecutive idle ticks [@p from, @p from + @p n) in
-     * O(1), for the simulator's event-driven fast-forward. An
-     * implementation must return true ONLY when ticking those cycles
-     * one by one would have left its architectural state unchanged,
-     * and must apply any per-idle-cycle stat bumps (e.g. scheduler
-     * no-candidate counts) itself so a fast-forwarded run stays
-     * byte-identical to a cycle-by-cycle run. Returning false makes
-     * the simulator tick through the span normally; the conservative
-     * default is always correct.
+     * Replay @p n consecutive ticks [@p from, @p from + @p n) without
+     * running them, for the simulator's event-driven fast-forward. An
+     * implementation may return true ONLY when it can apply exactly
+     * what ticking those cycles one by one would have done: every
+     * state change, stamp and stat bump (scheduler no-candidate
+     * counts, a stalled predictor port's grants and suppressed
+     * duplicates), so a fast-forwarded run stays byte-identical to a
+     * cycle-by-cycle run.
+     *
+     * A refusal (false) must change nothing at all: the simulator then
+     * retries once with a shorter span, cut at the L1-L2 bus's next
+     * free cycle, before ticking through normally. The conservative
+     * default, which always refuses, is always correct.
      *
      * The contract holds because the core is quiescent over a skipped
      * span: no lookups, training, or demand misses arrive, so the

@@ -19,7 +19,8 @@ schedPolicyName(SchedPolicy policy)
 
 BufferScheduler::BufferScheduler(SchedPolicy policy, unsigned num_buffers,
                                  const char *label)
-    : _policy(policy), _numBuffers(num_buffers), _label(label)
+    : _policy(policy), _numBuffers(num_buffers), _label(label),
+      _cycle(num_buffers)
 {
     psb_assert(num_buffers > 0, "scheduler needs at least one buffer");
 }

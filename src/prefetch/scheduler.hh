@@ -10,8 +10,12 @@
 #ifndef PSB_PREFETCH_SCHEDULER_HH
 #define PSB_PREFETCH_SCHEDULER_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "prefetch/stream_buffer.hh"
 #include "util/hot_path.hh"
@@ -115,7 +119,72 @@ class BufferScheduler
      */
     void addNoCandidatePicks(uint64_t n) { _noCandidate += n; }
 
+    /**
+     * The buffers that win the next picks, in order: pick j of a run
+     * goes to winnerCycle()[j % k], provided the candidate set and the
+     * priority counters hold still and the caller restamps each winner
+     * past all others (both PSB ports do). Round-robin rotates through
+     * every candidate after the pointer; Priority rotates through the
+     * top-priority candidates, least recently stamped first (ties:
+     * lower index), and starves the rest. Arguments as for pick();
+     * nothing observable changes.
+     *
+     * @return A view of scratch space sized at construction, valid
+     *         until the next call; empty when no buffer is a candidate.
+     */
+    template <typename CandidateFn, typename StampFn>
+    std::span<const unsigned>
+    winnerCycle(const StreamBufferFile &file, const CandidateFn &candidate,
+                const StampFn &tie_stamp)
+    {
+        unsigned k = 0;
+        if (_policy == SchedPolicy::RoundRobin) {
+            for (unsigned i = 1; i <= _numBuffers; ++i) {
+                unsigned b = (_rrPtr + i) % _numBuffers;
+                if (candidate(b))
+                    _cycle[k++] = b;
+            }
+            return {_cycle.data(), k};
+        }
+
+        uint32_t top = 0;
+        for (unsigned b = 0; b < _numBuffers; ++b) {
+            if (!candidate(b))
+                continue;
+            uint32_t p = file.buffer(b).priority.value();
+            if (k > 0 && p < top)
+                continue;
+            if (k == 0 || p > top) {
+                top = p;
+                k = 0;
+            }
+            _cycle[k++] = b;
+        }
+        std::sort(_cycle.begin(), _cycle.begin() + k,
+                  [&tie_stamp](unsigned a, unsigned b) {
+                      return std::pair(tie_stamp(a), a) <
+                             std::pair(tie_stamp(b), b);
+                  });
+        return {_cycle.data(), k};
+    }
+
+    /**
+     * Replay @p n consecutive picks along @p cycle (a non-empty
+     * winnerCycle() result): n grants, and the round-robin pointer
+     * left on the last winner.
+     */
+    void
+    replayGrants(std::span<const unsigned> cycle, uint64_t n)
+    {
+        _grants += n;
+        if (_policy == SchedPolicy::RoundRobin)
+            _rrPtr = cycle[(n - 1) % cycle.size()];
+    }
+
     SchedPolicy policy() const { return _policy; }
+
+    /** The last round-robin winner (pick() starts after it). */
+    unsigned rrPointer() const { return _rrPtr; }
 
     /** Arbitration outcomes: picks with and without a candidate. */
     uint64_t grants() const { return _grants; }
@@ -137,6 +206,8 @@ class BufferScheduler
     unsigned _numBuffers;
     const char *_label;
     unsigned _rrPtr = 0;
+    /** winnerCycle() scratch: one slot per buffer. */
+    std::vector<unsigned> _cycle;
     uint64_t _grants = 0;
     uint64_t _noCandidate = 0;
 };

@@ -37,6 +37,7 @@ StreamBuffer::allocateStream(const StreamState &new_state,
         e = SbEntry{};
     _validMask = 0;
     _pendingMask = 0;
+    _blockSig = 0;
     _allocated = true;
     ++streamAllocs;
     notePriorityPeak();
@@ -70,6 +71,7 @@ StreamBuffer::fillEntry(int idx, BlockAddr block, PredictionSource source)
     _entries[idx].source = source;
     _validMask |= uint64_t(1) << idx;
     _pendingMask |= uint64_t(1) << idx;
+    _blockSig |= blockSignatureBit(block);
 }
 
 void
@@ -92,6 +94,12 @@ StreamBuffer::clearEntry(int idx)
     _entries[idx] = SbEntry{};
     _validMask &= ~(uint64_t(1) << idx);
     _pendingMask &= ~(uint64_t(1) << idx);
+    // Another entry may share the cleared block's bit: rebuild.
+    _blockSig = 0;
+    for (uint64_t m = _validMask; m != 0; m &= m - 1) {
+        unsigned i = countTrailingZeros(m);
+        _blockSig |= blockSignatureBit(_entries[i].block);
+    }
 }
 
 StreamBufferFile::StreamBufferFile(const StreamBufferConfig &cfg)
@@ -108,8 +116,12 @@ StreamBufferFile::StreamBufferFile(const StreamBufferConfig &cfg)
 std::optional<StreamBufferFile::TagHit>
 StreamBufferFile::findBlock(BlockAddr block) const
 {
+    // Most searches miss (MSHR-full retries, duplicate checks): the
+    // signature test rejects a buffer without scanning its entries.
+    const uint64_t bit = blockSignatureBit(block);
     for (unsigned b = 0; b < _buffers.size(); ++b) {
-        if (!_buffers[b].allocated())
+        if (!_buffers[b].allocated() ||
+            !(_buffers[b].blockSignature() & bit))
             continue;
         int e = _buffers[b].findEntry(block);
         if (e >= 0)

@@ -61,6 +61,16 @@ struct SbEntry
 };
 
 /**
+ * @p block's bit in a stream buffer's block signature: one bit per
+ * value of the block number's low six bits.
+ */
+inline uint64_t
+blockSignatureBit(BlockAddr block)
+{
+    return uint64_t(1) << (block.raw() & 63);
+}
+
+/**
  * One stream buffer: N entries plus the per-stream prediction state
  * and the priority counter of paper §4.4.
  */
@@ -76,6 +86,13 @@ class StreamBuffer
 
     /** Index of the entry holding @p block, or -1. */
     PSB_HOT_PATH int findEntry(BlockAddr block) const;
+
+    /**
+     * The OR of blockSignatureBit() over the valid entries: a clear
+     * bit proves findEntry() would miss, so the file-wide search can
+     * skip this buffer without touching its entries.
+     */
+    uint64_t blockSignature() const { return _blockSig; }
 
     /**
      * Index of an entry free to take a new prediction, or -1. The
@@ -163,6 +180,7 @@ class StreamBuffer
     uint64_t _validMask = 0;   ///< bit i: _entries[i].valid
     uint64_t _pendingMask = 0; ///< bit i: valid && !prefetched
     uint64_t _fullMask = 0;    ///< low entriesPerBuffer bits
+    uint64_t _blockSig = 0;    ///< see blockSignature()
     unsigned _index = 0;
     bool _allocated = false;
 };
@@ -223,6 +241,21 @@ class StreamBufferFile
 
     /** Monotonic stamp source shared by owner policies. */
     uint64_t nextStamp() { return ++_stamp; }
+
+    /** The last stamp handed out (0: none yet). */
+    uint64_t lastStamp() const { return _stamp; }
+
+    /**
+     * Take @p n stamps at once, as n nextStamp() calls would.
+     * @return The first of them; the rest follow consecutively.
+     */
+    uint64_t
+    takeStamps(uint64_t n)
+    {
+        uint64_t first = _stamp + 1;
+        _stamp += n;
+        return first;
+    }
 
   private:
     StreamBufferConfig _cfg;

@@ -24,6 +24,17 @@ FarkasStridePredictor::predictNext(StreamState &state) const
     return state.lastAddr;
 }
 
+PredictFixedPoint
+FarkasStridePredictor::fixedPoint(const StreamState &state) const
+{
+    // A stride-0 stream re-predicts its last block forever once its
+    // first prediction has stamped the source.
+    if (state.stride != BlockDelta{} ||
+        state.lastSource != PredictionSource::Stride)
+        return {};
+    return {true, state.lastAddr};
+}
+
 StreamState
 FarkasStridePredictor::allocateStream(Addr pc, Addr addr) const
 {

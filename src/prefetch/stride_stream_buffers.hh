@@ -39,6 +39,10 @@ class FarkasStridePredictor : public AddressPredictor
     std::optional<BlockAddr>
     predictNext(StreamState &state) const override;
 
+    /** Stalled exactly when the allocated stride is 0. */
+    PredictFixedPoint
+    fixedPoint(const StreamState &state) const override;
+
     StreamState allocateStream(Addr pc, Addr addr) const override;
     uint32_t confidence(Addr pc) const override;
 

@@ -1,5 +1,7 @@
 #include "sim/simulator.hh"
 
+#include <algorithm>
+
 #include "predictors/context_predictor.hh"
 #include "prefetch/markov_prefetcher.hh"
 #include "prefetch/min_delta_stream_buffers.hh"
@@ -148,28 +150,36 @@ Simulator::maybeFastForward()
 {
     // Skip ahead to the core's next possible activity, provided the
     // prefetcher agrees the span is idle and replays its idle-cycle
-    // counters (scheduler no-candidate picks). Idle core cycles have
-    // no effect beyond the cycle counter, so the skip is exact: every
-    // stat and every piece of architectural state matches the
-    // cycle-by-cycle run (asserted by tests/test_properties.cc).
+    // counters (scheduler no-candidate picks, stalled predictor-port
+    // grants). Idle core cycles have no effect beyond the cycle
+    // counter, so the skip is exact: every stat and every piece of
+    // architectural state matches the cycle-by-cycle run (asserted by
+    // tests/test_properties.cc).
     Cycle wake = _core->nextWake();
     if (wake == Cycle::max() || wake <= _now)
         return;
-    uint64_t n = (wake - _now).raw();
+    CycleDelta span = wake - _now;
     if (_intervalStats && _intervalStats->started()) {
         // Land exactly on the interval boundary so the record's
         // "end" cycle matches the unskipped run.
         Cycle boundary = _intervalStats->nextBoundary();
         if (boundary <= _now)
             return;
-        uint64_t cap = (boundary - _now).raw();
-        if (n > cap)
-            n = cap;
+        span = std::min(span, boundary - _now);
     }
-    if (n == 0 || !_prefetcher->fastForwardTicks(_now, n))
-        return;
-    _core->skipIdleCycles(n);
-    _now += CycleDelta(n);
+    if (!_prefetcher->fastForwardTicks(_now, span.raw())) {
+        // Most refusals are a queued prefetch waiting for the L1-L2
+        // bus. A refusal changes nothing (Prefetcher::fastForwardTicks
+        // contract), so retry the stretch the bus stays busy, where no
+        // prefetch can issue.
+        CycleDelta busy = _hierarchy->l1L2Bus().busyFor(_now);
+        if (busy == CycleDelta{} || busy >= span ||
+            !_prefetcher->fastForwardTicks(_now, busy.raw()))
+            return;
+        span = busy;
+    }
+    _core->skipIdleCycles(span.raw());
+    _now += span;
     if (_intervalStats && _intervalStats->started()) {
         // Interval snapshots are an observability side-channel: they
         // allocate by design and pause the guard (static counterpart:
@@ -188,6 +198,9 @@ Simulator::stepCycle()
     _core->tick(_now);
     _prefetcher->tick(_now);
     ++_now;
+    // A work count, not a stat: registering it would make statsJson()
+    // differ with fast-forward on and off (see steppedCycles()).
+    ++_steppedCycles; // psb-analyze: allow(R2)
 }
 
 SimResult

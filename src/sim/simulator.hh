@@ -90,6 +90,14 @@ class Simulator
      */
     std::string statsJson() const { return _registry.toJson(); }
 
+    /**
+     * Cycles run() has ticked one by one, warm-up included; the rest
+     * of the run was fast-forwarded. A work count for tests and
+     * profiles, deliberately kept out of the stats registry so
+     * statsJson() is the same with fast-forward on and off.
+     */
+    uint64_t steppedCycles() const { return _steppedCycles; }
+
   private:
     void resetAllStats();
     void buildStatsRegistry();
@@ -113,6 +121,7 @@ class Simulator
     std::unique_ptr<OoOCore> _core;
     std::unique_ptr<IntervalStatsWriter> _intervalStats;
     Cycle _now{};
+    uint64_t _steppedCycles = 0;
 };
 
 } // namespace psb

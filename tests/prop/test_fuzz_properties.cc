@@ -97,10 +97,13 @@ propConfig(PrefetcherKind kind)
 }
 
 std::string
-runSpec(PrefetcherKind kind, const FuzzSpec &spec)
+runSpec(PrefetcherKind kind, const FuzzSpec &spec,
+        bool fast_forward = true)
 {
     FuzzWorkload trace(spec);
-    Simulator sim(propConfig(kind), trace);
+    SimConfig cfg = propConfig(kind);
+    cfg.fastForward = fast_forward;
+    Simulator sim(cfg, trace);
     sim.run();
     return sim.statsJson();
 }
@@ -175,6 +178,27 @@ TEST_P(FuzzBackendProperty, GoldenFreeDeterminism)
         if (::testing::Test::HasNonfatalFailure()) {
             dumpFailingSpec(spec,
                             std::string("determinism, backend ") +
+                                prefetcherKindName(GetParam()));
+            break;
+        }
+    }
+}
+
+TEST_P(FuzzBackendProperty, FastForwardIsInvisible)
+{
+    // Skipping cycles (idle spans, stalled predictor ports, spans
+    // capped at the next free bus cycle) must be exact: the same
+    // scenarios as GoldenFreeDeterminism export byte-identical stats
+    // with fast-forward on and off.
+    uint64_t n = fuzzSeedCount();
+    for (uint64_t seed : {uint64_t(1), (n + 1) / 2, n}) {
+        SCOPED_TRACE("fuzz seed " + std::to_string(seed));
+        FuzzSpec spec = FuzzSpec::fromSeed(seed);
+        EXPECT_EQ(runSpec(GetParam(), spec, true),
+                  runSpec(GetParam(), spec, false));
+        if (::testing::Test::HasNonfatalFailure()) {
+            dumpFailingSpec(spec,
+                            std::string("fast-forward, backend ") +
                                 prefetcherKindName(GetParam()));
             break;
         }

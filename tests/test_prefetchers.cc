@@ -12,6 +12,8 @@
 #include "prefetch/next_line_prefetcher.hh"
 #include "prefetch/sequential_stream_buffers.hh"
 #include "prefetch/stride_stream_buffers.hh"
+#include "sim/simulator.hh"
+#include "workloads/workload.hh"
 
 namespace psb
 {
@@ -257,6 +259,69 @@ TEST(MarkovPrefetcherTest, NonAdaptiveNeverDisables)
         mp.demandMiss(pc, Addr{0x70020}, Cycle(10 * round + 9));
     }
     EXPECT_EQ(mp.disabledSuppressed(), 0u);
+}
+
+TEST(FarkasPredictorTest, FixedPointOnlyForStrideZero)
+{
+    FarkasStridePredictor pred;
+    // An untrained load allocates a stride-0 stream. Its first
+    // prediction stamps the source, so only then is it stalled.
+    StreamState zero = pred.allocateStream(pc, Addr{0x1000});
+    ASSERT_EQ(zero.stride, BlockDelta{});
+    EXPECT_FALSE(pred.fixedPoint(zero).stalled);
+    StreamState before = zero;
+    auto first = pred.predictNext(zero);
+    ASSERT_TRUE(first.has_value());
+    EXPECT_EQ(*first, before.lastAddr);
+
+    PredictFixedPoint fp = pred.fixedPoint(zero);
+    ASSERT_TRUE(fp.stalled);
+    StreamState copy = zero;
+    EXPECT_EQ(pred.predictNext(copy), fp.next);
+    EXPECT_EQ(copy.lastAddr, zero.lastAddr);
+    EXPECT_EQ(copy.lastSource, zero.lastSource);
+
+    StreamState moving = zero;
+    moving.stride = BlockDelta{1};
+    EXPECT_FALSE(pred.fixedPoint(moving).stalled);
+}
+
+TEST(PrefetcherStatsTest, RefusedFastForwardChangesNothing)
+{
+    // The simulator retries a refused span at a shorter length, so a
+    // refusal must leave every backend exactly as it was. Queue work
+    // in each backend (a strided miss stream, twice so the Markov
+    // tables learn it), then ask for a span with the bus free.
+    for (PrefetcherKind kind :
+         {PrefetcherKind::None, PrefetcherKind::PcStride,
+          PrefetcherKind::Psb, PrefetcherKind::Sequential,
+          PrefetcherKind::NextLine, PrefetcherKind::MarkovDemand,
+          PrefetcherKind::MinDelta}) {
+        SCOPED_TRACE(prefetcherKindName(kind));
+        auto trace = makeWorkload("health");
+        SimConfig cfg = makePaperConfig(PaperConfig::ConfAllocPriority);
+        cfg.prefetcher = kind;
+        Simulator sim(cfg, *trace);
+        Prefetcher &pf = sim.prefetcher();
+        for (unsigned pass = 0; pass < 2; ++pass) {
+            for (unsigned i = 0; i < 8; ++i) {
+                Addr addr(0x20000 + 64 * i);
+                Cycle now(20 * pass + i);
+                pf.trainLoad(pc, addr, true, false);
+                pf.demandMiss(pc, addr, now);
+            }
+        }
+
+        const std::string before = sim.statsJson();
+        const Cycle from{100000};
+        ASSERT_TRUE(sim.hierarchy().l1L2Bus().freeAt(from));
+        bool accepted = pf.fastForwardTicks(from, 1000);
+        EXPECT_EQ(accepted, kind == PrefetcherKind::None)
+            << "queued work must refuse a bus-free span";
+        if (!accepted) {
+            EXPECT_EQ(sim.statsJson(), before);
+        }
+    }
 }
 
 TEST(PrefetcherStatsTest, ResetAcrossImplementations)

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <map>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -509,7 +510,29 @@ struct FastForwardParam
 {
     const char *workload;
     PaperConfig config;
+    uint64_t warmup = 5000;
+    /** One config key applied on top of the paper machine, or none. */
+    const char *key = nullptr;
+    const char *value = nullptr;
 };
+
+std::string
+fastForwardLabel(const FastForwardParam &p)
+{
+    std::string label =
+        std::string(p.workload) + "/" + paperConfigName(p.config);
+    if (p.key)
+        label += std::string(" ") + p.key + "=" + p.value;
+    return label;
+}
+
+// Without a printer gtest dumps the row's raw bytes, which hold
+// per-process pointers, into the discovered ctest names.
+void
+PrintTo(const FastForwardParam &p, std::ostream *os)
+{
+    *os << fastForwardLabel(p);
+}
 
 class FastForwardEquivalenceTest
     : public ::testing::TestWithParam<FastForwardParam>
@@ -522,7 +545,12 @@ TEST_P(FastForwardEquivalenceTest, StatsJsonByteIdenticalOnOff)
     auto runWith = [&](bool fast_forward) {
         auto trace = makeWorkload(param.workload);
         SimConfig cfg = makePaperConfig(param.config);
-        cfg.warmupInstructions = 5000;
+        if (param.key) {
+            std::string error;
+            EXPECT_TRUE(applyConfigKey(cfg, param.key, param.value, error))
+                << error;
+        }
+        cfg.warmupInstructions = param.warmup;
         cfg.maxInstructions = 25000;
         cfg.fastForward = fast_forward;
         Simulator sim(cfg, *trace);
@@ -532,18 +560,46 @@ TEST_P(FastForwardEquivalenceTest, StatsJsonByteIdenticalOnOff)
     EXPECT_EQ(runWith(true), runWith(false));
 }
 
+// The first four rows are the original smoke set. The deltablue and
+// hashjoin rows are where stalled predictor-port spans replay (a
+// stride-0 or self-looping stream winning the port); hashjoin's probe
+// phase, where its streams stall, starts after ~100k instructions of
+// build, and under 2Miss-RR it reaches only the bus-capped retry.
+// order=2 is the opted-out ContextPredictor, and the last four
+// backends reach only the retry capped at the next free L1-L2 bus
+// cycle.
 INSTANTIATE_TEST_SUITE_P(
     WorkloadsAndConfigs, FastForwardEquivalenceTest,
     ::testing::Values(
         FastForwardParam{"health", PaperConfig::ConfAllocPriority},
         FastForwardParam{"gs", PaperConfig::Base},
         FastForwardParam{"turb3d", PaperConfig::PcStride},
-        FastForwardParam{"burg", PaperConfig::TwoMissRR}),
+        FastForwardParam{"burg", PaperConfig::TwoMissRR},
+        FastForwardParam{"deltablue", PaperConfig::TwoMissRR},
+        FastForwardParam{"deltablue", PaperConfig::ConfAllocRR},
+        FastForwardParam{"deltablue", PaperConfig::ConfAllocPriority},
+        FastForwardParam{"hashjoin", PaperConfig::TwoMissRR, 120000},
+        FastForwardParam{"hashjoin", PaperConfig::ConfAllocRR, 120000},
+        FastForwardParam{"hashjoin", PaperConfig::ConfAllocPriority,
+                         120000},
+        FastForwardParam{"deltablue", PaperConfig::ConfAllocPriority,
+                         5000, "order", "2"},
+        FastForwardParam{"sis", PaperConfig::Base, 5000, "prefetcher",
+                         "sequential"},
+        FastForwardParam{"logscan", PaperConfig::Base, 5000,
+                         "prefetcher", "nextline"},
+        FastForwardParam{"hashjoin", PaperConfig::Base, 5000,
+                         "prefetcher", "markov"},
+        FastForwardParam{"sis", PaperConfig::Base, 5000, "prefetcher",
+                         "mindelta"}),
     [](const auto &pinfo) {
         // gtest names must be alphanumeric; drop the '-' from labels
         // like "ConfAlloc-Priority".
-        std::string name = std::string(pinfo.param.workload) + "_" +
-                           paperConfigName(pinfo.param.config);
+        const FastForwardParam &p = pinfo.param;
+        std::string name =
+            std::string(p.workload) + "_" + paperConfigName(p.config);
+        if (p.key)
+            name += std::string("_") + p.key + "_" + p.value;
         name.erase(std::remove(name.begin(), name.end(), '-'),
                    name.end());
         return name;

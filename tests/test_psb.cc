@@ -10,9 +10,16 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <sstream>
+#include <string>
 
 #include "core/psb.hh"
 #include "memory/hierarchy.hh"
+#include "prefetch/stride_stream_buffers.hh"
+#include "sim/simulator.hh"
+#include "util/stats.hh"
+#include "util/trace.hh"
+#include "workloads/workload.hh"
 
 namespace psb
 {
@@ -371,6 +378,190 @@ TEST_F(PsbTest, PolicyNames)
     EXPECT_STREQ(allocPolicyName(AllocPolicy::TwoMiss), "2Miss");
     EXPECT_STREQ(allocPolicyName(AllocPolicy::Confidence), "ConfAlloc");
     EXPECT_STREQ(allocPolicyName(AllocPolicy::Always), "Always");
+}
+
+// ------------------------------------------------------------------ //
+// Fast-forward: replaying a predictor port held by stalled streams
+// ------------------------------------------------------------------ //
+
+/**
+ * A PSB directed by the Farkas stride predictor under Always
+ * allocation: a load the stride table has never seen allocates a
+ * stride-0 stream, which re-predicts its own block forever once its
+ * first prediction has landed — a stalled stream.
+ */
+struct FarkasRig
+{
+    explicit FarkasRig(SchedPolicy sched)
+        : hier(quietMemory()),
+          psb(PsbConfig{StreamBufferConfig{}, AllocPolicy::Always, sched},
+              pred, hier)
+    {
+    }
+
+    void
+    tickUntil(Cycle end)
+    {
+        for (; now < end; ++now)
+            psb.tick(now);
+    }
+
+    StreamBuffer &
+    buffer(unsigned b)
+    {
+        return const_cast<StreamBuffer &>(psb.bufferFile().buffer(b));
+    }
+
+    std::string
+    statsJson() const
+    {
+        StatsRegistry reg;
+        psb.registerStats(reg, "psb");
+        return reg.toJson();
+    }
+
+    MemoryHierarchy hier;
+    FarkasStridePredictor pred;
+    PredictorDirectedStreamBuffers psb;
+    Cycle now{1};
+};
+
+/** Three stalled streams (buffers 0-2), their prefetches issued. */
+void
+threeStalledStreams(FarkasRig &rig)
+{
+    for (unsigned i = 0; i < 3; ++i)
+        rig.psb.demandMiss(Addr(0x400000 + 0x10 * i),
+                           Addr(0x10000 + 0x1000 * i), Cycle{});
+    rig.tickUntil(Cycle{200});
+    ASSERT_EQ(rig.psb.stats().prefetchesIssued, 3u);
+}
+
+void
+expectSameState(const FarkasRig &a, const FarkasRig &b)
+{
+    EXPECT_EQ(a.statsJson(), b.statsJson());
+    const StreamBufferFile &fa = a.psb.bufferFile();
+    const StreamBufferFile &fb = b.psb.bufferFile();
+    EXPECT_EQ(fa.lastStamp(), fb.lastStamp());
+    for (unsigned i = 0; i < fa.numBuffers(); ++i) {
+        SCOPED_TRACE("buffer " + std::to_string(i));
+        EXPECT_EQ(fa.buffer(i).lastPredictStamp,
+                  fb.buffer(i).lastPredictStamp);
+        EXPECT_EQ(fa.buffer(i).lastPrefetchStamp,
+                  fb.buffer(i).lastPrefetchStamp);
+        EXPECT_EQ(fa.buffer(i).state.lastAddr, fb.buffer(i).state.lastAddr);
+    }
+    EXPECT_EQ(a.psb.predictScheduler().rrPointer(),
+              b.psb.predictScheduler().rrPointer());
+}
+
+/**
+ * Bring two rigs to the same state with @p setup, then fast-forward
+ * @p n cycles on one and tick them one by one on the other.
+ */
+template <typename Setup>
+void
+expectReplayEqualsTicks(SchedPolicy sched, Setup setup, uint64_t n)
+{
+    SCOPED_TRACE("n = " + std::to_string(n));
+    FarkasRig ticked(sched);
+    FarkasRig replayed(sched);
+    setup(ticked);
+    setup(replayed);
+    const Cycle from = replayed.now;
+    const uint64_t duplicates = ticked.psb.stats().duplicateSuppressed;
+
+    ASSERT_TRUE(replayed.psb.fastForwardTicks(from, n));
+    ticked.tickUntil(from + CycleDelta(n));
+    // The span was not idle: every cycle re-predicted a stalled block.
+    EXPECT_EQ(ticked.psb.stats().duplicateSuppressed, duplicates + n);
+    expectSameState(ticked, replayed);
+}
+
+TEST(PsbReplayTest, RoundRobinThreeStalledStreams)
+{
+    for (uint64_t n : {1, 2, 3, 7, 1000})
+        expectReplayEqualsTicks(SchedPolicy::RoundRobin,
+                                threeStalledStreams, n);
+}
+
+TEST(PsbReplayTest, PriorityEqualStampsBrokenByIndex)
+{
+    auto equal_stamps = [](FarkasRig &rig) {
+        threeStalledStreams(rig);
+        for (unsigned b = 0; b < 3; ++b)
+            rig.buffer(b).lastPredictStamp = 5;
+    };
+    for (uint64_t n : {1, 2, 3, 8, 1000})
+        expectReplayEqualsTicks(SchedPolicy::Priority, equal_stamps, n);
+}
+
+TEST(PsbReplayTest, PriorityStalledTopStarvesLiveStream)
+{
+    auto starving = [](FarkasRig &rig) {
+        // Load 0x500000 walks two blocks per miss: its stream (buffer
+        // 0) would predict for real if it ever won the port.
+        for (unsigned i = 0; i < 3; ++i)
+            rig.pred.train(Addr{0x500000}, Addr(0x80000 + 64 * i));
+        rig.psb.demandMiss(Addr{0x500000}, Addr{0x80080}, Cycle{});
+        rig.psb.demandMiss(Addr{0x400000}, Addr{0x10000}, Cycle{});
+        ASSERT_EQ(rig.psb.bufferFile().buffer(0).state.stride,
+                  BlockDelta{2});
+        rig.buffer(0).priority.set(1);
+        rig.buffer(1).priority.set(6);
+        rig.tickUntil(Cycle{200});
+    };
+    // Every ticked cycle counts a duplicate, so buffer 0 never won.
+    for (uint64_t n : {1, 5, 1000})
+        expectReplayEqualsTicks(SchedPolicy::Priority, starving, n);
+}
+
+TEST(PsbReplayTest, StalledStreamOffTheFileRefuses)
+{
+    FarkasRig rig(SchedPolicy::RoundRobin);
+    rig.psb.demandMiss(Addr{0x400000}, Addr{0x10000}, Cycle{});
+    rig.tickUntil(Cycle{200});
+    // A hit consumes the stream's only block. The stream is still at
+    // a fixed point, but its next prediction lands the block again.
+    ASSERT_TRUE(rig.psb.lookup(Addr{0x10000}, rig.now).hit);
+    const BlockAddr block = Addr{0x10000}.toBlock(lineBits);
+    ASSERT_FALSE(rig.psb.bufferFile().findBlock(block).has_value());
+
+    const std::string before = rig.statsJson();
+    const uint64_t stamp = rig.psb.bufferFile().lastStamp();
+    EXPECT_FALSE(rig.psb.fastForwardTicks(rig.now, 50));
+    EXPECT_EQ(rig.statsJson(), before);
+    EXPECT_EQ(rig.psb.bufferFile().lastStamp(), stamp);
+
+    rig.psb.tick(rig.now);
+    EXPECT_TRUE(rig.psb.bufferFile().findBlock(block).has_value());
+}
+
+TEST(PsbReplayTest, PsbSchedChromeTraceSameWithFastForwardOnAndOff)
+{
+    // Replays emit no per-cycle events, so they stand down while any
+    // flag is on; the remaining skips are silent spans. The trace of a
+    // cell whose ports stall is therefore the same either way.
+    auto traceWith = [](bool fast_forward) {
+        auto trace = makeWorkload("deltablue");
+        SimConfig cfg = makePaperConfig(PaperConfig::ConfAllocPriority);
+        cfg.warmupInstructions = 5000;
+        cfg.maxInstructions = 15000;
+        cfg.fastForward = fast_forward;
+        std::ostringstream out;
+        uint32_t mask = (1u << unsigned(TraceFlag::Psb)) |
+                        (1u << unsigned(TraceFlag::Sched));
+        TraceManager::get().configure(mask, TraceManager::Format::Chrome,
+                                      out);
+        Simulator sim(cfg, *trace);
+        sim.run();
+        TraceManager::get().reset();
+        return out.str();
+    };
+    const std::string on = traceWith(true);
+    EXPECT_GT(on.size(), 1000u);
+    EXPECT_EQ(on, traceWith(false));
 }
 
 } // namespace

@@ -92,6 +92,93 @@ TEST(SchedulerTest, PriorityTieBrokenByLruStamp)
     EXPECT_EQ(sched.pick(file, all, stamp), 3);
 }
 
+/**
+ * Replaying @p n picks along winnerCycle() must match @p n pick()
+ * calls whose winners are each restamped past all others: the same
+ * winners, grants and round-robin pointer.
+ */
+void
+expectReplayMatchesPicks(SchedPolicy policy,
+                         std::vector<uint32_t> priorities,
+                         std::vector<bool> candidates,
+                         std::vector<uint64_t> stamps, unsigned rr_warm,
+                         uint64_t n)
+{
+    auto file = makeFile(priorities);
+    unsigned nb = file.numBuffers();
+    BufferScheduler ticked(policy, nb);
+    BufferScheduler replayed(policy, nb);
+    auto all = [](unsigned) { return true; };
+    auto zero = [](unsigned) { return uint64_t(0); };
+    for (unsigned i = 0; i < rr_warm; ++i) {
+        ticked.pick(file, all, zero);
+        replayed.pick(file, all, zero);
+    }
+
+    auto candidate = [&](unsigned b) { return bool(candidates[b]); };
+    std::vector<uint64_t> tick_stamps = stamps;
+    auto tick_stamp = [&](unsigned b) { return tick_stamps[b]; };
+    uint64_t clock = 1000;
+    std::vector<int> winners;
+    for (uint64_t j = 0; j < n; ++j) {
+        int w = ticked.pick(file, candidate, tick_stamp);
+        ASSERT_GE(w, 0);
+        tick_stamps[unsigned(w)] = ++clock;
+        winners.push_back(w);
+    }
+
+    std::vector<uint64_t> replay_stamps = stamps;
+    auto replay_stamp = [&](unsigned b) { return replay_stamps[b]; };
+    auto cycle = replayed.winnerCycle(file, candidate, replay_stamp);
+    ASSERT_FALSE(cycle.empty());
+    for (uint64_t j = 0; j < n; ++j)
+        EXPECT_EQ(int(cycle[j % cycle.size()]), winners[j]) << "pick " << j;
+    replayed.replayGrants(cycle, n);
+
+    EXPECT_EQ(replayed.grants(), ticked.grants());
+    EXPECT_EQ(replayed.noCandidatePicks(), ticked.noCandidatePicks());
+    EXPECT_EQ(replayed.rrPointer(), ticked.rrPointer());
+}
+
+TEST(SchedulerTest, WinnerCycleReplaysRoundRobinFromPointer)
+{
+    // Three candidates; the pointer starts mid-file (after two warm
+    // picks), so the cycle wraps: 3, 5, 1, 3, ...
+    for (uint64_t n : {1, 2, 3, 7, 100})
+        expectReplayMatchesPicks(SchedPolicy::RoundRobin,
+                                 {0, 0, 0, 0, 0, 0},
+                                 {false, true, false, true, false, true},
+                                 {0, 0, 0, 0, 0, 0}, 2, n);
+}
+
+TEST(SchedulerTest, WinnerCycleBreaksEqualStampsByIndex)
+{
+    for (uint64_t n : {1, 2, 5, 64})
+        expectReplayMatchesPicks(SchedPolicy::Priority, {4, 4, 4, 4},
+                                 {true, true, true, true},
+                                 {7, 7, 3, 7}, 0, n);
+}
+
+TEST(SchedulerTest, WinnerCycleServesOnlyTheTopPriorityClass)
+{
+    // Buffers 1 and 3 hold the top counter and rotate; 0 and 2 starve.
+    for (uint64_t n : {1, 2, 9})
+        expectReplayMatchesPicks(SchedPolicy::Priority, {3, 8, 5, 8},
+                                 {true, true, true, true},
+                                 {0, 50, 0, 20}, 0, n);
+}
+
+TEST(SchedulerTest, WinnerCycleEmptyWithoutCandidates)
+{
+    auto file = makeFile({1, 2});
+    BufferScheduler sched(SchedPolicy::Priority, 2);
+    auto none = [](unsigned) { return false; };
+    auto stamp = [](unsigned) { return uint64_t(0); };
+    EXPECT_TRUE(sched.winnerCycle(file, none, stamp).empty());
+    EXPECT_EQ(sched.grants(), 0u);
+    EXPECT_EQ(sched.noCandidatePicks(), 0u);
+}
+
 TEST(SchedulerTest, PolicyNames)
 {
     EXPECT_STREQ(schedPolicyName(SchedPolicy::RoundRobin), "RR");

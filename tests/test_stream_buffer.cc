@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "prefetch/stream_buffer.hh"
+#include "util/random.hh"
 
 namespace psb
 {
@@ -79,6 +82,68 @@ TEST(StreamBufferFileTest, UnallocatedBuffersInvisibleToLookup)
     file.buffer(0).fillEntry(0, BlockAddr{0x1000});
     // Buffer 0 not allocated: its stale entries must not hit.
     EXPECT_FALSE(file.findBlock(BlockAddr{0x1000}).has_value());
+}
+
+TEST(StreamBufferFileTest, SignatureFilteredLookupMatchesLinearScan)
+{
+    // Blocks drawn from a universe where many share their low six
+    // bits, so clearing one entry must keep a sibling's signature bit.
+    StreamBufferConfig cfg;
+    cfg.numBuffers = 5;
+    StreamBufferFile file(cfg);
+    auto reference = [&file](BlockAddr block)
+        -> std::optional<StreamBufferFile::TagHit> {
+        for (unsigned b = 0; b < file.numBuffers(); ++b) {
+            if (!file.buffer(b).allocated())
+                continue;
+            const auto &entries = file.buffer(b).entries();
+            for (size_t e = 0; e < entries.size(); ++e) {
+                if (entries[e].valid && entries[e].block == block)
+                    return StreamBufferFile::TagHit{b, int(e)};
+            }
+        }
+        return std::nullopt;
+    };
+    auto randomBlock = [](Xorshift64 &rng) {
+        return BlockAddr{64 * rng.below(4) + rng.below(3)};
+    };
+
+    for (uint64_t seed : {31u, 32u, 33u}) {
+        Xorshift64 rng(seed);
+        for (int i = 0; i < 20'000; ++i) {
+            StreamBuffer &buf =
+                file.buffer(unsigned(rng.below(file.numBuffers())));
+            int slot = int(rng.below(cfg.entriesPerBuffer));
+            switch (rng.below(6)) {
+            case 0:
+                buf.allocateStream(StreamState{}, 0);
+                break;
+            case 1:
+                buf.deallocate();
+                break;
+            case 2:
+            case 3:
+                if (!buf.entries()[slot].valid)
+                    buf.fillEntry(slot, randomBlock(rng));
+                break;
+            case 4:
+                if (buf.entries()[slot].valid)
+                    buf.markPrefetched(slot, Cycle{});
+                break;
+            default:
+                buf.clearEntry(slot);
+                break;
+            }
+            BlockAddr probe = randomBlock(rng);
+            auto got = file.findBlock(probe);
+            auto want = reference(probe);
+            ASSERT_EQ(got.has_value(), want.has_value()) << "op " << i;
+            if (got) {
+                ASSERT_EQ(got->buf, want->buf);
+                ASSERT_EQ(got->entry, want->entry);
+            }
+        }
+    }
 }
 
 TEST(StreamBufferFileTest, LruBufferPrefersUnallocated)
