@@ -187,6 +187,70 @@ TEST(SimulatorTest, StalledPortCellFastForwardsLikeBase)
         << base;
 }
 
+TEST(SimulatorTest, SchedulingSensitiveCountsPinned)
+{
+    // Exact counts for machines no golden runs: ROBs of 16, 100 and
+    // 200 entries (100 and 200 wrap the ROB slots at a capacity that
+    // is not a multiple of 64) and the None and Learned
+    // disambiguation modes. Any change to the issue scheduler that is
+    // not cycle-exact moves at least one of these numbers.
+    struct Pin
+    {
+        const char *workload;
+        unsigned robEntries;
+        DisambiguationMode disambiguation;
+        uint64_t cycles;
+        uint64_t l1dMisses;
+        uint64_t mshrStallRetries;
+        uint64_t storeSetViolations;
+        uint64_t orderViolations;
+    };
+    constexpr auto perfect = DisambiguationMode::Perfect;
+    constexpr auto none = DisambiguationMode::None;
+    constexpr auto learned = DisambiguationMode::Learned;
+    const Pin pins[] = {
+        // workload  rob  disambiguation  cycles  misses  retries  sets  viol
+        {"burg", 16, perfect, 91811, 6577, 0, 0, 0},
+        {"burg", 100, perfect, 98509, 7036, 0, 0, 0},
+        {"burg", 200, perfect, 94040, 7076, 6, 0, 0},
+        {"burg", 128, none, 85267, 6588, 0, 0, 0},
+        {"burg", 128, learned, 92816, 7072, 5, 0, 0},
+        {"gs", 16, perfect, 223195, 2717, 0, 0, 0},
+        {"gs", 100, perfect, 178363, 3638, 521325, 0, 0},
+        {"gs", 200, perfect, 181722, 3863, 1275592, 0, 0},
+        {"gs", 128, none, 237003, 2673, 0, 0, 0},
+        {"gs", 128, learned, 175773, 3731, 817770, 0, 0},
+        {"turb3d", 16, perfect, 52292, 711, 0, 0, 0},
+        {"turb3d", 100, perfect, 40221, 885, 7607, 0, 0},
+        {"turb3d", 200, perfect, 33360, 979, 47168, 0, 0},
+        {"turb3d", 128, none, 55773, 387, 0, 0, 0},
+        {"turb3d", 128, learned, 37508, 933, 12940, 115, 115},
+    };
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(::testing::Message()
+                     << pin.workload << " rob=" << pin.robEntries
+                     << " disambiguation="
+                     << int(pin.disambiguation));
+        auto w = makeWorkload(pin.workload);
+        SimConfig cfg = makePaperConfig(PaperConfig::ConfAllocPriority);
+        cfg.warmupInstructions = 20000;
+        cfg.maxInstructions = 40000;
+        cfg.core.robEntries = pin.robEntries;
+        cfg.core.disambiguation = pin.disambiguation;
+        Simulator sim(cfg, *w);
+        sim.run();
+        auto stats = sim.statsRegistry().snapshot();
+        EXPECT_EQ(stats.at("core.cycles").scalar, pin.cycles);
+        EXPECT_EQ(stats.at("l1d.misses").scalar, pin.l1dMisses);
+        EXPECT_EQ(stats.at("core.mshr_stall_retries").scalar,
+                  pin.mshrStallRetries);
+        EXPECT_EQ(stats.at("core.store_sets.violations").scalar,
+                  pin.storeSetViolations);
+        EXPECT_EQ(stats.at("core.order_violations").scalar,
+                  pin.orderViolations);
+    }
+}
+
 TEST(ReportTest, ContainsHeadlineNumbers)
 {
     auto w = makeWorkload("turb3d");
