@@ -1,6 +1,7 @@
 #include "sim/config.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 
@@ -12,18 +13,6 @@ namespace psb
 
 namespace
 {
-
-/** Strict non-negative integer parse; rejects empty/partial tokens. */
-bool
-parseUInt(const std::string &value, uint64_t &out)
-{
-    // Digits only: strtoull would silently wrap "-5" to a huge value.
-    if (value.empty() || value[0] < '0' || value[0] > '9')
-        return false;
-    char *end = nullptr;
-    out = std::strtoull(value.c_str(), &end, 10);
-    return end == value.c_str() + value.size();
-}
 
 bool
 badValue(const std::string &key, const std::string &value,
@@ -58,6 +47,19 @@ parseSpelling(const std::string &key, const std::string &value,
 }
 
 } // namespace
+
+bool
+parseUInt(const std::string &value, uint64_t &out)
+{
+    // Digits only: strtoull would silently wrap "-5" to a huge value.
+    if (value.empty() || value[0] < '0' || value[0] > '9')
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    out = std::strtoull(value.c_str(), &end, 10);
+    // ERANGE: past 2^64 - 1, where strtoull saturates.
+    return errno == 0 && end == value.c_str() + value.size();
+}
 
 const std::vector<std::string> &
 simConfigKeys()

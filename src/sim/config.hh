@@ -91,6 +91,14 @@ struct SimConfig
 };
 
 /**
+ * Strict decimal parse of a non-negative integer: digits only, the
+ * whole token, at most 2^64 - 1. The one number parser behind config
+ * keys and the tools' numeric flags.
+ * @retval false on an empty, signed, partial or out-of-range token.
+ */
+bool parseUInt(const std::string &value, uint64_t &out);
+
+/**
  * Every key accepted by applyConfigKey(), sorted, for error messages
  * and for spec validation (the sweep engine's "base"/"axes" sections
  * use exactly these names, which mirror the psb-sim flags).

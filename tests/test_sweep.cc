@@ -179,6 +179,10 @@ TEST(SweepConfigKeyTest, RejectsBadValues)
     EXPECT_FALSE(applyConfigKey(cfg, "prefetcher", "warp", err));
     EXPECT_FALSE(applyConfigKey(cfg, "insts", "12banana", err));
     EXPECT_FALSE(applyConfigKey(cfg, "insts", "-5", err));
+    EXPECT_FALSE(
+        applyConfigKey(cfg, "insts", "18446744073709551616", err));
+    EXPECT_TRUE(
+        applyConfigKey(cfg, "insts", "18446744073709551615", err));
     EXPECT_FALSE(applyConfigKey(cfg, "tlb-cache", "yes", err));
     EXPECT_FALSE(applyConfigKey(cfg, "buffers", "", err));
     EXPECT_FALSE(applyConfigKey(cfg, "buffers", "4294967297", err));

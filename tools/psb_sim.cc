@@ -70,6 +70,7 @@
 
 #include <iostream>
 
+#include "sim/config.hh"
 #include "sim/report.hh"
 #include "sim/simulator.hh"
 #include "util/alloc_guard.hh"
@@ -141,9 +142,8 @@ isValueConfigFlag(const std::string &flag)
 uint64_t
 parseNum(const char *value, const char *flag)
 {
-    char *end = nullptr;
-    uint64_t v = std::strtoull(value, &end, 10);
-    if (end == value || *end != '\0') {
+    uint64_t v = 0;
+    if (!parseUInt(value, v)) {
         std::fprintf(stderr, "psb-sim: bad value '%s' for %s\n", value,
                      flag);
         std::exit(1);

@@ -32,6 +32,7 @@
 #include <sstream>
 #include <string>
 
+#include "sim/config.hh"
 #include "sim/sweep.hh"
 #include "sim/sweep_spec.hh"
 
@@ -64,9 +65,8 @@ usage(int code)
 uint64_t
 parseNum(const char *value, const char *flag)
 {
-    char *end = nullptr;
-    uint64_t v = std::strtoull(value, &end, 10);
-    if (end == value || *end != '\0') {
+    uint64_t v = 0;
+    if (!parseUInt(value, v)) {
         std::fprintf(stderr, "psb-sweep: bad value '%s' for %s\n",
                      value, flag);
         std::exit(2);
