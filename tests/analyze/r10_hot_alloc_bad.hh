@@ -1,19 +1,21 @@
 /**
  * @file
- * psb_analyze fixture: R10 hot-path allocation (bad). Three
+ * psb_analyze fixture: R10 hot-path allocation (bad). Four
  * allocations must be reported from the PSB_HOT_PATH root: a direct
- * operator new in the root itself, a std::vector growth call on a
- * member, and a make_unique reached through a transitive two-hop
- * call chain (root -> refill -> grow), exercising the call-graph
- * reachability rather than a per-function scan. The self-test
- * requires this file to report exactly {R10}, with at least two
- * findings so the suppression round trip asserts N -> N-1.
+ * operator new in the root itself, std::vector growth calls on two
+ * members (one whose nested template type ends in the '>>' token),
+ * and a make_unique reached through a transitive two-hop call chain
+ * (root -> refill -> grow), exercising the call-graph reachability
+ * rather than a per-function scan. The self-test requires this file
+ * to report exactly four R10 findings, so the suppression round trip
+ * asserts N -> N-1.
  */
 
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 namespace fixture
@@ -36,6 +38,7 @@ class HotAllocator
     void grow(int v);
 
     std::vector<int> _log;
+    std::vector<std::pair<int, uint64_t>> _history;
     Slot *_spare = nullptr;
     std::unique_ptr<Slot> _owned;
 };
@@ -45,6 +48,7 @@ HotAllocator::step(int v)
 {
     _spare = new Slot();
     _log.push_back(v);
+    _history.emplace_back(v, uint64_t(v));
     refill(v);
 }
 

@@ -472,11 +472,13 @@ class FileScan:
                     j = i - 1
                     while j >= lo and toks[j].text in ("*", "&"):
                         j -= 1
-                    if j >= lo and toks[j].text == ">":
+                    # A nested template can end in the '>>' token:
+                    # it closes two levels.
+                    if j >= lo and toks[j].text in (">", ">>"):
                         depth = 0
                         while j >= lo:
-                            if toks[j].text == ">":
-                                depth += 1
+                            if toks[j].text in (">", ">>"):
+                                depth += len(toks[j].text)
                             elif toks[j].text == "<":
                                 depth -= 1
                                 if depth == 0:
@@ -489,7 +491,8 @@ class FileScan:
                                 in ("id", "punc") and \
                                 toks[ty_lo - 1].text in (
                                 "const", "static", "mutable", "unsigned",
-                                "long", "std", "::", "<", ">", ","):
+                                "long", "std", "::", "<", ">", ">>",
+                                ","):
                             ty_lo -= 1
                         ty = _type_str(toks[ty_lo:i])
                         if ty and ty not in ("return", "public",
@@ -2926,8 +2929,10 @@ def run_self_test(args):
         if prelude.exists():
             files.append(prelude)
         findings, _sup = analyze_files(files, fixture_dir)
-        got = sorted({f["rule"] for f in findings.items
-                      if f["file"] == name})
+        # One entry per finding: the count is pinned, not just the
+        # rule set, so a detector that loses one pattern fails here.
+        got = sorted(f["rule"] for f in findings.items
+                     if f["file"] == name)
         want = sorted(expected_rules)
         if got != want:
             detail = "; ".join(
@@ -2935,7 +2940,7 @@ def run_self_test(args):
                                f['message'])
                 for f in findings.sorted() if f["file"] == name)
             failures.append(
-                f"{name}: expected rules {want}, got {got}"
+                f"{name}: expected findings {want}, got {got}"
                 + (f" [{detail}]" if detail else ""))
 
     # Suppression round trip for the dataflow rules: inserting one
@@ -3021,7 +3026,7 @@ def run_self_test(args):
               file=sys.stderr)
         return EXIT_FINDINGS
     print(f"psb_analyze: self-test ok "
-          f"({len(golden)} fixtures, exact rule match; suppression "
+          f"({len(golden)} fixtures, exact finding match; suppression "
           f"round trip for R7-R12; declaration-site allow() round "
           f"trip)")
     return EXIT_CLEAN
