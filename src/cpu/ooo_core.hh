@@ -150,20 +150,10 @@ class OoOCore
     {
         MicroOp op;
         uint64_t seq = 0;
-        Cycle dispatchCycle{};
         Cycle doneAt{};
         bool issued = false;
         bool storeForwarded = false;
-        uint64_t src1Producer = 0; ///< producing op's seq, 0 = ready
-        uint64_t src2Producer = 0;
         uint64_t waitStoreSeq = 0; ///< learned store-set dependence
-        /**
-         * Cached operandsReadyAt() result; Cycle::max() = not yet
-         * known (some producer unissued). A concrete value is final:
-         * producers' doneAt is fixed at issue and committed producers
-         * stay committed, so the issue stage computes it once.
-         */
-        Cycle opReadyAt = Cycle::max();
         /**
          * Youngest older aliasing store of a load, fixed at the first
          * execute attempt: effective addresses are known at dispatch
@@ -174,13 +164,33 @@ class OoOCore
          */
         uint64_t aliasSeq = 0;
         bool aliasKnown = false;
-        /**
-         * _issueEpoch value at the last operandsReadyAt() attempt that
-         * came back unknown. Readiness only becomes known when a
-         * producer issues, so re-checks are pointless until the epoch
-         * moves (0 = never checked).
-         */
-        uint64_t readyCheckEpoch = 0;
+    };
+
+    static constexpr uint32_t noNode = UINT32_MAX;
+
+    /**
+     * Issue-scheduler state of one ROB slot (seq % robEntries); see
+     * DESIGN.md "Core issue scheduling". Dependents are an intrusive
+     * list threaded through the consumers' two source nodes (node
+     * 2 * slot + source index).
+     */
+    struct SlotSched
+    {
+        Cycle readyAt{};              ///< max doneAt of issued producers
+        uint8_t pendingSrcs = 0;      ///< producers not yet issued
+        uint32_t dependents = noNode; ///< head of this slot's list
+        std::array<uint32_t, 2> nextNode{noNode, noNode};
+    };
+
+    /** A consumer whose producers have all issued, waiting for the
+     *  cycle its operands arrive. */
+    struct TimedWake
+    {
+        Cycle at;
+        uint32_t slot;
+
+        /** std::greater<> over this makes the queue a min-heap. */
+        bool operator>(const TimedWake &o) const { return at > o.at; }
     };
 
     PSB_HOT_PATH void commitStage(Cycle now);
@@ -195,9 +205,6 @@ class OoOCore
             _nextWake = at;
     }
 
-    Cycle operandsReadyAt(RobEntry &entry, Cycle now) const;
-    Cycle producerReadyAt(uint64_t &producer_seq, Cycle now) const;
-
     /** ROB entry with sequence number @p seq, or null once committed.
      *  Seqs are dense, so this is an index into the ring. Inline:
      *  called for every producer check and cached alias lookup. */
@@ -209,6 +216,23 @@ class OoOCore
             return nullptr;
         return &_rob[std::size_t(seq - _rob.front().seq)];
     }
+
+    /** The scheduler-array index of the entry with @p seq. */
+    uint32_t
+    slotOf(uint64_t seq) const
+    {
+        return uint32_t(seq % _cfg.robEntries);
+    }
+
+    /** Resolve @p entry's source operands against their producers at
+     *  dispatch: ready, folded into readyAt, or linked as dependent. */
+    void linkOperands(const RobEntry &entry);
+    /** Queue slot @p slot, whose producers have all issued. */
+    void scheduleReady(uint32_t slot);
+    /** @p entry issued: fold its doneAt into every dependent. */
+    void wakeDependents(const RobEntry &entry);
+    /** Attempt to issue the ready @p entry. @retval true = issued. */
+    bool tryIssue(RobEntry &entry, Cycle now);
 
     bool fuAvailable(OpClass cls, Cycle now);
     void consumeFu(OpClass cls, Cycle now);
@@ -233,9 +257,15 @@ class OoOCore
     uint64_t _nextSeq = 1;
     unsigned _memOpsInRob = 0;
     unsigned _storesInRob = 0;   ///< skip the alias scan when zero
-    unsigned _unissuedCount = 0; ///< issue-stage early exit
-    uint64_t _issueEpoch = 1;    ///< bumped per issue (see RobEntry)
     std::array<uint64_t, numArchRegs> _regLastWriter{};
+
+    // Issue scheduler, all sized once at construction (rule R10).
+    std::vector<SlotSched> _slots;
+    /** Min-heap on TimedWake::at over _timedCount live elements. */
+    std::vector<TimedWake> _timed;
+    std::size_t _timedCount = 0;
+    /** Bit per slot: operands available, not yet issued. */
+    std::vector<uint64_t> _readySlots;
 
     /** Earliest possible next activity (see nextWake()); recomputed
      *  by every tick(). Progress in a tick forces now + 1. */
