@@ -76,6 +76,14 @@ PredictorDirectedStreamBuffers::lookup(Addr addr, Cycle now)
     return result;
 }
 
+bool
+PredictorDirectedStreamBuffers::lookupWouldHit(Addr addr) const
+{
+    auto hit = _file.findBlock(_file.blockOf(addr));
+    return hit &&
+           _file.buffer(hit->buf).entries()[hit->entry].prefetched;
+}
+
 void
 PredictorDirectedStreamBuffers::trainLoad(Addr pc, Addr addr, bool l1_miss,
                                           bool store_forwarded)

@@ -99,6 +99,11 @@ class PredictorDirectedStreamBuffers : public Prefetcher
      */
     bool fastForwardTicks(Cycle from, uint64_t n) override;
 
+    /** A prefetched entry holds @p addr's block (lookup() would use
+     *  it); a tag match whose prefetch has not issued misses. */
+    bool lookupWouldHit(Addr addr) const override;
+    void replayMissedLookups(uint64_t n) override { _stats.lookups += n; }
+
     const PrefetcherStats &stats() const override { return _stats; }
     void resetStats() override;
 

@@ -22,6 +22,7 @@ OoOCore::OoOCore(const CoreConfig &cfg, MemoryHierarchy &hierarchy,
       _slots(cfg.robEntries),
       _timed(cfg.robEntries),
       _readySlots((cfg.robEntries + 63) / 64, 0),
+      _stalled(cfg.robEntries + 1),
       _intDivFreeAt(cfg.numIntMulDiv, Cycle{}),
       _fpDivFreeAt(cfg.numFpMulDiv, Cycle{})
 {
@@ -40,8 +41,10 @@ OoOCore::tick(Cycle now)
     if (done())
         return false;
     ++_stats.cycles;
+    _lastTick = now;
     _nextWake = Cycle::max();
     _progress = false;
+    _stalledCount = 0;
     commitStage(now);
     issueStage(now);
     fetchStage(now);
@@ -49,6 +52,70 @@ OoOCore::tick(Cycle now)
     // cycle; and a wake computed for the past means "retry at once".
     if (_progress || _nextWake <= now)
         _nextWake = now + CycleDelta(1);
+    // Stalled attempts only matter to a skip, which needs a later wake.
+    if (_nextWake == now + CycleDelta(1))
+        _stalledCount = 0;
+    return true;
+}
+
+Cycle
+OoOCore::nextWake() const
+{
+    if (_stalledCount > 0 && !stallsRepeat())
+        return _lastTick + CycleDelta(1);
+    return _nextWake;
+}
+
+void
+OoOCore::skipIdleCycles(uint64_t n)
+{
+    _stats.cycles += n;
+    if (_stalledCount == 0)
+        return;
+    _stats.mshrStallRetries += n * _stalledCount;
+    _hierarchy.replayDataTranslations({_stalled.data(), _stalledCount},
+                                      CycleDelta(n));
+    _prefetcher.replayMissedLookups(n * _stalledCount);
+}
+
+// ---------------------------------------------------------------------
+// MSHR-full stalls
+// ---------------------------------------------------------------------
+
+void
+OoOCore::recordMshrStall(Addr addr, bool tlb_miss, Cycle now)
+{
+    ++_stats.mshrStallRetries;
+    // Until a data MSHR frees, the attempt repeats every cycle with
+    // the same effects, unless it filled a DTLB entry (the next one
+    // hits) or Cpu tracing must see each attempt.
+    if (tlb_miss || traceEnabled(TraceFlag::Cpu)) {
+        clampWake(now + CycleDelta(1));
+        return;
+    }
+    psb_assert(_stalledCount < _stalled.size(), "stall list overflow");
+    _stalled[_stalledCount++] = addr;
+    _stalledTlbStamp = _hierarchy.dtlb().useStamp();
+    clampWake(_hierarchy.dataMshrs().nextRetire());
+}
+
+bool
+OoOCore::stallsRepeat() const
+{
+    // The prefetcher's tick ran after the stalled attempts. A prefetch
+    // it issued may serve a stalled block or evict a stalled page from
+    // the DTLB; the replayed ticks themselves issue none. In a
+    // stall-only tick the last stalled attempt made the last
+    // translation, so an unchanged use stamp proves every page is
+    // still resident.
+    const Tlb &dtlb = _hierarchy.dtlb();
+    const bool translated = dtlb.useStamp() != _stalledTlbStamp;
+    for (std::size_t i = 0; i < _stalledCount; ++i) {
+        const Addr addr = _stalled[i];
+        if ((translated && !dtlb.probe(addr)) ||
+            _prefetcher.lookupWouldHit(addr))
+            return false;
+    }
     return true;
 }
 
@@ -72,6 +139,20 @@ OoOCore::execLatency(OpClass cls) const
       case OpClass::Store:   return CycleDelta(1); // address generation
     }
     return CycleDelta(1);
+}
+
+Cycle
+OoOCore::fuFreeAt(OpClass cls, Cycle now) const
+{
+    // Only an unpipelined divide unit frees on its own. A pipelined
+    // unit runs out only in a cycle that issued, which wakes at
+    // now + 1 anyway.
+    if (cls != OpClass::IntDiv && cls != OpClass::FpDiv)
+        return now + CycleDelta(1);
+    Cycle first = Cycle::max();
+    for (Cycle t : cls == OpClass::IntDiv ? _intDivFreeAt : _fpDivFreeAt)
+        first = minCycle(first, t);
+    return first;
 }
 
 bool
@@ -194,6 +275,25 @@ OoOCore::scheduleReady(uint32_t slot)
 }
 
 void
+OoOCore::parkOn(const RobEntry &load, const RobEntry &store)
+{
+    const uint32_t slot = slotOf(load.seq);
+    uint32_t &head = _slots[slotOf(store.seq)].waiters;
+    _slots[slot].nextWaiter = head;
+    head = slot;
+    _readySlots[slot / 64] &= ~(uint64_t(1) << (slot % 64));
+}
+
+void
+OoOCore::wakeWaiters(uint32_t slot)
+{
+    SlotSched &store = _slots[slot];
+    for (uint32_t s = store.waiters; s != noNode; s = _slots[s].nextWaiter)
+        _readySlots[s / 64] |= uint64_t(1) << (s % 64);
+    store.waiters = noNode;
+}
+
+void
 OoOCore::wakeDependents(const RobEntry &entry)
 {
     SlotSched &producer = _slots[slotOf(entry.seq)];
@@ -254,14 +354,14 @@ OoOCore::commitStore(RobEntry &entry, Cycle now)
 
     FillOutcome fill = _hierarchy.missToL2(addr, now, /*is_write=*/true);
     if (fill.mshrStall) {
-        ++_stats.mshrStallRetries;
+        recordMshrStall(addr, probe.tlbMiss, now);
         PSB_TRACE(Cpu, "mshr_stall", -1, "pc=%llu addr=%llu store=1",
                   (unsigned long long)entry.op.pc.raw(),
                   (unsigned long long)addr.raw());
         --_stats.l1dMisses;
         --_stats.l1dAccesses;
         --_stats.stores;
-        return false; // hold commit; retry next cycle
+        return false; // hold commit until a data MSHR frees
     }
     return true;
 }
@@ -279,12 +379,8 @@ OoOCore::commitStage(Cycle now)
             break;
         }
         if (head.op.isStore()) {
-            if (!commitStore(head, now)) {
-                // MSHR-full: the failed attempt itself counted a
-                // retry, so every stalled cycle must really tick.
-                clampWake(now + CycleDelta(1));
-                break;
-            }
+            if (!commitStore(head, now))
+                break; // MSHR-full: the attempt set the wake
             --_storesInRob;
         }
         if (head.op.isMem())
@@ -343,14 +439,18 @@ OoOCore::executeLoad(RobEntry &entry, Cycle now)
         break;
       case DisambiguationMode::Perfect:
         // Perfect store sets: wait only for a true alias.
-        if (alias && !alias->issued)
+        if (alias && !alias->issued) {
+            parkOn(entry, *alias);
             return false;
+        }
         break;
       case DisambiguationMode::Learned:
         if (entry.waitStoreSeq != 0) {
             const RobEntry *dep = findEntry(entry.waitStoreSeq);
-            if (dep && dep->op.isStore() && !dep->issued)
+            if (dep && dep->op.isStore() && !dep->issued) {
+                parkOn(entry, *dep);
                 return false;
+            }
         }
         // An unissued alias the predictor did not connect would be an
         // ordering violation in real hardware; charge the squash.
@@ -441,14 +541,12 @@ OoOCore::executeLoad(RobEntry &entry, Cycle now)
             FillOutcome fill =
                 _hierarchy.missToL2(addr, now, /*is_write=*/false);
             if (fill.mshrStall) {
-                // No MSHR: the load cannot issue this cycle. The
-                // retry counter advances every stalled cycle, so the
-                // span cannot be skipped.
-                ++_stats.mshrStallRetries;
+                // No MSHR: the load cannot issue this cycle, and
+                // retries until one frees.
+                recordMshrStall(addr, probe.tlbMiss, now);
                 --_stats.loads;
                 --_stats.l1dAccesses;
                 --_stats.l1dMisses;
-                clampWake(now + CycleDelta(1));
                 PSB_TRACE(Cpu, "mshr_stall", -1, "pc=%llu addr=%llu",
                           (unsigned long long)entry.op.pc.raw(),
                           (unsigned long long)addr.raw());
@@ -475,14 +573,15 @@ bool
 OoOCore::tryIssue(RobEntry &entry, Cycle now)
 {
     if (!fuAvailable(entry.op.op, now)) {
-        clampWake(now + CycleDelta(1));
+        clampWake(fuFreeAt(entry.op.op, now));
         return false;
     }
 
     if (entry.op.isLoad()) {
         // A false return without a clamp is a disambiguation wait
-        // on an older, unissued store — the wake-up that store (or
-        // its producers) is waiting on supplies the retry.
+        // on an older, unissued store: the load is parked on it, or
+        // (None) stays ready, and that store's issue supplies the
+        // retry.
         if (!executeLoad(entry, now))
             return false;
     } else if (entry.op.isStore()) {
@@ -497,6 +596,7 @@ OoOCore::tryIssue(RobEntry &entry, Cycle now)
     consumeFu(entry.op.op, now);
     entry.issued = true;
     wakeDependents(entry);
+    wakeWaiters(slotOf(entry.seq));
 
     if (entry.op.isBranch() && entry.seq == _redirectBranchSeq) {
         // The mispredicted branch resolves; fetch restarts after
@@ -527,7 +627,9 @@ OoOCore::issueStage(Cycle now)
     // Attempt ready entries oldest first: slots from the head's to the
     // end, then wrapping from 0 to the head's. A wake-up issued this
     // cycle lands in the timed queue (doneAt > now), never in this
-    // scan.
+    // scan; only a store's parked loads re-enter the ready set at
+    // once. They are younger, so later in the scan: each word is
+    // re-read after every attempt, masked past the attempted slot.
     const uint32_t cap = _cfg.robEntries;
     const uint32_t head = slotOf(_rob.front().seq);
     unsigned issued = 0;
@@ -535,17 +637,18 @@ OoOCore::issueStage(Cycle now)
         const uint32_t lo = pass == 0 ? head : 0;
         const uint32_t hi = pass == 0 ? cap : head;
         for (uint32_t w = lo / 64; w * 64 < hi; ++w) {
-            uint64_t bits = _readySlots[w];
+            uint64_t mask = ~uint64_t(0);
             if (w == lo / 64)
-                bits &= ~uint64_t(0) << (lo % 64);
+                mask <<= lo % 64;
             if ((w + 1) * 64 > hi)
-                bits &= (uint64_t(1) << (hi % 64)) - 1;
-            for (; bits != 0; bits &= bits - 1) {
+                mask &= (uint64_t(1) << (hi % 64)) - 1;
+            for (uint64_t bits; (bits = _readySlots[w] & mask) != 0;) {
                 if (issued >= _cfg.issueWidth) {
                     _progress = true;
                     return;
                 }
                 const uint32_t bit = uint32_t(std::countr_zero(bits));
+                mask &= ~uint64_t(0) << bit << 1;
                 const uint32_t slot = w * 64 + bit;
                 if (tryIssue(_rob[slot >= head ? slot - head
                                                : slot + cap - head],

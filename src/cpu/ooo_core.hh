@@ -107,20 +107,27 @@ class OoOCore
 
     /**
      * The earliest cycle after the last tick() at which this core can
-     * make progress or change any stat, computed from pipeline wake
-     * conditions (head commit time, operand readiness, fetch resume).
+     * make progress or change any stat other than by repeating that
+     * tick's MSHR-full attempts, computed from pipeline wake
+     * conditions (head commit time, operand readiness, fetch resume,
+     * divide-unit release, the data MSHR file's next retirement).
      * Cycle::max() means "no wake known" — callers must then tick
      * cycle by cycle. Every cycle strictly before the returned wake
-     * is a pure idle tick (only the cycle counter advances), which is
-     * what makes the simulator's fast-forward exact.
+     * is an idle tick: the cycle counter advances and the last tick's
+     * MSHR-stalled accesses repeat exactly (skipIdleCycles()). Call
+     * it after the prefetcher's tick: a stalled access whose page
+     * that tick evicted from the DTLB, or whose block the prefetcher
+     * could now serve, would not repeat, so the wake is then the
+     * next cycle.
      */
-    Cycle nextWake() const { return _nextWake; }
+    Cycle nextWake() const;
 
     /**
-     * Account @p n skipped idle cycles: the only core-side effect of
-     * an idle tick is the cycle counter.
+     * Account @p n skipped idle cycles: the cycle counter, plus, per
+     * cycle, the last tick's MSHR-stalled accesses replayed in order
+     * (a stall retry, a DTLB hit and a missed prefetcher lookup each).
      */
-    void skipIdleCycles(uint64_t n) { _stats.cycles += n; }
+    void skipIdleCycles(uint64_t n);
 
     /** True when no more work remains. */
     bool done() const { return _traceDone && _rob.empty(); }
@@ -180,6 +187,9 @@ class OoOCore
         uint8_t pendingSrcs = 0;      ///< producers not yet issued
         uint32_t dependents = noNode; ///< head of this slot's list
         std::array<uint32_t, 2> nextNode{noNode, noNode};
+        /** Loads parked on this store until it issues (slot list). */
+        uint32_t waiters = noNode;
+        uint32_t nextWaiter = noNode; ///< next load parked on my store
     };
 
     /** A consumer whose producers have all issued, waiting for the
@@ -233,8 +243,23 @@ class OoOCore
     void wakeDependents(const RobEntry &entry);
     /** Attempt to issue the ready @p entry. @retval true = issued. */
     bool tryIssue(RobEntry &entry, Cycle now);
+    /** Take the ready @p load out of the ready set until @p store
+     *  issues: nothing else can change its attempt's outcome. */
+    void parkOn(const RobEntry &load, const RobEntry &store);
+    /** Return the loads parked on the just-issued slot @p slot to the
+     *  ready set, in time for this cycle's scan. */
+    void wakeWaiters(uint32_t slot);
+
+    /** Count an MSHR-full attempt to access @p addr and record it for
+     *  replay (see nextWake()). */
+    void recordMshrStall(Addr addr, bool tlb_miss, Cycle now);
+    /** Would every recorded MSHR-stalled access repeat exactly? */
+    bool stallsRepeat() const;
 
     bool fuAvailable(OpClass cls, Cycle now);
+    /** First cycle after @p now that fuAvailable(@p cls) can change
+     *  its answer. */
+    Cycle fuFreeAt(OpClass cls, Cycle now) const;
     void consumeFu(OpClass cls, Cycle now);
     CycleDelta execLatency(OpClass cls) const;
 
@@ -271,6 +296,16 @@ class OoOCore
      *  by every tick(). Progress in a tick forces now + 1. */
     Cycle _nextWake{};
     bool _progress = false;
+    Cycle _lastTick{};
+
+    /** Addresses of the last tick's MSHR-stalled accesses in attempt
+     *  order (the commit-stage store, then loads oldest first), kept
+     *  only when that tick wakes later than the next cycle. Sized
+     *  robEntries + 1 at construction (rule R10). */
+    std::vector<Addr> _stalled;
+    std::size_t _stalledCount = 0;
+    /** DTLB use stamp after the last recorded stalled access. */
+    uint64_t _stalledTlbStamp = 0;
 
     bool _traceDone = false;
     MicroOp _pendingOp;

@@ -28,7 +28,11 @@ ProbeResult
 MemoryHierarchy::probeData(Addr addr, Cycle now)
 {
     ProbeResult result;
+    // A miss fills the entry, so only the miss count tells a miss
+    // with a zero penalty from a hit.
+    const uint64_t misses = _dtlb.misses();
     result.tlbPenalty = _dtlb.translate(addr);
+    result.tlbMiss = _dtlb.misses() != misses;
 
     BlockAddr block = _l1d.blockOf(addr);
     if (auto ready = _dataMshrs.lookup(block, now)) {

@@ -28,6 +28,7 @@
 #define PSB_MEMORY_HIERARCHY_HH
 
 #include <cstdint>
+#include <span>
 
 #include "util/stats.hh"
 
@@ -73,6 +74,7 @@ struct ProbeResult
     bool inFlight = false;   ///< block being filled; data at readyCycle
     Cycle ready{};           ///< valid when inFlight
     CycleDelta tlbPenalty{}; ///< extra cycles charged for a DTLB miss
+    bool tlbMiss = false;    ///< the DTLB missed (penalty may be 0)
 };
 
 /** Result of a demand fill issued to the L2/memory. */
@@ -113,6 +115,17 @@ class MemoryHierarchy
 
     /** L1D tag/MSHR lookup plus DTLB translation for one access. */
     ProbeResult probeData(Addr addr, Cycle now);
+
+    /**
+     * Replay @p cycles rounds of the DTLB hits probeData() would make
+     * for @p addrs, in order (Tlb::replayHits): the fast-forward of
+     * MSHR-stalled accesses.
+     */
+    void
+    replayDataTranslations(std::span<const Addr> addrs, CycleDelta cycles)
+    {
+        _dtlb.replayHits(addrs, cycles);
+    }
 
     /** Record an L1D hit (LRU update; dirty bit for writes). */
     void touchData(Addr addr, bool is_write);

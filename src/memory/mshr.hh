@@ -68,6 +68,13 @@ class MshrFile
      */
     PSB_HOT_PATH void allocate(BlockAddr block, Cycle ready);
 
+    /**
+     * Cycle the earliest outstanding fill completes (Cycle::max() when
+     * none). Exact after any call at the current cycle: while full(),
+     * it is the first cycle an allocation can succeed.
+     */
+    Cycle nextRetire() const { return _minReady; }
+
     /** Number of live entries at @p now. */
     unsigned occupancy(Cycle now);
 

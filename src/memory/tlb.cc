@@ -16,55 +16,67 @@ Tlb::Tlb(unsigned num_entries, uint64_t page_bytes, CycleDelta miss_penalty)
     psb_assert(isPowerOf2(page_bytes), "page size must be a power of two");
 }
 
+size_t
+Tlb::find(Addr vaddr) const
+{
+    const uint64_t vpn = vpnOf(vaddr);
+    if (vpn == _lastVpn && _entries[_lastIdx].valid &&
+        _entries[_lastIdx].vpn == vpn)
+        return _lastIdx;
+    for (size_t i = 0; i < _entries.size(); ++i) {
+        if (_entries[i].valid && _entries[i].vpn == vpn)
+            return i;
+    }
+    return _entries.size();
+}
+
 CycleDelta
 Tlb::translate(Addr vaddr)
 {
     ++_accesses;
-    uint64_t vpn = vpnOf(vaddr);
-
-    if (vpn == _lastVpn && _entries[_lastIdx].valid &&
-        _entries[_lastIdx].vpn == vpn) {
-        _entries[_lastIdx].lastUse = ++_useStamp;
-        return CycleDelta{};
-    }
-
-    for (size_t i = 0; i < _entries.size(); ++i) {
-        Entry &e = _entries[i];
-        if (e.valid && e.vpn == vpn) {
-            e.lastUse = ++_useStamp;
-            _lastVpn = vpn;
-            _lastIdx = i;
-            return CycleDelta{};
+    size_t idx = find(vaddr);
+    CycleDelta penalty{};
+    if (idx == _entries.size()) {
+        ++_misses;
+        Entry *victim = &_entries[0];
+        for (auto &e : _entries) {
+            if (!e.valid) {
+                victim = &e;
+                break;
+            }
+            if (e.lastUse < victim->lastUse)
+                victim = &e;
         }
+        victim->valid = true;
+        victim->vpn = vpnOf(vaddr);
+        idx = size_t(victim - _entries.data());
+        penalty = _missPenalty;
     }
-
-    ++_misses;
-    Entry *victim = &_entries[0];
-    for (auto &e : _entries) {
-        if (!e.valid) {
-            victim = &e;
-            break;
-        }
-        if (e.lastUse < victim->lastUse)
-            victim = &e;
-    }
-    victim->valid = true;
-    victim->vpn = vpn;
-    victim->lastUse = ++_useStamp;
-    _lastVpn = vpn;
-    _lastIdx = size_t(victim - _entries.data());
-    return _missPenalty;
+    _entries[idx].lastUse = ++_useStamp;
+    _lastVpn = _entries[idx].vpn;
+    _lastIdx = idx;
+    return penalty;
 }
 
 bool
 Tlb::probe(Addr vaddr) const
 {
-    uint64_t vpn = vpnOf(vaddr);
-    for (const auto &e : _entries) {
-        if (e.valid && e.vpn == vpn)
-            return true;
+    return find(vaddr) < _entries.size();
+}
+
+void
+Tlb::replayHits(std::span<const Addr> vaddrs, CycleDelta cycles)
+{
+    _accesses += cycles.raw() * vaddrs.size();
+    uint64_t stamp = _useStamp + (cycles.raw() - 1) * vaddrs.size();
+    for (Addr vaddr : vaddrs) {
+        const size_t idx = find(vaddr);
+        psb_assert(idx < _entries.size(), "replayed page not resident");
+        _entries[idx].lastUse = ++stamp;
+        _lastVpn = _entries[idx].vpn;
+        _lastIdx = idx;
     }
-    return false;
+    _useStamp = stamp;
 }
 
 void

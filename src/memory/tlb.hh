@@ -11,6 +11,7 @@
 #define PSB_MEMORY_TLB_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,6 +43,17 @@ class Tlb
     /** True iff the page of @p vaddr is currently mapped (no update). */
     bool probe(Addr vaddr) const;
 
+    /**
+     * Apply what @p cycles rounds of translating @p vaddrs in order
+     * would do, every page resident throughout: the accesses and, in
+     * closed form, the LRU stamps (only the last round's survive).
+     */
+    void replayHits(std::span<const Addr> vaddrs, CycleDelta cycles);
+
+    /** Advances on every translation: an unchanged value means no
+     *  entry was filled, evicted or re-stamped in between. */
+    uint64_t useStamp() const { return _useStamp; }
+
     uint64_t accesses() const { return _accesses; }
     uint64_t misses() const { return _misses; }
     CycleDelta missPenalty() const { return _missPenalty; }
@@ -65,6 +77,9 @@ class Tlb
     };
 
     uint64_t vpnOf(Addr vaddr) const { return vaddr.raw() / _pageBytes; }
+    /** Index of the entry mapping @p vaddr's page, or
+     *  _entries.size(). */
+    size_t find(Addr vaddr) const;
 
     std::vector<Entry> _entries;
     uint64_t _pageBytes;

@@ -67,6 +67,17 @@ MarkovPrefetcher::lookup(Addr addr, Cycle now)
     return result;
 }
 
+bool
+MarkovPrefetcher::lookupWouldHit(Addr addr) const
+{
+    const BlockAddr block = _hierarchy.blockOf(addr);
+    for (const auto &e : _buffer) {
+        if (e.valid && e.block == block)
+            return e.prefetched;
+    }
+    return false;
+}
+
 void
 MarkovPrefetcher::trainLoad(Addr, Addr addr, bool l1_miss,
                             bool store_forwarded)

@@ -44,6 +44,8 @@ class MarkovPrefetcher : public Prefetcher
     void demandMiss(Addr pc, Addr addr, Cycle now) override;
     void tick(Cycle now) override;
     bool fastForwardTicks(Cycle from, uint64_t n) override;
+    bool lookupWouldHit(Addr addr) const override;
+    void replayMissedLookups(uint64_t n) override { _stats.lookups += n; }
     const PrefetcherStats &stats() const override { return _stats; }
 
     void

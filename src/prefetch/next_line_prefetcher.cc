@@ -39,6 +39,17 @@ NextLinePrefetcher::lookup(Addr addr, Cycle now)
     return result;
 }
 
+bool
+NextLinePrefetcher::lookupWouldHit(Addr addr) const
+{
+    const BlockAddr block = _hierarchy.blockOf(addr);
+    for (const auto &e : _buffer) {
+        if (e.valid && e.block == block)
+            return e.prefetched;
+    }
+    return false;
+}
+
 void
 NextLinePrefetcher::trainLoad(Addr, Addr, bool, bool)
 {

@@ -18,6 +18,7 @@
 
 #include "prefetch/attribution.hh"
 #include "trace/micro_op.hh"
+#include "util/logging.hh"
 #include "util/stats.hh"
 
 namespace psb
@@ -109,14 +110,45 @@ class Prefetcher
      * default, which always refuses, is always correct.
      *
      * The contract holds because the core is quiescent over a skipped
-     * span: no lookups, training, or demand misses arrive, so the
-     * only inputs that change are the cycle number and bus occupancy.
+     * span: no training or demand misses arrive, and the only lookups
+     * are MSHR-stalled accesses re-attempted every cycle. Those are
+     * skipped only while lookupWouldHit() says they miss, and arrive
+     * afterwards as counted replays (replayMissedLookups()). So the
+     * only inputs that change are the cycle number and bus occupancy,
+     * and no replayed tick may change what a lookup would find.
      */
     virtual bool fastForwardTicks(Cycle from, uint64_t n)
     {
         (void)from;
         (void)n;
         return false;
+    }
+
+    /**
+     * Side-effect-free preview of lookup(): would looking @p addr up
+     * now hit? The core asks it for every MSHR-stalled access before
+     * skipping the cycles that would repeat the lookup. The default
+     * answers "yes", which is conservative: such spans then never
+     * skip.
+     */
+    virtual bool
+    lookupWouldHit(Addr addr) const
+    {
+        (void)addr;
+        return true;
+    }
+
+    /**
+     * Account @p n lookups that lookupWouldHit() previewed as misses,
+     * made by skipped cycles. A missed lookup only counts itself.
+     * Never called on an implementation that keeps the default
+     * lookupWouldHit().
+     */
+    virtual void
+    replayMissedLookups(uint64_t n)
+    {
+        (void)n;
+        panic("replayMissedLookups() without a lookupWouldHit() preview");
     }
 
     virtual const PrefetcherStats &stats() const = 0;
@@ -201,6 +233,8 @@ class NullPrefetcher : public Prefetcher
     void demandMiss(Addr, Addr, Cycle) override {}
     void tick(Cycle) override {}
     bool fastForwardTicks(Cycle, uint64_t) override { return true; }
+    bool lookupWouldHit(Addr) const override { return false; }
+    void replayMissedLookups(uint64_t n) override { _stats.lookups += n; }
     const PrefetcherStats &stats() const override { return _stats; }
 
     void

@@ -38,6 +38,18 @@ class SequentialStreamBuffers : public Prefetcher
         return _psb.fastForwardTicks(from, n);
     }
 
+    bool
+    lookupWouldHit(Addr addr) const override
+    {
+        return _psb.lookupWouldHit(addr);
+    }
+
+    void
+    replayMissedLookups(uint64_t n) override
+    {
+        _psb.replayMissedLookups(n);
+    }
+
     const PrefetcherStats &stats() const override;
     void resetStats() override { _psb.resetStats(); }
 

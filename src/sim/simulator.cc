@@ -151,10 +151,13 @@ Simulator::maybeFastForward()
     // Skip ahead to the core's next possible activity, provided the
     // prefetcher agrees the span is idle and replays its idle-cycle
     // counters (scheduler no-candidate picks, stalled predictor-port
-    // grants). Idle core cycles have no effect beyond the cycle
-    // counter, so the skip is exact: every stat and every piece of
-    // architectural state matches the cycle-by-cycle run (asserted by
-    // tests/test_properties.cc).
+    // grants). An idle core cycle only advances the cycle counter and
+    // repeats the last tick's MSHR-full attempts, which the core
+    // replays in closed form; nextWake() has already checked, before
+    // anything below mutates, that the prefetcher's last tick left
+    // those attempts unchanged. So the skip is exact: every stat and
+    // every piece of architectural state matches the cycle-by-cycle
+    // run (asserted by tests/test_properties.cc).
     Cycle wake = _core->nextWake();
     if (wake == Cycle::max() || wake <= _now)
         return;

@@ -363,6 +363,51 @@ TEST(CoreTest, AliasingLoadWaitsEvenWithPerfectStoreSets)
     EXPECT_EQ(aliasing.storeForwards, 1u);
 }
 
+TEST(CoreTest, ParkedLoadIssuesInItsStoresCycle)
+{
+    // A load parked on an aliasing store re-enters the ready set in
+    // time for the store's own issue scan: both sit in one 64-slot
+    // word, the store first. A marker load forwarded from an issued
+    // store pins the ops' first issue cycle; the divide makes the
+    // second store issue exactly 12 cycles later.
+    struct CycleSpy : SpyPrefetcher
+    {
+        Cycle now{};
+        std::vector<Cycle> trainCycles;
+
+        void
+        trainLoad(Addr pc, Addr addr, bool miss, bool fwd) override
+        {
+            SpyPrefetcher::trainLoad(pc, addr, miss, fwd);
+            trainCycles.push_back(now);
+        }
+    };
+    MicroOp divide = aluOp(Addr{0x1008}, 1);
+    divide.op = OpClass::IntDiv;
+    MemoryHierarchy hier(quietMemory());
+    CycleSpy spy;
+    VectorTrace trace({storeOp(Addr{0x1000}, Addr{0x300000}),
+                       loadOp(Addr{0x1004}, 2, Addr{0x300000}), divide,
+                       storeOp(Addr{0x100c}, Addr{0x200000}, 1),
+                       loadOp(Addr{0x1010}, 3, Addr{0x200000})});
+    OoOCore core(CoreConfig{}, hier, spy, trace);
+    for (Cycle now{};; ++now) {
+        spy.now = now;
+        if (!core.tick(now))
+            break;
+        ASSERT_LT(now, Cycle{100000}) << "core did not drain";
+    }
+
+    ASSERT_EQ(spy.trainCycles.size(), 2u);
+    EXPECT_TRUE(spy.trains[0].fwd);
+    EXPECT_TRUE(spy.trains[1].fwd);
+    EXPECT_EQ(spy.trainCycles[1] - spy.trainCycles[0], CycleDelta(12));
+    // Both take the forward latency after their store's address
+    // generation: a one-cycle-late wake would show 2, not 3.
+    EXPECT_EQ(core.stats().storeForwards, 2u);
+    EXPECT_EQ(core.stats().loadLatency.mean(), 3.0);
+}
+
 TEST(CoreTest, MispredictedBranchStallsFetch)
 {
     // Alternating taken/not-taken branches on cold predictor state:

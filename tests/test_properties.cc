@@ -565,9 +565,10 @@ TEST_P(FastForwardEquivalenceTest, StatsJsonByteIdenticalOnOff)
 // stride-0 or self-looping stream winning the port); hashjoin's probe
 // phase, where its streams stall, starts after ~100k instructions of
 // build, and under 2Miss-RR it reaches only the bus-capped retry.
-// order=2 is the opted-out ContextPredictor, and the last four
+// order=2 is the opted-out ContextPredictor, and the next four
 // backends reach only the retry capped at the next free L1-L2 bus
-// cycle.
+// cycle. The last two rows skip MSHR-full spans in which a prefetch
+// lands on a stalled block, where the skip guard must stand down.
 INSTANTIATE_TEST_SUITE_P(
     WorkloadsAndConfigs, FastForwardEquivalenceTest,
     ::testing::Values(
@@ -591,7 +592,9 @@ INSTANTIATE_TEST_SUITE_P(
         FastForwardParam{"hashjoin", PaperConfig::Base, 5000,
                          "prefetcher", "markov"},
         FastForwardParam{"sis", PaperConfig::Base, 5000, "prefetcher",
-                         "mindelta"}),
+                         "mindelta"},
+        FastForwardParam{"gs", PaperConfig::PcStride},
+        FastForwardParam{"logscan", PaperConfig::ConfAllocPriority}),
     [](const auto &pinfo) {
         // gtest names must be alphanumeric; drop the '-' from labels
         // like "ConfAlloc-Priority".

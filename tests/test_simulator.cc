@@ -187,6 +187,59 @@ TEST(SimulatorTest, StalledPortCellFastForwardsLikeBase)
         << base;
 }
 
+TEST(SimulatorTest, MshrStallSpansFastForward)
+{
+    // Skip regression guard for MSHR-full stalls. gs and logscan under
+    // Base spend long spans with every data MSHR busy. Each stalled
+    // cycle repeats its blocked accesses exactly, so the span skips to
+    // the next MSHR retirement and replays their counts. Calibrated at
+    // these region lengths: gs steps 77,773 cycles and logscan 83,940;
+    // ticking every stalled cycle took 180,674 and 433,261.
+    struct Cell
+    {
+        const char *workload;
+        uint64_t maxStepped;
+    };
+    for (const Cell &cell : {Cell{"gs", 90000}, Cell{"logscan", 100000}}) {
+        SCOPED_TRACE(cell.workload);
+        uint64_t stepped = 0;
+        auto run = [&](bool fast_forward) {
+            auto trace = makeWorkload(cell.workload);
+            SimConfig cfg = makePaperConfig(PaperConfig::Base);
+            cfg.warmupInstructions = 20000;
+            cfg.maxInstructions = 60000;
+            cfg.fastForward = fast_forward;
+            Simulator sim(cfg, *trace);
+            sim.run();
+            stepped = sim.steppedCycles();
+            return sim.statsJson();
+        };
+        const std::string skipped = run(true);
+        EXPECT_LE(stepped, cell.maxStepped);
+        EXPECT_EQ(skipped, run(false));
+    }
+}
+
+TEST(SimulatorTest, MshrStallSkipStandsDownAfterTlbEviction)
+{
+    // With an 8-entry DTLB, graph's PCStride prefetches evict the pages
+    // of MSHR-stalled loads between their attempts. The next attempt
+    // then misses the DTLB instead of repeating, so those spans must
+    // step cycle by cycle.
+    auto run = [](bool fast_forward) {
+        auto trace = makeWorkload("graph");
+        SimConfig cfg = makePaperConfig(PaperConfig::PcStride);
+        cfg.memory.tlbEntries = 8;
+        cfg.warmupInstructions = 5000;
+        cfg.maxInstructions = 40000;
+        cfg.fastForward = fast_forward;
+        Simulator sim(cfg, *trace);
+        sim.run();
+        return sim.statsJson();
+    };
+    EXPECT_EQ(run(true), run(false));
+}
+
 TEST(SimulatorTest, SchedulingSensitiveCountsPinned)
 {
     // Exact counts for machines no golden runs: ROBs of 16, 100 and

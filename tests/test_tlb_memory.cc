@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "memory/main_memory.hh"
 #include "memory/tlb.hh"
 
@@ -64,6 +66,42 @@ TEST(TlbTest, ResetStatsKeepsMappings)
     EXPECT_EQ(tlb.accesses(), 0u);
     EXPECT_EQ(tlb.misses(), 0u);
     EXPECT_EQ(tlb.translate(Addr{0x10000}), CycleDelta{}); // mapped
+}
+
+TEST(TlbTest, ReplayMatchesRepeatedTranslate)
+{
+    // n cycles of a k-access all-hit sequence, replayed in closed form
+    // versus translated one by one. Page 2 repeats, so only its later
+    // stamp may survive the replay.
+    const Addr page[] = {Addr{0x0000}, Addr{0x2000}, Addr{0x4000},
+                         Addr{0x6000}};
+    const std::vector<Addr> seq = {page[2], page[0], page[2], page[1]};
+    constexpr uint64_t rounds = 5;
+    Tlb stepped(4, 8192, CycleDelta{30});
+    Tlb replayed(4, 8192, CycleDelta{30});
+    for (Tlb *tlb : {&stepped, &replayed}) {
+        for (Addr a : page)
+            tlb->translate(a);
+    }
+    for (uint64_t r = 0; r < rounds; ++r) {
+        for (Addr a : seq)
+            stepped.translate(a);
+    }
+    replayed.replayHits(seq, CycleDelta(rounds));
+    EXPECT_EQ(replayed.accesses(), stepped.accesses());
+    EXPECT_EQ(replayed.misses(), stepped.misses());
+
+    // Each fresh page evicts the LRU survivor: page 3 (untouched by the
+    // sequence), then 0, 2 and 1.
+    const int evicted[] = {3, 0, 2, 1};
+    for (int i = 0; i < 4; ++i) {
+        const Addr fresh(0x100000 + 0x2000u * unsigned(i));
+        EXPECT_EQ(stepped.translate(fresh), CycleDelta{30});
+        EXPECT_EQ(replayed.translate(fresh), CycleDelta{30});
+        EXPECT_FALSE(stepped.probe(page[evicted[i]])) << i;
+        for (Addr a : page)
+            EXPECT_EQ(replayed.probe(a), stepped.probe(a)) << i;
+    }
 }
 
 TEST(MainMemoryTest, FixedLatency)

@@ -12,7 +12,10 @@
 #  3. per-interval stat deltas telescope to the final --stats-json
 #     counters;
 #  4. both runs are byte-identical (trace, intervals, and stats) — the
-#     determinism contract extends to every observability output.
+#     determinism contract extends to every observability output;
+#  5. with cpu tracing on, every MSHR-full retry emits its mshr_stall
+#     event: fast-forward skips stalled spans (replaying their counts)
+#     only while cpu tracing is off.
 set -eu
 
 PSB_SIM=$1
@@ -52,4 +55,20 @@ cmp "$DIR/stats1.json" "$DIR/stats2.json" || {
     echo "check_trace.sh: stats JSON diverged across traced runs" >&2
     exit 1
 }
+"$PSB_SIM" --workload gs --seed 1 --insts 10000 --warmup 0 \
+    --trace cpu --trace-format jsonl --trace-out "$DIR/cpu.jsonl" \
+    --stats-json "$DIR/cpu_stats.json" > /dev/null 2>&1
+"$PYTHON" - "$DIR/cpu.jsonl" "$DIR/cpu_stats.json" <<'EOF'
+import json
+import sys
+
+with open(sys.argv[1]) as trace:
+    events = sum(json.loads(line)["name"] == "mshr_stall" for line in trace)
+with open(sys.argv[2]) as stats:
+    retries = json.load(stats)["core.mshr_stall_retries"]
+if retries == 0 or events != retries:
+    sys.exit(f"check_trace.sh: {events} mshr_stall events for "
+             f"{retries} MSHR stall retries")
+EOF
+
 echo "check_trace.sh: trace, intervals, and stats all validate"
