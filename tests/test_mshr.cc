@@ -38,6 +38,22 @@ TEST(MshrTest, DifferentBlocksDoNotMerge)
     MshrFile m(4);
     m.allocate(BlockAddr{0x1000}, Cycle{50});
     EXPECT_FALSE(m.lookup(BlockAddr{0x2000}, Cycle{10}).has_value());
+
+    // Blocks 5 and 69 share their low six bits: a lookup filtered on
+    // them alone must still compare whole blocks.
+    m.allocate(BlockAddr{5}, Cycle{60});
+    EXPECT_FALSE(m.lookup(BlockAddr{69}, Cycle{10}).has_value());
+    EXPECT_EQ(m.lookup(BlockAddr{5}, Cycle{10}), Cycle{60});
+    EXPECT_FALSE(m.lookup(BlockAddr{69}, Cycle{10}).has_value());
+
+    // Round trip: block 5 retires, then 69 takes an entry. Neither a
+    // stale record of 5 nor a missing record of 69 may survive.
+    EXPECT_FALSE(m.lookup(BlockAddr{5}, Cycle{60}).has_value());
+    m.allocate(BlockAddr{69}, Cycle{90});
+    EXPECT_EQ(m.lookup(BlockAddr{69}, Cycle{61}), Cycle{90});
+    EXPECT_FALSE(m.lookup(BlockAddr{5}, Cycle{61}).has_value());
+    EXPECT_EQ(m.occupancy(Cycle{61}), 1u);
+    EXPECT_EQ(m.merges(), 2u);
 }
 
 TEST(MshrTest, FullAfterCapacityAllocations)

@@ -195,7 +195,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, HierarchyFuzzTest,
 class RandomTrace : public TraceSource
 {
   public:
-    RandomTrace(uint64_t seed, uint64_t count) : _rng(seed), _left(count)
+    /** @p dense draws every access from 64 words, with sizes of 1,
+     *  2, 4 or 8 bytes at unaligned offsets, so loads overlap older
+     *  in-flight stores. */
+    RandomTrace(uint64_t seed, uint64_t count, bool dense = false)
+        : _rng(seed), _left(count), _dense(dense)
     {}
 
     bool
@@ -206,21 +210,26 @@ class RandomTrace : public TraceSource
         --_left;
         op = MicroOp{};
         op.pc = Addr(0x400000 + 4 * _rng.below(256));
-        switch (_rng.below(8)) {
+        // Dense traces trade the divides, which would bound their
+        // cycles, for more stores.
+        const uint64_t kind = _rng.below(8);
+        switch (_dense && kind == 4 ? 1 : kind) {
           case 0:
             op.op = OpClass::Load;
             op.dst = uint8_t(1 + _rng.below(30));
             op.src1 = uint8_t(1 + _rng.below(30));
-            op.effAddr = Addr(0x10000000 + 8 * _rng.below(1 << 16));
+            setAccess(op);
             break;
           case 1:
             op.op = OpClass::Store;
             op.src1 = uint8_t(1 + _rng.below(30));
-            op.effAddr = Addr(0x10000000 + 8 * _rng.below(1 << 16));
+            setAccess(op);
             break;
           case 2:
             op.op = OpClass::Branch;
-            op.taken = _rng.below(2) != 0;
+            // Dense traces keep branches predictable, so the window
+            // fills with the stores their loads alias.
+            op.taken = !_dense && _rng.below(2) != 0;
             op.target = Addr(0x400000 + 4 * _rng.below(256));
             break;
           case 3:
@@ -243,9 +252,58 @@ class RandomTrace : public TraceSource
     }
 
   private:
+    void
+    setAccess(MicroOp &op)
+    {
+        if (!_dense) {
+            op.effAddr = Addr(0x10000000 + 8 * _rng.below(1 << 16));
+            return;
+        }
+        op.memSize = uint8_t(1u << _rng.below(4));
+        op.effAddr = Addr(0x10000000 + _rng.below(64 * 8 - op.memSize + 1));
+    }
+
     Xorshift64 _rng;
     uint64_t _left;
+    bool _dense;
 };
+
+/** Run @p count random ops through a core with PSB under @p dis. */
+CoreStats
+runRandomCore(uint64_t seed, uint64_t count, DisambiguationMode dis,
+              bool dense)
+{
+    MemoryHierarchy hier(quietMemory());
+    SfmPredictor sfm;
+    PredictorDirectedStreamBuffers psb(PsbConfig{}, sfm, hier);
+    RandomTrace trace(seed, count, dense);
+    CoreConfig cfg;
+    cfg.disambiguation = dis;
+    OoOCore core(cfg, hier, psb, trace);
+
+    Cycle now{};
+    while (core.tick(now)) {
+        psb.tick(now);
+        ++now;
+        if (now >= Cycle{10'000'000}) {
+            ADD_FAILURE() << "core failed to drain";
+            break;
+        }
+    }
+    return core.stats();
+}
+
+/** Accounting identities every drained core run must satisfy. */
+void
+expectCountsConsistent(const CoreStats &s, uint64_t count)
+{
+    EXPECT_EQ(s.instructions, count);
+    EXPECT_EQ(s.l1dAccesses, s.l1dHits + s.l1dMisses);
+    EXPECT_LE(s.l1dInFlight, s.l1dMisses);
+    EXPECT_LE(s.mispredicts, s.branches);
+    EXPECT_EQ(s.loadLatency.count(), s.loads);
+    EXPECT_GT(s.ipc(), 0.0);
+}
 
 struct CoreFuzzParam
 {
@@ -261,28 +319,41 @@ TEST_P(CoreFuzzTest, DrainsAndCountsExactly)
 {
     const CoreFuzzParam param = GetParam();
     constexpr uint64_t count = 20000;
-    MemoryHierarchy hier(quietMemory());
-    SfmPredictor sfm;
-    PredictorDirectedStreamBuffers psb(PsbConfig{}, sfm, hier);
-    RandomTrace trace(param.seed, count);
-    CoreConfig cfg;
-    cfg.disambiguation = param.dis;
-    OoOCore core(cfg, hier, psb, trace);
+    expectCountsConsistent(
+        runRandomCore(param.seed, count, param.dis, /*dense=*/false),
+        count);
+}
 
-    Cycle now{};
-    while (core.tick(now)) {
-        psb.tick(now);
-        ++now;
-        ASSERT_LT(now, Cycle{10'000'000}) << "core failed to drain";
+TEST(CoreFuzzTest, DenseAliasingCountsPinned)
+{
+    // Every load competes with older stores for the same 64 words, so
+    // store forwarding, disambiguation waits and (Learned) ordering
+    // violations dominate. The exact counts pin which store each load
+    // aliases and when it may issue, in every mode.
+    struct Pin
+    {
+        DisambiguationMode dis;
+        uint64_t cycles;
+        uint64_t storeForwards;
+        uint64_t orderViolations;
+        uint64_t l1dMisses;
+    };
+    constexpr uint64_t count = 20000;
+    const Pin pins[] = {
+        // mode                          cycles  fwds  viol  misses
+        {DisambiguationMode::Perfect, 5443, 408, 0, 17},
+        {DisambiguationMode::None, 5459, 356, 0, 17},
+        {DisambiguationMode::Learned, 5537, 387, 19, 17},
+    };
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(disambiguationModeName(pin.dis));
+        const CoreStats s = runRandomCore(7, count, pin.dis, /*dense=*/true);
+        expectCountsConsistent(s, count);
+        EXPECT_EQ(s.cycles, pin.cycles);
+        EXPECT_EQ(s.storeForwards, pin.storeForwards);
+        EXPECT_EQ(s.orderViolations, pin.orderViolations);
+        EXPECT_EQ(s.l1dMisses, pin.l1dMisses);
     }
-
-    const CoreStats &s = core.stats();
-    EXPECT_EQ(s.instructions, count);
-    EXPECT_EQ(s.l1dAccesses, s.l1dHits + s.l1dMisses);
-    EXPECT_LE(s.l1dInFlight, s.l1dMisses);
-    EXPECT_LE(s.mispredicts, s.branches);
-    EXPECT_EQ(s.loadLatency.count(), s.loads);
-    EXPECT_GT(s.ipc(), 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(

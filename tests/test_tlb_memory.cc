@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "memory/hierarchy.hh"
 #include "memory/main_memory.hh"
 #include "memory/tlb.hh"
 
@@ -101,6 +103,56 @@ TEST(TlbTest, ReplayMatchesRepeatedTranslate)
         EXPECT_FALSE(stepped.probe(page[evicted[i]])) << i;
         for (Addr a : page)
             EXPECT_EQ(replayed.probe(a), stepped.probe(a)) << i;
+    }
+}
+
+TEST(TlbTest, CollidingPagesMatchLinearLru)
+{
+    // A 4-entry TLB against a linear LRU model. Sixteen pages cannot
+    // all index different slots of any small lookup structure, so
+    // alternating every pair of them exercises pages that collide
+    // there, both resident and evicting each other. Each translation
+    // must hit or miss as in the model, and leave the same pages
+    // mapped.
+    for (uint64_t page_bytes : {MemoryConfig{}.pageBytes, uint64_t(4096)}) {
+        SCOPED_TRACE(page_bytes);
+        Tlb tlb(4, page_bytes, CycleDelta{30});
+        std::vector<uint64_t> model; // resident pages, LRU first
+        uint64_t model_misses = 0;
+        auto touch = [&](uint64_t page) {
+            const Addr vaddr(page * page_bytes + page % page_bytes);
+            auto it = std::find(model.begin(), model.end(), page);
+            const bool hit = it != model.end();
+            if (hit) {
+                model.erase(it);
+            } else {
+                ++model_misses;
+                if (model.size() == 4)
+                    model.erase(model.begin());
+            }
+            model.push_back(page);
+            EXPECT_EQ(tlb.translate(vaddr),
+                      hit ? CycleDelta{} : CycleDelta{30})
+                << "page " << page;
+        };
+        for (uint64_t a = 0; a < 16; ++a) {
+            for (uint64_t b = a + 1; b < 16; ++b) {
+                for (int round = 0; round < 3; ++round) {
+                    touch(a);
+                    touch(b);
+                }
+                touch((a + b) % 16); // a third page shifts the LRU order
+            }
+            for (uint64_t p = 0; p < 16; ++p) {
+                const bool mapped =
+                    std::find(model.begin(), model.end(), p) != model.end();
+                EXPECT_EQ(tlb.probe(Addr(p * page_bytes)), mapped)
+                    << "page " << p;
+            }
+        }
+        EXPECT_EQ(tlb.accesses(), 120u * 7u);
+        EXPECT_EQ(tlb.misses(), model_misses);
+        EXPECT_EQ(tlb.misses(), 211u);
     }
 }
 
