@@ -19,6 +19,7 @@ OoOCore::OoOCore(const CoreConfig &cfg, MemoryHierarchy &hierarchy,
       _trace(trace),
       _gshare(cfg.gshare),
       _rob(cfg.robEntries),
+      _sq(std::min(cfg.robEntries, cfg.lsqEntries)),
       _slots(cfg.robEntries),
       _timed(cfg.robEntries),
       _readySlots((cfg.robEntries + 63) / 64, 0),
@@ -381,7 +382,7 @@ OoOCore::commitStage(Cycle now)
         if (head.op.isStore()) {
             if (!commitStore(head, now))
                 break; // MSHR-full: the attempt set the wake
-            --_storesInRob;
+            _sq.pop_front();
         }
         if (head.op.isMem())
             --_memOpsInRob;
@@ -401,41 +402,21 @@ bool
 OoOCore::executeLoad(RobEntry &entry, Cycle now)
 {
     const Addr addr = entry.op.effAddr;
-    const unsigned size = entry.op.memSize;
 
-    // Memory disambiguation against earlier stores (skipped outright
-    // when the ROB holds none — the common case for load-heavy code).
-    // The alias is fixed at the first attempt (see RobEntry::aliasSeq),
-    // so MSHR-stall retries skip the ROB walk; only the None policy
-    // re-scans, since it needs the issue status of every prior store.
-    const RobEntry *alias = nullptr;
-    bool all_prior_stores_issued = true;
-    if (_cfg.disambiguation == DisambiguationMode::None ||
-        !entry.aliasKnown) {
-        if (_storesInRob > 0) {
-            for (auto it = _rob.begin(); it != _rob.end(); ++it) {
-                if (it->seq >= entry.seq)
-                    break;
-                if (!it->op.isStore())
-                    continue;
-                if (!it->issued)
-                    all_prior_stores_issued = false;
-                Addr s = it->op.effAddr;
-                if (s < addr + size && addr < s + it->op.memSize)
-                    alias = &*it; // youngest older aliasing store wins
-            }
-        }
-        entry.aliasSeq = alias ? alias->seq : 0;
-        entry.aliasKnown = true;
-    } else if (entry.aliasSeq != 0) {
-        alias = findEntry(entry.aliasSeq); // null once committed
-    }
+    // Memory disambiguation against older stores. The alias was
+    // found at dispatch (RobEntry::aliasSeq); seq 0 is never in the
+    // ROB, so "no alias" and "alias committed" both give null.
+    const RobEntry *alias = findEntry(entry.aliasSeq);
 
     switch (_cfg.disambiguation) {
       case DisambiguationMode::None:
         // A load waits until all prior stores have issued.
-        if (!all_prior_stores_issued)
-            return false;
+        for (const SqEntry &store : _sq) {
+            if (store.seq > entry.seq)
+                break;
+            if (!findEntry(store.seq)->issued)
+                return false;
+        }
         break;
       case DisambiguationMode::Perfect:
         // Perfect store sets: wait only for a true alias.
@@ -727,8 +708,21 @@ OoOCore::fetchStage(Cycle now)
 
         if (entry.op.isMem()) {
             ++_memOpsInRob;
-            if (entry.op.isStore())
-                ++_storesInRob;
+            if (entry.op.isStore()) {
+                _sq.push_back(SqEntry{entry.seq, entry.op.effAddr,
+                                      entry.op.memSize});
+            } else {
+                // Youngest older store whose bytes overlap the load's.
+                const Addr addr = entry.op.effAddr;
+                for (std::size_t i = _sq.size(); i-- > 0;) {
+                    const SqEntry &s = _sq[i];
+                    if (s.effAddr < addr + entry.op.memSize &&
+                        addr < s.effAddr + s.memSize) {
+                        entry.aliasSeq = s.seq;
+                        break;
+                    }
+                }
+            }
             if (_cfg.disambiguation == DisambiguationMode::Learned) {
                 entry.waitStoreSeq = _storeSets.dispatch(
                     entry.op.pc, entry.op.isStore(), entry.seq);

@@ -162,15 +162,21 @@ class OoOCore
         bool storeForwarded = false;
         uint64_t waitStoreSeq = 0; ///< learned store-set dependence
         /**
-         * Youngest older aliasing store of a load, fixed at the first
-         * execute attempt: effective addresses are known at dispatch
-         * (trace-driven) and no older store can appear later. 0 = no
-         * alias. Commit order guarantees a committed cached alias
-         * means every older store has left the ROB, matching what a
-         * fresh scan would find.
+         * Youngest older store overlapping a load's bytes, found in
+         * the store queue at dispatch; 0 = none. Exact (DESIGN.md
+         * §5b): every older store is already dispatched, and stores
+         * commit in order, so once it commits every older store has
+         * too, and findEntry() returns null as a fresh search would.
          */
         uint64_t aliasSeq = 0;
-        bool aliasKnown = false;
+    };
+
+    /** A dispatched, uncommitted store: the store queue's entry. */
+    struct SqEntry
+    {
+        uint64_t seq = 0;
+        Addr effAddr{};
+        uint8_t memSize = 0;
     };
 
     static constexpr uint32_t noNode = UINT32_MAX;
@@ -279,9 +285,11 @@ class OoOCore
      *  hardware structure, and push/pop on the per-cycle hot path
      *  must not allocate (rule R10). */
     FixedRing<RobEntry> _rob;
+    /** Stores in program order, pushed at dispatch and popped at
+     *  commit; sized min(robEntries, lsqEntries), which bounds them. */
+    FixedRing<SqEntry> _sq;
     uint64_t _nextSeq = 1;
     unsigned _memOpsInRob = 0;
-    unsigned _storesInRob = 0;   ///< skip the alias scan when zero
     std::array<uint64_t, numArchRegs> _regLastWriter{};
 
     // Issue scheduler, all sized once at construction (rule R10).

@@ -19,15 +19,17 @@ MshrFile::retire(Cycle now)
     if (_liveCount == 0 || now < _minReady)
         return; // nothing can have completed yet
     Cycle next = Cycle::max();
+    _signature = 0;
     for (auto &e : _entries) {
         if (!e.valid)
             continue;
         if (e.ready <= now) {
             e.valid = false;
             --_liveCount;
-        } else if (e.ready < next) {
-            next = e.ready;
+            continue;
         }
+        next = minCycle(next, e.ready);
+        _signature |= signatureBit(e.block);
     }
     _minReady = next;
 }
@@ -36,9 +38,7 @@ std::optional<Cycle>
 MshrFile::lookup(BlockAddr block, Cycle now)
 {
     retire(now);
-    if (_liveCount == 0)
-        return std::nullopt;
-    if (_lastMissValid && block == _lastMissBlock)
+    if (!(_signature & signatureBit(block)))
         return std::nullopt;
     for (auto &e : _entries) {
         if (e.valid && e.block == block) {
@@ -49,8 +49,6 @@ MshrFile::lookup(BlockAddr block, Cycle now)
             return e.ready;
         }
     }
-    _lastMissBlock = block;
-    _lastMissValid = true;
     return std::nullopt;
 }
 
@@ -77,7 +75,7 @@ MshrFile::allocate(BlockAddr block, Cycle ready)
             ++_liveCount;
             if (ready < _minReady)
                 _minReady = ready;
-            _lastMissValid = false;
+            _signature |= signatureBit(block);
             ++_allocations;
             PSB_TRACE(Mshr, "allocate", -1,
                       "file=%s block=%llu ready=%llu", _name,

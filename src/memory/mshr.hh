@@ -107,6 +107,12 @@ class MshrFile
 
     void retire(Cycle now);
 
+    static uint64_t
+    signatureBit(BlockAddr block)
+    {
+        return uint64_t(1) << (block.raw() & 63);
+    }
+
     unsigned _capacity;
     const char *_name;
     std::vector<Entry> _entries;
@@ -115,11 +121,10 @@ class MshrFile
     // completes — full() is polled every cycle of an MSHR stall.
     unsigned _liveCount = 0;
     Cycle _minReady = Cycle::max();
-    // Negative-lookup cache: an MSHR-stalled access polls the same
-    // absent block every cycle. Entries only leave the file between
-    // allocations, so a miss result stays a miss until allocate().
-    BlockAddr _lastMissBlock{};
-    bool _lastMissValid = false;
+    // Bit (block & 63) is set for every valid entry's block, so a
+    // clear bit proves lookup() misses. allocate() sets bits;
+    // retire(), which walks the file anyway, rebuilds the set.
+    uint64_t _signature = 0;
     uint64_t _allocations = 0;
     uint64_t _merges = 0;
 };

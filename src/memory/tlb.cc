@@ -1,5 +1,7 @@
 #include "memory/tlb.hh"
 
+#include <bit>
+
 #include "util/stats.hh"
 
 #include "util/bitfield.hh"
@@ -9,7 +11,9 @@ namespace psb
 {
 
 Tlb::Tlb(unsigned num_entries, uint64_t page_bytes, CycleDelta miss_penalty)
-    : _entries(num_entries), _pageBytes(page_bytes),
+    : _entries(num_entries), _hints(std::bit_ceil(2 * size_t(num_entries))),
+      _hintShift(unsigned(std::countr_zero(_hints.size()))),
+      _pageShift(unsigned(std::countr_zero(page_bytes))),
       _missPenalty(miss_penalty)
 {
     psb_assert(num_entries > 0, "TLB needs at least one entry");
@@ -20,9 +24,9 @@ size_t
 Tlb::find(Addr vaddr) const
 {
     const uint64_t vpn = vpnOf(vaddr);
-    if (vpn == _lastVpn && _entries[_lastIdx].valid &&
-        _entries[_lastIdx].vpn == vpn)
-        return _lastIdx;
+    const size_t hinted = _hints[hintSlot(vpn)];
+    if (_entries[hinted].valid && _entries[hinted].vpn == vpn)
+        return hinted;
     for (size_t i = 0; i < _entries.size(); ++i) {
         if (_entries[i].valid && _entries[i].vpn == vpn)
             return i;
@@ -53,8 +57,7 @@ Tlb::translate(Addr vaddr)
         penalty = _missPenalty;
     }
     _entries[idx].lastUse = ++_useStamp;
-    _lastVpn = _entries[idx].vpn;
-    _lastIdx = idx;
+    _hints[hintSlot(_entries[idx].vpn)] = uint32_t(idx);
     return penalty;
 }
 
@@ -73,8 +76,7 @@ Tlb::replayHits(std::span<const Addr> vaddrs, CycleDelta cycles)
         const size_t idx = find(vaddr);
         psb_assert(idx < _entries.size(), "replayed page not resident");
         _entries[idx].lastUse = ++stamp;
-        _lastVpn = _entries[idx].vpn;
-        _lastIdx = idx;
+        _hints[hintSlot(_entries[idx].vpn)] = uint32_t(idx);
     }
     _useStamp = stamp;
 }

@@ -76,22 +76,29 @@ class Tlb
         uint64_t lastUse = 0;
     };
 
-    uint64_t vpnOf(Addr vaddr) const { return vaddr.raw() / _pageBytes; }
+    uint64_t vpnOf(Addr vaddr) const { return vaddr.raw() >> _pageShift; }
+    /** The way-hint slot of @p vpn: its high bits folded onto the low. */
+    size_t
+    hintSlot(uint64_t vpn) const
+    {
+        return size_t((vpn ^ (vpn >> _hintShift)) & (_hints.size() - 1));
+    }
     /** Index of the entry mapping @p vaddr's page, or
      *  _entries.size(). */
     size_t find(Addr vaddr) const;
 
     std::vector<Entry> _entries;
-    uint64_t _pageBytes;
+    /** Way hints: the entry that last mapped a VPN of each slot. A
+     *  hint counts only if that entry still maps the VPN looked up;
+     *  otherwise find() scans. A power of two, at least twice the
+     *  entry count, so resident pages rarely share a slot. */
+    std::vector<uint32_t> _hints;
+    unsigned _hintShift;
+    unsigned _pageShift;
     CycleDelta _missPenalty;
     uint64_t _useStamp = 0;
     uint64_t _accesses = 0;
     uint64_t _misses = 0;
-    // MRU shortcut: consecutive accesses to one page (the common case,
-    // and every cycle of an MSHR-stall retry) skip the associative
-    // scan. _lastIdx is revalidated against the entry before use.
-    uint64_t _lastVpn = ~uint64_t(0);
-    size_t _lastIdx = 0;
 };
 
 } // namespace psb

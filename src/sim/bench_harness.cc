@@ -99,8 +99,8 @@ kernelTlbLookup(uint64_t iters, CounterList &counters)
     Addr addr{0};
     uint64_t penalty = 0;
     for (uint64_t i = 0; i < iters; ++i) {
-        // Mostly same-page walks with occasional far jumps, matching
-        // the locality the MRU shortcut in Tlb::translate targets.
+        // Mostly same-page walks with occasional far jumps: the
+        // locality of a data stream through Tlb::translate.
         if (rng.below(100) < 5)
             addr = Addr{rng.below(uint64_t(1) << 26) & ~uint64_t(7)};
         else

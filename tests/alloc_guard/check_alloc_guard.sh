@@ -8,7 +8,9 @@
 # PSB_ALLOC_GUARD build the armed guard makes a single heap
 # allocation inside the steady-state cycle loop a fatal error, so any
 # failure here means the per-cycle path allocated — the dynamic twin
-# of psb_analyze's static R10 call-graph proof (DESIGN.md §14). Only
+# of psb_analyze's static R10 call-graph proof (DESIGN.md §14). Two
+# workloads also run under the None and Learned disambiguation modes,
+# whose store-queue and store-set paths Perfect never takes. Only
 # meaningful under the alloc-guard preset; psb-sim itself rejects
 # --assert-no-alloc in builds without the interposers.
 set -eu
@@ -40,5 +42,12 @@ for wl in $WORKLOADS; do
     run "$wl" --prefetcher psb --alloc conf --sched priority
 done
 
+for wl in gs turb3d; do
+    for dis in none learned; do
+        run "$wl" --prefetcher psb --alloc conf --sched priority \
+            --disambig "$dis"
+    done
+done
+
 echo "check_alloc_guard.sh: zero steady-state allocations across" \
-     "all fig5 cells"
+     "all fig5 cells and every disambiguation mode"
