@@ -43,8 +43,9 @@ TEST(MshrTest, DifferentBlocksDoNotMerge)
     // them alone must still compare whole blocks.
     m.allocate(BlockAddr{5}, Cycle{60});
     EXPECT_FALSE(m.lookup(BlockAddr{69}, Cycle{10}).has_value());
-    EXPECT_EQ(m.lookup(BlockAddr{5}, Cycle{10}), Cycle{60});
-    EXPECT_FALSE(m.lookup(BlockAddr{69}, Cycle{10}).has_value());
+    // Block 0x1000 retires at 50; block 5 must survive the retire.
+    EXPECT_EQ(m.lookup(BlockAddr{5}, Cycle{50}), Cycle{60});
+    EXPECT_FALSE(m.lookup(BlockAddr{69}, Cycle{50}).has_value());
 
     // Round trip: block 5 retires, then 69 takes an entry. Neither a
     // stale record of 5 nor a missing record of 69 may survive.
