@@ -223,7 +223,7 @@ class OoOCore
 
     /** ROB entry with sequence number @p seq, or null once committed.
      *  Seqs are dense, so this is an index into the ring. Inline:
-     *  called for every producer check and cached alias lookup. */
+     *  called for every producer check and alias lookup. */
     const RobEntry *
     findEntry(uint64_t seq) const
     {

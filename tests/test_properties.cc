@@ -326,10 +326,10 @@ TEST_P(CoreFuzzTest, DrainsAndCountsExactly)
 
 TEST(CoreFuzzTest, DenseAliasingCountsPinned)
 {
-    // Every load competes with older stores for the same 64 words, so
-    // store forwarding, disambiguation waits and (Learned) ordering
-    // violations dominate. The exact counts pin which store each load
-    // aliases and when it may issue, in every mode.
+    // Every load shares 64 words with the older stores in flight, so
+    // store forwards, disambiguation waits and (Learned) ordering
+    // violations are common. The exact counts pin which store each
+    // load aliases and when it may issue, in every mode.
     struct Pin
     {
         DisambiguationMode dis;

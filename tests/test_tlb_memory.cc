@@ -108,12 +108,11 @@ TEST(TlbTest, ReplayMatchesRepeatedTranslate)
 
 TEST(TlbTest, CollidingPagesMatchLinearLru)
 {
-    // A 4-entry TLB against a linear LRU model. Sixteen pages cannot
-    // all index different slots of any small lookup structure, so
-    // alternating every pair of them exercises pages that collide
-    // there, both resident and evicting each other. Each translation
-    // must hit or miss as in the model, and leave the same pages
-    // mapped.
+    // A 4-entry TLB against a linear LRU model. Sixteen pages
+    // outnumber the TLB's eight way-hint slots, so alternating every
+    // pair of them exercises pages that share a slot, both resident
+    // and evicting each other. Each translation must hit or miss as
+    // in the model, and leave the same pages mapped.
     for (uint64_t page_bytes : {MemoryConfig{}.pageBytes, uint64_t(4096)}) {
         SCOPED_TRACE(page_bytes);
         Tlb tlb(4, page_bytes, CycleDelta{30});
