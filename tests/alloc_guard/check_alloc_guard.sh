@@ -10,7 +10,8 @@
 # failure here means the per-cycle path allocated — the dynamic twin
 # of psb_analyze's static R10 call-graph proof (DESIGN.md §14). Two
 # workloads also run under the None and Learned disambiguation modes,
-# whose store-queue and store-set paths Perfect never takes. Only
+# whose waits (the store queue's issued-store scan, the store-set
+# predictor) Perfect never takes. Only
 # meaningful under the alloc-guard preset; psb-sim itself rejects
 # --assert-no-alloc in builds without the interposers.
 set -eu
