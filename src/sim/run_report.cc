@@ -92,14 +92,6 @@ fmtRatio(double num, double denom)
     return buf;
 }
 
-std::string
-fmtSigned(int64_t v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%+" PRId64, v);
-    return buf;
-}
-
 // ------------------------------------------------------------------ //
 // Section builders
 // ------------------------------------------------------------------ //
@@ -437,85 +429,6 @@ buildSweep(const std::string &json, std::vector<Section> &sections,
     return true;
 }
 
-bool
-buildBench(const std::string &json, const std::string &baseline_json,
-           Section &sec, std::string &error)
-{
-    sec.heading = "Bench trajectory";
-    JsonValue doc;
-    if (!parseJson(json, doc, error)) {
-        error = "bench document: " + error;
-        return false;
-    }
-    JsonValue baseline;
-    bool have_baseline = !baseline_json.empty();
-    if (have_baseline && !parseJson(baseline_json, baseline, error)) {
-        error = "bench baseline document: " + error;
-        return false;
-    }
-
-    // One table per harness group, cells sorted; only the
-    // deterministic (non-"wall_") fields are reported, matching the
-    // bench-diff gate's notion of comparable content.
-    std::vector<std::string> groups;
-    for (const auto &[name, value] : doc.object) {
-        if (value.isObject() && value.find("cells"))
-            groups.push_back(name);
-    }
-    std::sort(groups.begin(), groups.end());
-    for (const std::string &group : groups) {
-        const JsonValue *cells = doc.find(group)->find("cells");
-        const JsonValue *base_cells = nullptr;
-        if (have_baseline) {
-            if (const JsonValue *bg = baseline.find(group))
-                base_cells = bg->find("cells");
-        }
-        Table t;
-        t.header = {"Cell (" + group + ")", "Cycles", "Instructions"};
-        if (base_cells) {
-            t.header.push_back("Baseline cycles");
-            t.header.push_back("Delta");
-        }
-        std::vector<const std::pair<std::string, JsonValue> *> rows;
-        for (const auto &member : cells->object)
-            rows.push_back(&member);
-        std::sort(rows.begin(), rows.end(),
-                  [](const auto *a, const auto *b) {
-                      return a->first < b->first;
-                  });
-        for (const auto *row : rows) {
-            std::string cycles = "-", insts = "-";
-            if (const JsonValue *v = row->second.find("cycles"))
-                cycles = v->raw;
-            if (const JsonValue *v = row->second.find("instructions"))
-                insts = v->raw;
-            std::vector<std::string> cols = {row->first, cycles, insts};
-            if (base_cells) {
-                std::string base_cycles = "-", delta = "-";
-                if (const JsonValue *bc = base_cells->find(row->first)) {
-                    if (const JsonValue *v = bc->find("cycles")) {
-                        base_cycles = v->raw;
-                        int64_t d = int64_t(row->second.find("cycles")
-                                                ? row->second
-                                                      .find("cycles")
-                                                      ->number
-                                                : 0.0) -
-                                    int64_t(v->number);
-                        delta = fmtSigned(d);
-                    }
-                }
-                cols.push_back(base_cycles);
-                cols.push_back(delta);
-            }
-            t.rows.push_back(std::move(cols));
-        }
-        sec.tables.push_back(std::move(t));
-    }
-    if (sec.tables.empty())
-        sec.paragraphs.push_back("No harness groups in this document.");
-    return true;
-}
-
 Section
 buildGoldenDrift(const StatsMap &stats, const StatsMap &golden)
 {
@@ -673,12 +586,6 @@ renderRunReport(const RunReportInputs &in, ReportFormat format,
     if (!in.sweepJson.empty() &&
         !buildSweep(in.sweepJson, sections, error))
         return false;
-    if (!in.benchJson.empty()) {
-        Section sec;
-        if (!buildBench(in.benchJson, in.benchBaselineJson, sec, error))
-            return false;
-        sections.push_back(std::move(sec));
-    }
     if (!in.goldenJson.empty()) {
         StatsMap golden;
         if (!parseStatsJson(in.goldenJson, golden, error)) {

@@ -4,9 +4,8 @@
  *
  * Ingests the observability documents the simulator family already
  * produces — a flat --stats-json dump, an --interval-stats JSONL
- * series, a psb-sweep merged document, one or two BENCH_psb.json
- * trajectory documents, and a golden stats file — and renders one
- * deterministic Markdown or HTML report:
+ * series, a psb-sweep merged document, and a golden stats file — and
+ * renders one deterministic Markdown or HTML report:
  *
  *   - run summary (instructions, cycles, IPC, memory-system totals)
  *   - prefetch attribution: lifecycle outcome table, accuracy /
@@ -17,7 +16,6 @@
  *     from the psb-sweep merged document — every paper figure is one
  *     such table — or, for a spec without tables, a per-cell sweep
  *     table (IPC + attribution accuracy per config)
- *   - bench trajectory with deltas against a baseline document
  *   - golden-drift summary (added / removed / changed stats)
  *
  * Determinism contract: the output is a pure function of the input
@@ -43,8 +41,6 @@ struct RunReportInputs
     std::string statsJson;         ///< --stats-json dump (see below)
     std::string intervalsJsonl;    ///< --interval-stats series
     std::string sweepJson;         ///< psb-sweep merged document
-    std::string benchJson;         ///< BENCH_psb.json trajectory
-    std::string benchBaselineJson; ///< baseline BENCH document
     std::string goldenJson;        ///< golden stats for drift summary
 };
 

@@ -219,9 +219,9 @@ Simulator::run()
 
     {
         // Steady state: the per-cycle hot path must not touch the
-        // heap (rule R10). Under a PSB_ALLOC_GUARD build this scope
-        // counts — and, armed via --assert-no-alloc, forbids — every
-        // allocation; the observability side-channels that
+        // heap (rule R10). Under a PSB_ALLOC_GUARD build this scope,
+        // armed via --assert-no-alloc, forbids every allocation; the
+        // observability side-channels that
         // legitimately allocate (workload trace generation in
         // OoOCore::fetchStage, interval stats snapshots) sit inside
         // PSB_ALLOC_GUARD_PAUSE blocks. The scope closes before the

@@ -52,18 +52,11 @@ state()
 
 } // namespace detail
 
-uint64_t
-scopedAllocs()
-{
-    return detail::state().inScope;
-}
-
-NoAllocScope::NoAllocScope(const char *what) : _what(what)
+NoAllocScope::NoAllocScope(const char *what)
 {
     detail::State &s = detail::state();
     _prevWhat = s.what;
     s.what = what;
-    _enterCount = s.inScope;
     ++s.depth;
 }
 
@@ -72,12 +65,6 @@ NoAllocScope::~NoAllocScope()
     detail::State &s = detail::state();
     --s.depth;
     s.what = _prevWhat;
-}
-
-uint64_t
-NoAllocScope::allocs() const
-{
-    return detail::state().inScope - _enterCount;
 }
 
 PauseScope::PauseScope()
@@ -94,7 +81,7 @@ namespace
 {
 
 /**
- * The one counting hook every interposed operator funnels through.
+ * The one checking hook every interposed operator funnels through.
  * No allocation and no iostreams in here: when armed, the report goes
  * straight to stderr with fprintf (unbuffered stream) and the process
  * aborts, so a debugger breakpoint on abort() lands on the offending
@@ -106,7 +93,6 @@ noteAllocation(std::size_t bytes)
     detail::State &s = detail::state();
     if (s.depth <= 0 || s.pause > 0)
         return;
-    ++s.inScope;
     if (armed()) {
         std::fprintf(stderr,
                      "AllocGuard: heap allocation of %zu bytes inside "
@@ -147,10 +133,10 @@ guardedAllocAligned(std::size_t bytes, std::size_t align)
 } // namespace psb
 
 // ---------------------------------------------------------------------
-// Global operator new/delete replacement (counting interposers).
+// Global operator new/delete replacement (checking interposers).
 // Every form forwards to malloc/free; the replacement is legal per
 // [replacement.functions] and process-global, but only allocations
-// made inside an open NoAllocScope on the owning thread are counted.
+// made inside an open NoAllocScope on the owning thread are checked.
 // ---------------------------------------------------------------------
 
 void *
@@ -259,12 +245,6 @@ bool
 compiledIn()
 {
     return false;
-}
-
-uint64_t
-scopedAllocs()
-{
-    return 0;
 }
 
 } // namespace AllocGuard

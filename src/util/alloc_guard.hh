@@ -4,11 +4,11 @@
  *
  * When the build defines PSB_ALLOC_GUARD (CMake option of the same
  * name; the `alloc-guard` preset turns it on), alloc_guard.cc
- * replaces the global operator new/delete family with counting
- * interposers. A NoAllocScope then audits a region of code: every
- * allocation performed on the owning thread while the scope is open
- * (and not paused) is counted, and — when the guard is *armed* — a
- * single allocation is a fatal error naming the region.
+ * replaces the global operator new/delete family with checking
+ * interposers. A NoAllocScope then audits a region of code: when the
+ * guard is *armed*, a single allocation performed on the owning
+ * thread while the scope is open (and not paused) is a fatal error
+ * naming the region.
  *
  * The simulator wraps its steady-state cycle loop (after warm-up) in
  * PSB_NO_ALLOC_SCOPE, and pauses the audit around the one legitimate
@@ -21,37 +21,29 @@
  *
  * Arming: `psb-sim --assert-no-alloc` (the alloc_guard ctest) or
  * AllocGuard::arm(). Without PSB_ALLOC_GUARD the whole facility
- * compiles to empty inline no-ops, and scopedAllocs() reports 0 —
- * which is also the value psb-bench records as `steady_state_allocs`
- * in release builds (the guarded debug ctest is the enforcing gate).
+ * compiles to empty inline no-ops.
  *
- * Counters are thread-local: a sweep worker auditing its own job
+ * Audit state is thread-local: a sweep worker auditing its own job
  * never sees another worker's allocations.
  */
 
 #ifndef PSB_UTIL_ALLOC_GUARD_HH
 #define PSB_UTIL_ALLOC_GUARD_HH
 
-#include <cstdint>
-
 namespace psb
 {
 namespace AllocGuard
 {
 
-/** True when the counting interposers are compiled in. */
+/** True when the checking interposers are compiled in. */
 bool compiledIn();
 
 /**
  * Make an in-scope allocation fatal (process-wide). The alloc_guard
- * ctest arms the guard; unarmed scopes only count.
+ * ctest arms the guard; unarmed scopes are inert.
  */
 void arm();
 bool armed();
-
-/** Allocations observed inside any scope on this thread, cumulative
- *  across scopes (psb-bench exports this as steady_state_allocs). */
-uint64_t scopedAllocs();
 
 #ifdef PSB_ALLOC_GUARD
 
@@ -62,13 +54,12 @@ struct State
 {
     int depth = 0;       ///< open NoAllocScope nesting
     int pause = 0;       ///< open PauseScope nesting
-    uint64_t inScope = 0;///< allocations while depth>0 && pause==0
     const char *what = nullptr; ///< innermost scope label
 };
 State &state();
 } // namespace detail
 
-/** Audit a region: count (and, armed, forbid) heap allocations. */
+/** Audit a region: when armed, forbid heap allocations in it. */
 class NoAllocScope
 {
   public:
@@ -77,13 +68,8 @@ class NoAllocScope
     NoAllocScope(const NoAllocScope &) = delete;
     NoAllocScope &operator=(const NoAllocScope &) = delete;
 
-    /** Allocations observed so far inside this scope. */
-    uint64_t allocs() const;
-
   private:
-    const char *_what;
     const char *_prevWhat;
-    uint64_t _enterCount;
 };
 
 /** Suspend the innermost audit (workload trace generation). */
@@ -102,7 +88,6 @@ class NoAllocScope
 {
   public:
     explicit NoAllocScope(const char *) {}
-    uint64_t allocs() const { return 0; }
 };
 
 class PauseScope

@@ -76,7 +76,6 @@ TEST(RunReport, MarkdownCarriesSummaryAndAttribution)
     EXPECT_EQ(md.find("| markov |"), std::string::npos);
     // Optional sections stay out when their documents are absent.
     EXPECT_EQ(md.find("## Sweep cells"), std::string::npos);
-    EXPECT_EQ(md.find("## Bench trajectory"), std::string::npos);
     EXPECT_EQ(md.find("## Golden drift"), std::string::npos);
 }
 
@@ -181,26 +180,6 @@ TEST(RunReport, SweepSpecTablesRefuseHoles)
     in.sweepJson = failed;
     EXPECT_FALSE(renderRunReport(in, ReportFormat::Markdown, out, error));
     EXPECT_NE(error.find("did not succeed"), std::string::npos) << error;
-}
-
-TEST(RunReport, BenchSectionSkipsWallFieldsAndComputesDeltas)
-{
-    RunReportInputs in;
-    in.statsJson = kStats;
-    in.benchJson =
-        R"({"fig5":{"cells":{"health/base":{"cycles":2000,)"
-        R"("instructions":900,"wall_ms":123.4,)"
-        R"("wall_cycles_per_sec":9.9e6}}}})";
-    in.benchBaselineJson =
-        R"({"fig5":{"cells":{"health/base":{"cycles":1900,)"
-        R"("instructions":900,"wall_ms":99.9}}}})";
-    std::string md = render(in, ReportFormat::Markdown);
-    EXPECT_NE(md.find("## Bench trajectory"), std::string::npos);
-    EXPECT_NE(md.find("| health/base | 2000 | 900 | 1900 | +100 |"),
-              std::string::npos);
-    // Wall-clock facts never reach the report (determinism contract).
-    EXPECT_EQ(md.find("wall_ms"), std::string::npos);
-    EXPECT_EQ(md.find("123.4"), std::string::npos);
 }
 
 TEST(RunReport, GoldenDriftCountsAddsRemovesChanges)

@@ -598,9 +598,6 @@ class FileScan:
 class Findings:
     def __init__(self):
         self.items = []  # dicts: file, line, rule, message, key
-        # filled by analyze_files: hot-path call-graph size metrics
-        self.callgraph = {"hot_roots": 0, "hot_reachable": 0,
-                          "hot_edges": 0}
 
     def add(self, scan_or_rel, line, rule, message, key,
             suppressed=None):
@@ -2416,13 +2413,11 @@ class HotPathGraph:
     def _reach(self, rule):
         """BFS from the hot roots; returns {key: parent-or-None}.
 
-        With a rule, `allow(rule)` on a call-site line cuts that edge
-        and `allow(rule)` on a declaration removes the function; with
-        rule=None the graph is unpruned (size metrics).
+        `allow(rule)` on a call-site line cuts that edge and
+        `allow(rule)` on a declaration removes the function.
         """
         def banned(k):
-            return rule is not None and \
-                rule in self.model.decl_allows.get(k, ())
+            return rule in self.model.decl_allows.get(k, ())
 
         parent = {}
         queue = []
@@ -2435,7 +2430,7 @@ class HotPathGraph:
             k = queue[qi]
             qi += 1
             for e in self.edges.get(k, ()):
-                if rule is not None and rule in e["allows"]:
+                if rule in e["allows"]:
                     continue
                 c = e["callee"]
                 if c not in parent and not banned(c):
@@ -2523,14 +2518,6 @@ class HotPathGraph:
                         f"hot:{ukey}", sup)
             if rule == "R11":
                 self._report_cycles(rule, parent, findings)
-
-    def stats(self):
-        """Deterministic size metrics for psb-bench / bench-diff."""
-        parent = self._reach(None)
-        n_edges = sum(len(self.edges.get(k, ())) for k in parent)
-        return {"hot_roots": len(self.hot_keys),
-                "hot_reachable": len(parent),
-                "hot_edges": n_edges}
 
 
 # --------------------------------------------------------------------
@@ -2757,7 +2744,6 @@ def analyze_files(files, root, jobs=1):
     pass_r7_r9_dataflow(scans, model, findings)
     graph = HotPathGraph(scans, model)
     graph.run(findings)
-    findings.callgraph = graph.stats()
     _apply_decl_allows(scans, model, findings)
     return findings, suppressions
 
@@ -2850,9 +2836,9 @@ def run_tree(args):
                 return EXIT_NO_COMPILE_DB
         files = sorted(src.rglob("*.hh")) + sorted(src.rglob("*.cc"))
         # The rules apply to the offline tooling too: a
-        # nondeterministic merge key in psb-sweep or a tainted bench
-        # JSON field corrupts golden output the same way simulator
-        # code would.
+        # nondeterministic merge key in psb-sweep or a tainted report
+        # field corrupts golden output the same way simulator code
+        # would.
         tools_dir = root / "tools"
         if tools_dir.is_dir():
             files += sorted(tools_dir.glob("*.cc"))
@@ -2887,10 +2873,6 @@ def run_tree(args):
                    "findings": fresh}
         pathlib.Path(args.json).write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    if args.callgraph_json:
-        pathlib.Path(args.callgraph_json).write_text(
-            json.dumps(findings.callgraph, indent=2, sort_keys=True)
-            + "\n")
 
     for f in fresh:
         print(format_finding(f["file"], f["line"], f["rule"],
@@ -3050,12 +3032,6 @@ def main():
                     help="findings baseline JSON (default: "
                          "<root>/tools/psb_analyze_baseline.json)")
     ap.add_argument("--json", help="write findings JSON here")
-    ap.add_argument("--callgraph-json",
-                    help="write hot-path call-graph size metrics "
-                         "(hot_roots/hot_reachable/hot_edges) here; "
-                         "psb-bench embeds them as deterministic "
-                         "fields so bench-diff catches discipline "
-                         "regressions")
     ap.add_argument("--jobs", type=int, default=1, metavar="N",
                     help="tokenize/scan N files in parallel; "
                          "findings are byte-identical at any N")

@@ -10,8 +10,6 @@
  *     --intervals FILE       --interval-stats JSONL series
  *     --sweep FILE           psb-sweep merged document; renders the
  *                            spec's "tables" (every paper figure)
- *     --bench FILE           BENCH_psb.json trajectory
- *     --bench-baseline FILE  baseline BENCH document (enables deltas)
  *     --golden FILE          golden stats file (drift summary)
  *     --title STR            report heading
  *     --md PATH              write Markdown report ("-" = stdout)
@@ -42,8 +40,6 @@ struct Options
     std::string statsPath;
     std::string intervalsPath;
     std::string sweepPath;
-    std::string benchPath;
-    std::string benchBaselinePath;
     std::string goldenPath;
     std::string mdPath;
     std::string htmlPath;
@@ -55,9 +51,8 @@ usage(int code)
     std::fputs(
         "psb-report: render a consolidated run report\n"
         "  psb-report --stats-json FILE [--intervals FILE]\n"
-        "             [--sweep FILE] [--bench FILE]\n"
+        "             [--sweep FILE] [--golden FILE]\n"
         "  psb-report --sweep FILE [...]   (no --stats-json needed)\n"
-        "             [--bench-baseline FILE] [--golden FILE]\n"
         "             [--title STR] [--md PATH] [--html PATH]\n"
         "  At least one of --md / --html; \"-\" writes to stdout.\n",
         code == 0 ? stdout : stderr);
@@ -86,10 +81,6 @@ parseArgs(int argc, char **argv)
             opts.intervalsPath = value();
         else if (flag == "--sweep")
             opts.sweepPath = value();
-        else if (flag == "--bench")
-            opts.benchPath = value();
-        else if (flag == "--bench-baseline")
-            opts.benchBaselinePath = value();
         else if (flag == "--golden")
             opts.goldenPath = value();
         else if (flag == "--title")
@@ -166,9 +157,6 @@ main(int argc, char **argv)
     if (!readOptional(opts.statsPath, opts.inputs.statsJson) ||
         !readOptional(opts.intervalsPath, opts.inputs.intervalsJsonl) ||
         !readOptional(opts.sweepPath, opts.inputs.sweepJson) ||
-        !readOptional(opts.benchPath, opts.inputs.benchJson) ||
-        !readOptional(opts.benchBaselinePath,
-                      opts.inputs.benchBaselineJson) ||
         !readOptional(opts.goldenPath, opts.inputs.goldenJson))
         return 2;
 

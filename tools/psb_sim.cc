@@ -324,6 +324,10 @@ main(int argc, char **argv)
 
     psb::SimResult r = sim.run();
     TraceManager::get().finish();
+    if (intervalFile.is_open() && !intervalFile.flush()) {
+        fatal("cannot write interval stats to '%s'",
+              intervalOut.c_str());
+    }
     psb::printReport(workload + " / " + cfg.label(), r);
 
     if (printStats) {
@@ -340,14 +344,13 @@ main(int argc, char **argv)
         } else {
             std::ofstream out(statsJsonPath,
                               std::ios::binary | std::ios::trunc);
-            if (!out) {
+            if (!out || !(out << json).flush()) {
                 std::fprintf(stderr,
                              "psb-sim: cannot write stats JSON to "
                              "'%s'\n",
                              statsJsonPath.c_str());
                 return 1;
             }
-            out << json;
         }
     }
     return 0;

@@ -20,8 +20,9 @@
  * itself ("spec"), so psb-report --sweep can render the spec's
  * "tables" from it. Exit status: 0 when every job succeeded, 1
  * otherwise (the merged document is still written, with per-job
- * "status"/"error" members), 2 for a usage error or a spec that
- * fails to parse or expand (nothing is run).
+ * "status"/"error" members), 2 for a usage error, a spec that
+ * fails to parse or expand (nothing is run), or an --out that cannot
+ * be written.
  */
 
 #include <cstdio>
@@ -187,12 +188,11 @@ main(int argc, char **argv)
         std::fputs(merged.c_str(), stdout);
     } else {
         std::ofstream out(outPath, std::ios::binary | std::ios::trunc);
-        if (!out) {
+        if (!out || !(out << merged).flush()) {
             std::fprintf(stderr, "psb-sweep: cannot write '%s'\n",
                          outPath.c_str());
             return 2;
         }
-        out << merged;
     }
 
     unsigned failed = 0;
