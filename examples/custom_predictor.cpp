@@ -179,7 +179,7 @@ simulate(Prefetcher &prefetcher, MemoryHierarchy &hierarchy)
     r.prefetch = prefetcher.stats();
     r.ipc = r.core.ipc();
     r.avgLoadLatency = r.core.loadLatency.mean();
-    r.prefetchAccuracy = r.prefetch.accuracy();
+    r.prefetchAccuracy = prefetcher.accuracy();
     return r;
 }
 

@@ -87,7 +87,7 @@ main()
         std::printf(" cycle %llu: predictions=%llu prefetches=%llu\n",
                     (unsigned long long)now.raw(),
                     (unsigned long long)psb.stats().predictions,
-                    (unsigned long long)psb.stats().prefetchesIssued);
+                    (unsigned long long)psb.attribution().issued());
     }
     dumpBuffers(psb);
     std::puts("  (the first prefetch holds the serial L1-L2 bus; the "
@@ -114,9 +114,9 @@ main()
     std::puts("\n== 5. the priority counter rose with every hit ==");
     dumpBuffers(psb);
     std::printf("\n  accuracy so far: %llu used / %llu issued = %.0f%%\n",
-                (unsigned long long)psb.stats().prefetchesUsed,
-                (unsigned long long)psb.stats().prefetchesIssued,
-                100.0 * psb.stats().accuracy());
+                (unsigned long long)psb.stats().hits,
+                (unsigned long long)psb.attribution().issued(),
+                100.0 * psb.accuracy());
     std::puts("  A competing load now needs confidence >= this "
               "priority to steal the buffer\n  (paper §4.3) — that is "
               "how confidence allocation ends stream thrashing.");

@@ -53,7 +53,6 @@ PredictorDirectedStreamBuffers::lookup(Addr addr, Cycle now)
     }
 
     ++_stats.hits;
-    ++_stats.prefetchesUsed;
     result.hit = true;
     result.ready = entry.ready;
     result.dataPending = entry.ready > now;
@@ -284,7 +283,6 @@ PredictorDirectedStreamBuffers::issuePrefetch(Cycle now)
         origin, entry.block, now, outcome.ready,
         _hierarchy.demandHasBlock(entry.block, now));
     buf.markPrefetched(slot, outcome.ready, lineage);
-    ++_stats.prefetchesIssued;
     PSB_TRACE(Psb, "prefetch", winner,
               "block=%llu ready=%llu translate=%d",
               (unsigned long long)entry.block.raw(),

@@ -148,6 +148,18 @@ class PredictorDirectedStreamBuffers : public Prefetcher
     PrefetcherStats _stats;
 };
 
+/**
+ * The predictor of a stream-buffer design that owns one (PC-stride,
+ * sequential, min-delta). The design lists it as a private base ahead
+ * of PredictorDirectedStreamBuffers, so the predictor is built before
+ * the PSB binds its reference to it.
+ */
+template <class Predictor>
+struct PredictorOwner
+{
+    Predictor ownedPredictor;
+};
+
 } // namespace psb
 
 #endif // PSB_CORE_PSB_HH

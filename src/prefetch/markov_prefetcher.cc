@@ -53,7 +53,6 @@ MarkovPrefetcher::lookup(Addr addr, Cycle now)
             return result;
         }
         ++_stats.hits;
-        ++_stats.prefetchesUsed;
         result.hit = true;
         result.ready = e.ready;
         result.dataPending = e.ready > now;
@@ -180,7 +179,6 @@ MarkovPrefetcher::tick(Cycle now)
     oldest->lineage = _attrib.issue(
         origin, oldest->block, now, outcome.ready,
         _hierarchy.demandHasBlock(oldest->block, now));
-    ++_stats.prefetchesIssued;
 }
 
 bool

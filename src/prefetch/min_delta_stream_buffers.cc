@@ -143,45 +143,4 @@ MinDeltaPredictor::strideFor(Addr addr) const
     return entry.stride;
 }
 
-MinDeltaStreamBuffers::MinDeltaStreamBuffers(
-    const StreamBufferConfig &buffers, const MinDeltaConfig &table,
-    MemoryHierarchy &hierarchy)
-    : _predictor(table),
-      _psb(PsbConfig{buffers, AllocPolicy::TwoMiss,
-                     SchedPolicy::RoundRobin},
-           _predictor, hierarchy)
-{
-}
-
-PrefetchLookup
-MinDeltaStreamBuffers::lookup(Addr addr, Cycle now)
-{
-    return _psb.lookup(addr, now);
-}
-
-void
-MinDeltaStreamBuffers::trainLoad(Addr pc, Addr addr, bool l1_miss,
-                                 bool store_forwarded)
-{
-    _psb.trainLoad(pc, addr, l1_miss, store_forwarded);
-}
-
-void
-MinDeltaStreamBuffers::demandMiss(Addr pc, Addr addr, Cycle now)
-{
-    _psb.demandMiss(pc, addr, now);
-}
-
-void
-MinDeltaStreamBuffers::tick(Cycle now)
-{
-    _psb.tick(now);
-}
-
-const PrefetcherStats &
-MinDeltaStreamBuffers::stats() const
-{
-    return _psb.stats();
-}
-
 } // namespace psb

@@ -84,56 +84,21 @@ class MinDeltaPredictor : public AddressPredictor
 };
 
 /** The Palacharla-Kessler stream-buffer design. */
-class MinDeltaStreamBuffers : public Prefetcher
+class MinDeltaStreamBuffers final
+    : private PredictorOwner<MinDeltaPredictor>,
+      public PredictorDirectedStreamBuffers
 {
   public:
     MinDeltaStreamBuffers(const StreamBufferConfig &buffers,
                           const MinDeltaConfig &table,
-                          MemoryHierarchy &hierarchy);
-
-    PrefetchLookup lookup(Addr addr, Cycle now) override;
-    void trainLoad(Addr pc, Addr addr, bool l1_miss,
-                   bool store_forwarded) override;
-    void demandMiss(Addr pc, Addr addr, Cycle now) override;
-    void tick(Cycle now) override;
-
-    bool
-    fastForwardTicks(Cycle from, uint64_t n) override
+                          MemoryHierarchy &hierarchy)
+        : PredictorOwner{MinDeltaPredictor(table)},
+          PredictorDirectedStreamBuffers(
+              PsbConfig{buffers, AllocPolicy::TwoMiss,
+                        SchedPolicy::RoundRobin},
+              ownedPredictor, hierarchy)
     {
-        return _psb.fastForwardTicks(from, n);
     }
-
-    bool
-    lookupWouldHit(Addr addr) const override
-    {
-        return _psb.lookupWouldHit(addr);
-    }
-
-    void
-    replayMissedLookups(uint64_t n) override
-    {
-        _psb.replayMissedLookups(n);
-    }
-
-    const PrefetcherStats &stats() const override;
-    void resetStats() override { _psb.resetStats(); }
-
-    /** The inner PSB owns the live attribution state. */
-    void endOfSim(Cycle now) override { _psb.endOfSim(now); }
-
-    /** Delegate to the inner PSB so per-buffer stats are exported. */
-    void
-    registerStats(StatsRegistry &reg,
-                  const std::string &prefix) const override
-    {
-        _psb.registerStats(reg, prefix);
-    }
-
-    const MinDeltaPredictor &predictor() const { return _predictor; }
-
-  private:
-    MinDeltaPredictor _predictor;
-    PredictorDirectedStreamBuffers _psb;
 };
 
 } // namespace psb

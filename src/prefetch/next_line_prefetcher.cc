@@ -26,7 +26,6 @@ NextLinePrefetcher::lookup(Addr addr, Cycle now)
             return result;
         }
         ++_stats.hits;
-        ++_stats.prefetchesUsed;
         result.hit = true;
         result.ready = e.ready;
         result.dataPending = e.ready > now;
@@ -124,7 +123,6 @@ NextLinePrefetcher::tick(Cycle now)
     oldest->lineage = _attrib.issue(
         origin, oldest->block, now, outcome.ready,
         _hierarchy.demandHasBlock(oldest->block, now));
-    ++_stats.prefetchesIssued;
 }
 
 bool

@@ -39,23 +39,12 @@ struct PrefetcherStats
     uint64_t hits = 0;           ///< tag hits on prefetched data
     uint64_t hitsPending = 0;    ///< of which the data was in flight
     uint64_t lateTagHits = 0;    ///< tag matched a not-yet-issued entry
-    uint64_t prefetchesIssued = 0;
-    uint64_t prefetchesUsed = 0;
     uint64_t allocationRequests = 0;
     uint64_t allocations = 0;
     uint64_t allocationsFiltered = 0;
     uint64_t predictions = 0;
     uint64_t duplicateSuppressed = 0;
     uint64_t tlbTranslationsSkipped = 0; ///< §4.5 cached translations
-
-    /** Paper Figure 6: prefetches used / prefetches made. */
-    double
-    accuracy() const
-    {
-        return prefetchesIssued
-            ? double(prefetchesUsed) / double(prefetchesIssued)
-            : 0.0;
-    }
 };
 
 /** Abstract hardware prefetcher sitting beside the L1 data cache. */
@@ -175,12 +164,25 @@ class Prefetcher
     const PrefetchAttribution &attribution() const { return _attrib; }
 
     /**
+     * Paper Figure 6: prefetches used / prefetches made. A use is a
+     * hit on prefetched data; the issue count is the ledger's.
+     */
+    double
+    accuracy() const
+    {
+        uint64_t issued = _attrib.issued();
+        return issued ? double(stats().hits) / double(issued) : 0.0;
+    }
+
+    /**
      * Register this prefetcher's stats under @p prefix. The default
      * registers the common PrefetcherStats counters by reading
-     * stats() at snapshot time, plus the prefetch.attrib.* lifecycle
-     * subtree (a fixed path: the simulator owns exactly one prefetcher
-     * per registry); implementations with extra internal state
-     * (per-buffer counters, schedulers) extend it.
+     * stats() at snapshot time (`.used` is `.hits`), `.issued` from
+     * the attribution ledger, `.accuracy` from accuracy(), and the
+     * prefetch.attrib.* lifecycle subtree (a fixed path: the
+     * simulator owns exactly one prefetcher per registry);
+     * implementations with extra internal state (per-buffer counters,
+     * schedulers) extend it.
      */
     virtual void
     registerStats(StatsRegistry &reg, const std::string &prefix) const
@@ -194,9 +196,8 @@ class Prefetcher
         reg.addScalar(prefix + ".late_tag_hits",
                       [this] { return stats().lateTagHits; });
         reg.addScalar(prefix + ".issued",
-                      [this] { return stats().prefetchesIssued; });
-        reg.addScalar(prefix + ".used",
-                      [this] { return stats().prefetchesUsed; });
+                      [this] { return _attrib.issued(); });
+        reg.addScalar(prefix + ".used", [this] { return stats().hits; });
         reg.addScalar(prefix + ".allocation_requests",
                       [this] { return stats().allocationRequests; });
         reg.addScalar(prefix + ".allocations",
@@ -209,8 +210,7 @@ class Prefetcher
                       [this] { return stats().duplicateSuppressed; });
         reg.addScalar(prefix + ".tlb_translations_skipped",
                       [this] { return stats().tlbTranslationsSkipped; });
-        reg.addReal(prefix + ".accuracy",
-                    [this] { return stats().accuracy(); });
+        reg.addReal(prefix + ".accuracy", [this] { return accuracy(); });
     }
 
   protected:

@@ -17,56 +17,21 @@
 namespace psb
 {
 
-/** Jouppi sequential stream buffers, with an optional 2-miss filter
- *  (Palacharla & Kessler's allocation filter [22]). */
-class SequentialStreamBuffers : public Prefetcher
+/** Jouppi sequential stream buffers. */
+class SequentialStreamBuffers final
+    : private PredictorOwner<NextBlockPredictor>,
+      public PredictorDirectedStreamBuffers
 {
   public:
     SequentialStreamBuffers(const StreamBufferConfig &buffers,
-                            MemoryHierarchy &hierarchy,
-                            bool filtered = false);
-
-    PrefetchLookup lookup(Addr addr, Cycle now) override;
-    void trainLoad(Addr pc, Addr addr, bool l1_miss,
-                   bool store_forwarded) override;
-    void demandMiss(Addr pc, Addr addr, Cycle now) override;
-    void tick(Cycle now) override;
-
-    bool
-    fastForwardTicks(Cycle from, uint64_t n) override
+                            MemoryHierarchy &hierarchy)
+        : PredictorOwner{NextBlockPredictor(buffers.blockBytes)},
+          PredictorDirectedStreamBuffers(
+              PsbConfig{buffers, AllocPolicy::Always,
+                        SchedPolicy::RoundRobin},
+              ownedPredictor, hierarchy)
     {
-        return _psb.fastForwardTicks(from, n);
     }
-
-    bool
-    lookupWouldHit(Addr addr) const override
-    {
-        return _psb.lookupWouldHit(addr);
-    }
-
-    void
-    replayMissedLookups(uint64_t n) override
-    {
-        _psb.replayMissedLookups(n);
-    }
-
-    const PrefetcherStats &stats() const override;
-    void resetStats() override { _psb.resetStats(); }
-
-    /** The inner PSB owns the live attribution state. */
-    void endOfSim(Cycle now) override { _psb.endOfSim(now); }
-
-    /** Delegate to the inner PSB so per-buffer stats are exported. */
-    void
-    registerStats(StatsRegistry &reg,
-                  const std::string &prefix) const override
-    {
-        _psb.registerStats(reg, prefix);
-    }
-
-  private:
-    NextBlockPredictor _predictor;
-    PredictorDirectedStreamBuffers _psb;
 };
 
 } // namespace psb

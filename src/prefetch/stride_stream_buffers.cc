@@ -58,45 +58,4 @@ FarkasStridePredictor::twoMissFilterPass(Addr pc, Addr) const
     return _table.strideFilterPass(pc);
 }
 
-StrideStreamBuffers::StrideStreamBuffers(const StreamBufferConfig &buffers,
-                                         const StrideTableConfig &table,
-                                         MemoryHierarchy &hierarchy)
-    : _predictor(table),
-      _psb(PsbConfig{buffers, AllocPolicy::TwoMiss,
-                     SchedPolicy::RoundRobin},
-           _predictor, hierarchy)
-{
-}
-
-PrefetchLookup
-StrideStreamBuffers::lookup(Addr addr, Cycle now)
-{
-    return _psb.lookup(addr, now);
-}
-
-void
-StrideStreamBuffers::trainLoad(Addr pc, Addr addr, bool l1_miss,
-                               bool store_forwarded)
-{
-    _psb.trainLoad(pc, addr, l1_miss, store_forwarded);
-}
-
-void
-StrideStreamBuffers::demandMiss(Addr pc, Addr addr, Cycle now)
-{
-    _psb.demandMiss(pc, addr, now);
-}
-
-void
-StrideStreamBuffers::tick(Cycle now)
-{
-    _psb.tick(now);
-}
-
-const PrefetcherStats &
-StrideStreamBuffers::stats() const
-{
-    return _psb.stats();
-}
-
 } // namespace psb

@@ -18,8 +18,6 @@
 #ifndef PSB_PREFETCH_STRIDE_STREAM_BUFFERS_HH
 #define PSB_PREFETCH_STRIDE_STREAM_BUFFERS_HH
 
-#include <memory>
-
 #include "core/psb.hh"
 #include "predictors/address_predictor.hh"
 #include "predictors/stride_table.hh"
@@ -57,56 +55,21 @@ class FarkasStridePredictor : public AddressPredictor
 };
 
 /** Farkas et al. PC-stride stream buffers (paper's "PCStride"). */
-class StrideStreamBuffers : public Prefetcher
+class StrideStreamBuffers final
+    : private PredictorOwner<FarkasStridePredictor>,
+      public PredictorDirectedStreamBuffers
 {
   public:
     StrideStreamBuffers(const StreamBufferConfig &buffers,
                         const StrideTableConfig &table,
-                        MemoryHierarchy &hierarchy);
-
-    PrefetchLookup lookup(Addr addr, Cycle now) override;
-    void trainLoad(Addr pc, Addr addr, bool l1_miss,
-                   bool store_forwarded) override;
-    void demandMiss(Addr pc, Addr addr, Cycle now) override;
-    void tick(Cycle now) override;
-
-    bool
-    fastForwardTicks(Cycle from, uint64_t n) override
+                        MemoryHierarchy &hierarchy)
+        : PredictorOwner{FarkasStridePredictor(table)},
+          PredictorDirectedStreamBuffers(
+              PsbConfig{buffers, AllocPolicy::TwoMiss,
+                        SchedPolicy::RoundRobin},
+              ownedPredictor, hierarchy)
     {
-        return _psb.fastForwardTicks(from, n);
     }
-
-    bool
-    lookupWouldHit(Addr addr) const override
-    {
-        return _psb.lookupWouldHit(addr);
-    }
-
-    void
-    replayMissedLookups(uint64_t n) override
-    {
-        _psb.replayMissedLookups(n);
-    }
-
-    const PrefetcherStats &stats() const override;
-    void resetStats() override { _psb.resetStats(); }
-
-    /** The inner PSB owns the live attribution state. */
-    void endOfSim(Cycle now) override { _psb.endOfSim(now); }
-
-    /** Delegate to the inner PSB so per-buffer stats are exported. */
-    void
-    registerStats(StatsRegistry &reg,
-                  const std::string &prefix) const override
-    {
-        _psb.registerStats(reg, prefix);
-    }
-
-    const FarkasStridePredictor &predictor() const { return _predictor; }
-
-  private:
-    FarkasStridePredictor _predictor;
-    PredictorDirectedStreamBuffers _psb;
 };
 
 } // namespace psb

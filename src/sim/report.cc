@@ -33,10 +33,10 @@ formatReport(const std::string &title, const SimResult &r)
          (unsigned long long)r.core.branches);
     line("L1-L2 bus util    %.1f%%", 100.0 * r.l1L2BusUtil);
     line("L2-mem bus util   %.1f%%", 100.0 * r.l2MemBusUtil);
-    if (r.prefetch.prefetchesIssued > 0) {
+    if (r.prefetchIssued > 0) {
         line("prefetches        %llu issued, %llu used (%.1f%% accuracy)",
-             (unsigned long long)r.prefetch.prefetchesIssued,
-             (unsigned long long)r.prefetch.prefetchesUsed,
+             (unsigned long long)r.prefetchIssued,
+             (unsigned long long)r.prefetch.hits,
              100.0 * r.prefetchAccuracy);
         line("SB hits           %llu of %llu L1D misses serviced",
              (unsigned long long)r.core.sbServiced,

@@ -258,6 +258,26 @@ TEST_P(AttributionBackendTest, SubtreeIsByteIdenticalAcrossRuns)
         << ": two identical runs exported different stats JSON";
 }
 
+TEST_P(AttributionBackendTest, AccessorReadsTheExportedLedger)
+{
+    // Simulator::prefetcher().attribution() is the ledger the registry
+    // exports under prefetch.attrib, for every backend, and every
+    // prefetching backend issues on this cell.
+    auto trace = makeWorkload("health", 1);
+    Simulator sim(smallConfig(GetParam()), *trace);
+    sim.run();
+    std::map<std::string, ParsedStat> stats;
+    std::string error;
+    ASSERT_TRUE(parseStatsJson(sim.statsJson(), stats, error)) << error;
+
+    double exported = stat(stats, "prefetch.attrib.issued");
+    EXPECT_EQ(double(sim.prefetcher().attribution().issued()), exported);
+    if (GetParam() == PrefetcherKind::None)
+        EXPECT_EQ(exported, 0.0);
+    else
+        EXPECT_GT(exported, 0.0);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBackends, AttributionBackendTest,
                          ::testing::ValuesIn(kAllKinds),
                          [](const auto &pinfo) {

@@ -224,7 +224,7 @@ TEST(CachedTlbTest, SkipsTranslationsInsidePage)
         for (Cycle c{1}; c < Cycle{300}; ++c)
             psb.tick(c);
 
-        ASSERT_GT(psb.stats().prefetchesIssued, 2u);
+        ASSERT_GT(psb.attribution().issued(), 2u);
         if (cached) {
             EXPECT_GT(psb.stats().tlbTranslationsSkipped, 0u);
         } else {
@@ -248,7 +248,7 @@ TEST(CachedTlbTest, PageCrossingRetranslates)
     psb.demandMiss(pc, Addr(0x100000 + 8192u * 8), Cycle{});
     for (Cycle c{1}; c < Cycle{400}; ++c)
         psb.tick(c);
-    ASSERT_GT(psb.stats().prefetchesIssued, 2u);
+    ASSERT_GT(psb.attribution().issued(), 2u);
     EXPECT_EQ(psb.stats().tlbTranslationsSkipped, 0u);
 }
 

@@ -110,11 +110,11 @@ TEST_P(PsbFuzzTest, InvariantsHoldUnderRandomStimulus)
         }
         // Invariant 3: stat arithmetic is consistent.
         const PrefetcherStats &s = psb.stats();
-        ASSERT_LE(s.prefetchesUsed, s.prefetchesIssued);
+        ASSERT_LE(s.hits, psb.attribution().issued());
         ASSERT_LE(s.hitsPending, s.hits);
         ASSERT_EQ(s.allocations + s.allocationsFiltered,
                   s.allocationRequests);
-        ASSERT_LE(s.prefetchesIssued, s.predictions);
+        ASSERT_LE(psb.attribution().issued(), s.predictions);
     }
 }
 

@@ -224,15 +224,15 @@ TEST_F(PsbTest, PrefetchRequiresFreeBus)
     // Occupy the bus with a demand miss.
     hier.missToL2(Addr{0x90000}, Cycle{2}, false);
     ASSERT_FALSE(hier.l1ToL2BusFree(Cycle{2}));
-    uint64_t issued_before = psb.stats().prefetchesIssued;
+    uint64_t issued_before = psb.attribution().issued();
     psb.tick(Cycle{2});
-    EXPECT_EQ(psb.stats().prefetchesIssued, issued_before);
+    EXPECT_EQ(psb.attribution().issued(), issued_before);
     // Once the bus frees, the prefetch goes out.
     Cycle c{3};
     while (!hier.l1ToL2BusFree(c))
         ++c;
     psb.tick(c);
-    EXPECT_EQ(psb.stats().prefetchesIssued, issued_before + 1);
+    EXPECT_EQ(psb.attribution().issued(), issued_before + 1);
 }
 
 TEST_F(PsbTest, LookupHitFreesEntryAndRaisesPriority)
@@ -252,7 +252,6 @@ TEST_F(PsbTest, LookupHitFreesEntryAndRaisesPriority)
     EXPECT_FALSE(hit.dataPending); // long past the fill
     EXPECT_EQ(buf.priority.value(), pri_before + 2);
     EXPECT_EQ(psb.stats().hits, 1u);
-    EXPECT_EQ(psb.stats().prefetchesUsed, 1u);
     // Entry freed: a repeat lookup misses.
     EXPECT_FALSE(psb.lookup(Addr{0x1024}, Cycle{1001}).hit);
 }
@@ -275,7 +274,7 @@ TEST_F(PsbTest, LateTagHitReconciledOnDemandFill)
     psb.demandMiss(Addr{0x400010}, Addr{0x1000}, Cycle{});
     hier.missToL2(Addr{0x90000}, Cycle{}, false); // keep the bus busy
     psb.tick(Cycle{1}); // prediction made, prefetch blocked
-    ASSERT_EQ(psb.stats().prefetchesIssued, 0u);
+    ASSERT_EQ(psb.attribution().issued(), 0u);
 
     // A lookup of the predicted-but-unissued block is not a hit, and
     // it must NOT consume the entry (the access may be an MSHR-full
@@ -336,7 +335,7 @@ TEST_F(PsbTest, NoPredictionFromEmptyPredictor)
     psb.demandMiss(Addr{0x400010}, Addr{0x1000}, Cycle{});
     run(psb, Cycle{1}, Cycle{20});
     EXPECT_EQ(psb.stats().predictions, 0u);
-    EXPECT_EQ(psb.stats().prefetchesIssued, 0u);
+    EXPECT_EQ(psb.attribution().issued(), 0u);
 }
 
 TEST_F(PsbTest, ReallocationStealsLruHitBuffer)
@@ -363,14 +362,16 @@ TEST_F(PsbTest, StatsResetKeepsStreams)
     EXPECT_TRUE(psb.bufferFile().buffer(0).allocated());
 }
 
-TEST_F(PsbTest, AccuracyFormula)
+TEST_F(PsbTest, AccuracyIsHitsOverLedgerIssued)
 {
-    PrefetcherStats s;
-    s.prefetchesIssued = 8;
-    s.prefetchesUsed = 6;
-    EXPECT_DOUBLE_EQ(s.accuracy(), 0.75);
-    PrefetcherStats zero;
-    EXPECT_DOUBLE_EQ(zero.accuracy(), 0.0);
+    auto psb = make(AllocPolicy::Always, SchedPolicy::RoundRobin);
+    EXPECT_DOUBLE_EQ(psb.accuracy(), 0.0); // nothing issued yet
+    psb.demandMiss(Addr{0x400010}, Addr{0x1000}, Cycle{});
+    run(psb, Cycle{1}, Cycle{50});
+    const uint64_t issued = psb.attribution().issued();
+    ASSERT_GT(issued, 1u);
+    ASSERT_TRUE(psb.lookup(Addr{0x1020}, Cycle{1000}).hit);
+    EXPECT_DOUBLE_EQ(psb.accuracy(), 1.0 / double(issued));
 }
 
 TEST_F(PsbTest, PolicyNames)
@@ -434,7 +435,7 @@ threeStalledStreams(FarkasRig &rig)
         rig.psb.demandMiss(Addr(0x400000 + 0x10 * i),
                            Addr(0x10000 + 0x1000 * i), Cycle{});
     rig.tickUntil(Cycle{200});
-    ASSERT_EQ(rig.psb.stats().prefetchesIssued, 3u);
+    ASSERT_EQ(rig.psb.attribution().issued(), 3u);
 }
 
 void

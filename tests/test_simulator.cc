@@ -113,7 +113,7 @@ TEST(SimulatorTest, ResultFieldsConsistent)
     EXPECT_LE(r.l1dMissRate, 1.0);
     EXPECT_GE(r.prefetchAccuracy, 0.0);
     EXPECT_LE(r.prefetchAccuracy, 1.0);
-    EXPECT_LE(r.prefetch.prefetchesUsed, r.prefetch.prefetchesIssued);
+    EXPECT_LE(r.prefetch.hits, r.prefetchIssued);
     EXPECT_GE(r.l1L2BusUtil, 0.0);
     EXPECT_LE(r.l1L2BusUtil, 1.05); // bookings may spill past the end
     EXPECT_GT(r.pctLoads, 0.0);
