@@ -68,7 +68,7 @@ class DiffMarkovTable
      *  the updates()/overflows()/population() accessors (the cross-TU
      *  registration psb_analyze verifies). */
     void
-    resetStats() // psb-analyze: allow(R2)
+    resetStats()
     {
         _overflows = 0;
         _updates = 0;

@@ -24,7 +24,7 @@
  * (util/alloc_guard.hh) cross-checks R10 dynamically by interposing
  * operator new over the steady-state cycle loop.
  *
- * Usage — annotate the *declaration* (in a src/ header; psb_lint
+ * Usage — annotate the *declaration* (in a src/ header; psb_analyze
  * flags annotations in tests/ or tools/):
  *
  *     PSB_HOT_PATH bool tick(Cycle now);

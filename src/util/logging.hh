@@ -14,7 +14,7 @@
  * threads, so every function here emits its whole line under one
  * internal Mutex (util/thread_annotations.hh) — concurrent reports
  * never interleave mid-line. The lock discipline is annotated for
- * clang -Wthread-safety and audited by rule R8 (tools/psb_rules.py).
+ * clang -Wthread-safety and audited by rule R8 (tools/psb_analyze.py).
  */
 
 #ifndef PSB_UTIL_LOGGING_HH

@@ -17,7 +17,7 @@
  * MutexLock, and CondVar below are thin zero-overhead wrappers whose
  * lock operations ARE annotated; all shared mutable state in the tree
  * is declared PSB_GUARDED_BY one of these Mutexes (rule R8 in
- * tools/psb_rules.py audits that coverage, and clang -Wthread-safety
+ * tools/psb_analyze.py audits that coverage, and clang -Wthread-safety
  * then proves the locking discipline around every access).
  *
  * Conventions (DESIGN.md §12):

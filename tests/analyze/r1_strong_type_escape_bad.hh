@@ -22,6 +22,11 @@ busyAt(uint64_t cycle)
     return cycle != 0;
 }
 
+// R1a through an alias: resolved, the parameter is a raw uint64_t
+// named like a cycle.
+using Tick = uint64_t;
+void setWhen(Tick cycle);
+
 // R1b: arithmetic combining two .raw() escapes — this subtraction
 // belongs to the BlockAddr/BlockDelta operators.
 inline uint64_t

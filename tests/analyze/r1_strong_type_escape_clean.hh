@@ -22,6 +22,10 @@ busyAt(Cycle cycle)
     return cycle != Cycle{};
 }
 
+// An alias of a strong type is still the strong type.
+using Stamp = Cycle;
+void setWhen(Stamp cycle);
+
 // Block distance stays inside the domain operators.
 inline BlockDelta
 missDistance(BlockAddr a, BlockAddr b)

@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Compile-aware AST-level analyzer for the PSB tree (`psb_analyze`).
+"""Static analyzer for the PSB tree (`psb_analyze`).
 
-Where tools/psb_lint.py is a fast regex pre-check, this tool parses the
-whole src/ tree — driven by the build's compile_commands.json — into a
-token/scope model (classes, members, method bodies, aliases) and
-enforces the simulator-specific rules the regex lint cannot see:
+Parses src/ plus tools/*.cc into a token/scope model (classes,
+members, method bodies, aliases) and enforces the simulator-specific
+rules below. The engine is self-contained: no compile database, no
+compiler bindings, no third-party packages.
 
   R1 strong-type-escape
      (a) raw uint64_t address/cycle *parameters*, detected by type+name
-         inside parameter lists in both headers and .cc files;
+         inside parameter lists in both headers and .cc files; the
+         type resolves through using/typedef aliases, so
+         `using Tick = uint64_t; void f(Tick cycle);` is caught too;
      (b) arithmetic that combines two `.raw()` results — address/cycle
          math that escaped the strong types and will be (or already
          was) wrapped back, losing the domain checks;
@@ -28,14 +30,27 @@ enforces the simulator-specific rules the regex lint cannot see:
   R3 determinism
      Range-for iteration over unordered_map/unordered_set (resolved
      through members, locals, and using-aliases) whose loop body feeds
-     stats, trace events, or ordered output; plus pointer-keyed
-     associative containers, including ones hidden behind aliases.
+     stats, trace events, or ordered output; pointer-keyed
+     associative containers, including ones hidden behind aliases;
+     and, in src/, the banned nondeterminism sources rand()/srand(),
+     time(), std::random_device, gettimeofday() and the std::chrono
+     clocks.
 
   R4 trace-purity
      PSB_TRACE* argument expressions containing assignments or
      increments/decrements. Trace arguments are not evaluated when the
      flag is off, so a side effect there makes behavior differ with
      tracing on/off.
+
+  R5 output-discipline
+     Raw printf/puts/std::cout/std::cerr in src/ outside util/logging
+     and util/trace. Components report through warn()/inform()/
+     fatal() or PSB_TRACE; targeted stream writes (fprintf, snprintf)
+     stay legal.
+
+  R6 sweep-shared-state
+     Mutable namespace-scope or function-static state in the sweep
+     engine's translation units.
 
 On top of the token/scope model sits a dataflow layer: per-function
 def-use chains (locals, parameters, members) plus a cross-TU call
@@ -53,49 +68,45 @@ It powers three rules the per-statement passes cannot express:
      reaching a sink, even across function boundaries.
 
   R8 lock-discipline
-     Every class that owns a mutex (or already annotates a member)
-     must annotate *all* its mutable shared members with
-     PSB_GUARDED_BY(...) from util/thread_annotations.hh, and
-     translation units on the sweep concurrency surface must not
-     declare bare mutable namespace-scope state. Clang's
-     -Wthread-safety (enabled under PSB_WERROR) then proves the
-     annotations; this rule audits that the annotations exist.
+     Raw std::mutex/lock_guard/condition_variable/... in src/ outside
+     util/thread_annotations.hh are banned (clang -Wthread-safety
+     cannot see them). Every class that owns a mutex (or already
+     annotates a member) must annotate *all* its mutable shared
+     members with PSB_GUARDED_BY(...), and translation units on the
+     sweep concurrency surface must not declare bare mutable
+     namespace-scope state. Clang's -Wthread-safety (enabled under
+     PSB_WERROR) then proves the annotations; this rule audits that
+     the annotations exist.
 
   R9 interprocedural strong-type escape
      A .raw() value that round-trips through locals or helper returns
      back into address/cycle arithmetic or a strong-type constructor —
      the escape R1 sees only when it happens inside one statement.
 
-Rule IDs, exit codes, and the domain-parameter name list are shared
-with psb_lint via tools/psb_rules.py. Inline suppression:
+The hot-path layer builds a call graph from the PSB_HOT_PATH roots
+(util/hot_path.hh) and enforces R10 (no allocation), R11 (no throw or
+recursion) and R12 (devirtualizable dispatch) on everything reachable.
+R10 also checks the marker itself: in src/ it must annotate a
+function declaration, and it must not appear in tests/ or tools/
+(the fixture corpus under tests/analyze/ is exempt).
+
+Inline suppression:
 
     // psb-analyze: allow(R1)          (same line or the line above)
 
-Backends: the token/scope engine above is self-contained and is what
-runs everywhere. When the clang Python bindings are importable
-(`pip install libclang==14.0.6`, as CI does), an additional
-clang.cindex pass parses every TU in the compile database and deepens
-R1a (true canonical types, catching typedef'd uint64_t) and R3
-(container types resolved by the real compiler); its findings are
-merged and deduplicated. `--backend libclang` makes that pass
-mandatory, `--backend internal` disables it.
-
 The tree walk covers src/ plus tools/*.cc (the analysis rules apply
-to the offline tooling too — a nondeterministic merge key
-in psb-sweep corrupts golden output just as surely as one in the
-simulator). `--jobs N` tokenizes and scope-scans the translation
-units in a worker pool; the per-file models are merged in sorted
-path order, so the findings are byte-identical at any job count.
+to the offline tooling too — a nondeterministic merge key in
+psb-sweep corrupts golden output just as surely as one in the
+simulator); tests/ and the rest of tools/ are read for the hot-path
+marker only. Files are scanned in sorted path order into one model,
+so the findings are deterministic.
 
 Usage:
-    psb_analyze.py [root] [--compile-db build/compile_commands.json]
-                   [--backend auto|internal|libclang] [--jobs N]
-                   [--baseline tools/psb_analyze_baseline.json]
-                   [--json findings.json] [--list-rules]
+    psb_analyze.py [root] [--json findings.json] [--list-rules]
     psb_analyze.py --self-test [fixture-dir]
 
-Exit codes (shared): 0 clean, 1 findings, 2 usage/environment error,
-3 compile_commands.json missing or stale (re-run cmake).
+Every finding prints as `path:line: [Rn] message`.
+Exit codes: 0 clean, 1 findings, 2 usage/environment error.
 """
 
 import argparse
@@ -104,17 +115,210 @@ import pathlib
 import re
 import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
-import psb_rules  # noqa: E402
-from psb_rules import (  # noqa: E402
-    DOMAIN_PARAM_NAMES, EXIT_CLEAN, EXIT_ERROR, EXIT_FINDINGS,
-    EXIT_NO_COMPILE_DB, HOT_PATH_MARKER, R7_BARRIER_CALLS,
-    R7_BARRIER_FN_PATTERN, R7_CLOCK_SOURCES, R7_POINTER_SOURCES,
-    R7_SINK_CALLS, R7_SINK_FN_PATTERN, R8_ALL_ANNOTATIONS,
-    R8_GUARD_ANNOTATIONS, R8_MUTEX_TYPES, R8_SYNC_TYPES,
-    R10_ALLOC_CALLS, R10_ALLOC_CONTAINERS, R10_GROWTH_METHODS,
-    R11_THROWING_CALLS, R12_INDIRECT_TYPES, RULES, STRONG_TYPES,
-    format_finding)
+# --------------------------------------------------------------------
+# Rule catalog and vocabulary
+# --------------------------------------------------------------------
+
+#: rule id -> (slug, one-line rationale)
+RULES = {
+    "R1": ("strong-type-escape",
+           "address/cycle arithmetic must stay inside the strong "
+           "domain types (util/strong_types.hh)"),
+    "R2": ("stats-completeness",
+           "every counter a component bumps must be registered with "
+           "the StatsRegistry or it silently drops out of the stats "
+           "export"),
+    "R3": ("determinism",
+           "results must be a pure function of config + seed; no "
+           "clocks, rand(), pointer-keyed containers, or unordered "
+           "iteration feeding observable output"),
+    "R4": ("trace-purity",
+           "PSB_TRACE arguments are not evaluated when tracing is "
+           "off, so they must be side-effect free"),
+    "R5": ("output-discipline",
+           "components report through util/logging or util/trace, "
+           "never raw printf/std::cout"),
+    "R6": ("sweep-shared-state",
+           "sweep jobs are shared-nothing: no mutable namespace-scope "
+           "or function-static state on a job path unless it is "
+           "atomic, mutex-guarded, or const"),
+    "R7": ("nondeterminism-taint",
+           "values derived from unordered iteration order, pointer "
+           "casts, clocks, or uninitialized reads must pass a "
+           "sort/normalize barrier before reaching stats, JSON, or "
+           "golden output"),
+    "R8": ("lock-discipline",
+           "shared mutable state uses the annotated psb::Mutex "
+           "wrappers and is PSB_GUARDED_BY a named mutex "
+           "(util/thread_annotations.hh) so clang -Wthread-safety "
+           "can prove the locking"),
+    "R9": ("interproc-escape",
+           "a .raw() value must not round-trip through helpers or "
+           "locals back into address/cycle arithmetic; keep the math "
+           "inside the strong types"),
+    "R10": ("hot-path-alloc",
+            "the per-cycle hot path (every function reachable from a "
+            "PSB_HOT_PATH root) must not allocate: no operator new, "
+            "malloc, growing std containers, or string construction "
+            "— preallocate at construction instead"),
+    "R11": ("hot-path-throw",
+            "the per-cycle hot path must not throw: no throw "
+            "statements, throwing stdlib calls (.at(), stoi, "
+            "optional::value), or recursion cycles reachable from a "
+            "PSB_HOT_PATH root"),
+    "R12": ("hot-path-dispatch",
+            "dispatch inside hot-path code must be devirtualizable: "
+            "virtual calls need a complete in-tree override set and "
+            "std::function/function-pointer calls are flagged unless "
+            "explicitly allowed"),
+}
+
+EXIT_CLEAN = 0     #: no findings
+EXIT_FINDINGS = 1  #: at least one finding
+EXIT_ERROR = 2     #: usage or environment error (no src/ under root)
+
+#: Parameter names that mark a raw integer as an address/cycle
+#: quantity (the name half of R1's type+name test).
+DOMAIN_PARAM_NAMES = (
+    "addr", "address", "pc", "block", "cycle", "now", "when", "ready",
+    "target", "deadline",
+)
+
+#: The strong domain types of util/strong_types.hh.
+STRONG_TYPES = ("ByteAddr", "Addr", "BlockAddr", "BlockDelta", "Cycle",
+                "CycleDelta")
+
+#: R3: nondeterminism sources banned in src/, as token sequences.
+#: pass_r3_banned_calls matches two more shapes itself: rand()/srand()
+#: not qualified by `::`, and the classic time(NULL|nullptr|0) call.
+R3_BANNED_SEQS = (
+    (("std", "::", "time"), "wall-clock time()"),
+    (("std", "::", "random_device"), "std::random_device"),
+    (("gettimeofday", "("), "gettimeofday()"),
+    (("std", "::", "chrono", "::", "system_clock"),
+     "std::chrono clocks"),
+    (("std", "::", "chrono", "::", "steady_clock"),
+     "std::chrono clocks"),
+    (("std", "::", "chrono", "::", "high_resolution_clock"),
+     "std::chrono clocks"),
+)
+
+#: R5: raw stdout/stderr writers banned in src/ (fprintf, snprintf
+#: and fputs are different tokens and stay legal).
+R5_RAW_CALLS = ("printf", "puts")
+R5_RAW_STREAMS = ("cout", "cerr")
+
+#: R5: the files allowed to talk to stdout/stderr directly.
+R5_EXEMPT_FILES = ("util/logging.hh", "util/logging.cc",
+                   "util/trace.hh", "util/trace.cc")
+
+#: R8: raw std synchronization primitives, banned in src/ outside the
+#: annotated wrappers of util/thread_annotations.hh.
+R8_RAW_PRIMITIVES = (
+    "mutex", "shared_mutex", "recursive_mutex", "timed_mutex",
+    "condition_variable", "condition_variable_any", "lock_guard",
+    "unique_lock", "scoped_lock", "shared_lock")
+
+# R7 nondeterminism-taint vocabulary (DESIGN.md §12).
+
+#: Identifiers whose appearance in an expression marks the result as
+#: wall-clock derived (nondeterministic across runs).
+R7_CLOCK_SOURCES = (
+    "steady_clock", "system_clock", "high_resolution_clock",
+    "gettimeofday", "clock_gettime", "time_since_epoch",
+    "random_device",
+)
+
+#: Identifiers that turn a pointer's numeric value into data —
+#: allocator noise if it ever reaches observable output.
+R7_POINTER_SOURCES = ("reinterpret_cast", "uintptr_t", "intptr_t")
+
+#: Registration/sampling calls of the StatsRegistry: a tainted
+#: argument here lands in the golden stats JSON.
+R7_SINK_CALLS = ("addScalar", "addReal", "addAverage", "addHistogram",
+                 "sample", "sampleN")
+
+#: Function-name pattern for ordered-output producers (JSON emitters,
+#: golden writers, sweep mergers): appending tainted data inside one
+#: of these is a sink.
+R7_SINK_FN_PATTERN = r"(?i)(json|golden|merge)"
+
+#: Calls that launder taint: sorting or canonicalizing establishes a
+#: deterministic order, so their arguments come out clean.
+R7_BARRIER_CALLS = ("sort", "stable_sort")
+
+#: Function-name pattern treated as a barrier when its result is
+#: assigned (normalizeX(), canonicalKeys(), sortedCopy(), ...).
+R7_BARRIER_FN_PATTERN = r"(?i)(normal|canonic|sorted)"
+
+# R8 lock-discipline vocabulary.
+
+#: The annotation macros of util/thread_annotations.hh that satisfy
+#: the member-coverage audit.
+R8_GUARD_ANNOTATIONS = ("PSB_GUARDED_BY", "PSB_PT_GUARDED_BY")
+
+#: All PSB_* thread-annotation macros (stripped before classifying a
+#: declaration, so a trailing PSB_REQUIRES(...) does not confuse the
+#: member parser).
+R8_ALL_ANNOTATIONS = R8_GUARD_ANNOTATIONS + (
+    "PSB_REQUIRES", "PSB_REQUIRES_SHARED", "PSB_ACQUIRE",
+    "PSB_RELEASE", "PSB_TRY_ACQUIRE", "PSB_EXCLUDES",
+    "PSB_CAPABILITY", "PSB_SCOPED_CAPABILITY",
+    "PSB_NO_THREAD_SAFETY_ANALYSIS",
+)
+
+#: Member/variable types that put a class in R8's audit scope.
+R8_MUTEX_TYPES = ("Mutex", "mutex", "shared_mutex", "recursive_mutex")
+
+#: Types that are synchronized by construction and need no guard.
+R8_SYNC_TYPES = ("atomic", "Mutex", "MutexLock", "CondVar", "mutex",
+                 "shared_mutex", "recursive_mutex",
+                 "condition_variable", "condition_variable_any",
+                 "once_flag", "CancelToken")
+
+# R10-R12 hot-path vocabulary (DESIGN.md §14).
+
+#: The function annotation that roots the hot-path call graph.
+HOT_PATH_MARKER = "PSB_HOT_PATH"
+
+#: Free functions that always allocate.
+R10_ALLOC_CALLS = (
+    "malloc", "calloc", "realloc", "strdup", "aligned_alloc",
+    "make_unique", "make_shared", "to_string",
+)
+
+#: Methods that can grow an allocating std container. Only flagged
+#: when the receiver's declared type resolves to one of
+#: R10_ALLOC_CONTAINERS — SetAssocCache::insert() is not an
+#: allocation, std::map::insert() is.
+R10_GROWTH_METHODS = (
+    "push_back", "emplace_back", "push_front", "emplace_front",
+    "emplace", "insert", "resize", "reserve", "assign", "append",
+    "push", "emplace_hint", "try_emplace", "insert_or_assign",
+)
+
+#: std container/type names whose growth methods allocate.
+R10_ALLOC_CONTAINERS = (
+    "vector", "deque", "map", "set", "unordered_map", "unordered_set",
+    "multimap", "multiset", "list", "forward_list", "string",
+    "basic_string", "queue", "priority_queue", "stack",
+)
+
+#: stdlib calls that throw on failure — banned on the hot path (R11).
+R11_THROWING_CALLS = (
+    "at", "stoi", "stol", "stoll", "stoul", "stoull", "stof", "stod",
+    "value", "substr",
+)
+
+#: Types whose call operator is an indirect dispatch the compiler
+#: cannot devirtualize (R12).
+R12_INDIRECT_TYPES = ("function",)
+
+
+def format_finding(path, line, rule, message):
+    """The one finding format: path:line: [Rn] message."""
+    return f"{path}:{line}: [{rule}] {message}"
+
 
 # --------------------------------------------------------------------
 # Tokenizer
@@ -597,10 +801,9 @@ class FileScan:
 
 class Findings:
     def __init__(self):
-        self.items = []  # dicts: file, line, rule, message, key
+        self.items = []  # dicts: file, line, rule, message
 
-    def add(self, scan_or_rel, line, rule, message, key,
-            suppressed=None):
+    def add(self, scan_or_rel, line, rule, message, suppressed=None):
         rel = scan_or_rel.rel if isinstance(scan_or_rel, FileScan) \
             else scan_or_rel
         if suppressed:
@@ -608,8 +811,7 @@ class Findings:
                 if rule in suppressed.get(ln, ()):
                     return
         self.items.append({"file": str(rel), "line": line,
-                           "rule": rule, "message": message,
-                           "key": f"{rule}:{rel}:{key}"})
+                           "rule": rule, "message": message})
 
     def sorted(self):
         return sorted(self.items,
@@ -641,8 +843,28 @@ def _exempt(rel):
     return str(rel).replace("\\", "/").endswith(EXEMPT_FILES)
 
 
-def pass_r1_params(scan, suppressed, findings):
-    """R1a: raw uint64_t address/cycle parameters (headers and .cc)."""
+def _top_dir(rel):
+    """First component of a root-relative path: "src" for tree files
+    and for fixtures laid out under tests/analyze/src/."""
+    return pathlib.PurePath(rel).parts[0]
+
+
+def _is_uint64(tok, model):
+    """True for `uint64_t` or an alias chain that ends in it."""
+    name = tok.text
+    for _ in range(5):
+        if name == "uint64_t":
+            return True
+        ty = model.aliases.get(name)
+        if not ty:
+            return False
+        name = ty.split()[-1]
+    return False
+
+
+def pass_r1_params(scan, model, suppressed, findings):
+    """R1a: raw uint64_t address/cycle parameters (headers and .cc),
+    spelled directly or through a using/typedef alias."""
     if _exempt(scan.rel):
         return
     toks = scan.toks
@@ -658,19 +880,20 @@ def pass_r1_params(scan, suppressed, findings):
         elif t.text == ")":
             if paren_stack:
                 paren_stack.pop()
-        elif t.text == "uint64_t" and paren_stack \
-                and any(paren_stack):
+        elif t.kind == "id" and paren_stack and any(paren_stack) \
+                and _is_uint64(t, model):
             j = i + 1
             while j < n and toks[j].text in ("&", "*", "&&", "const"):
                 j += 1
             if j < n and toks[j].kind == "id" \
                     and DOMAIN_NAME_RE.match(toks[j].text):
+                via = "" if t.text == "uint64_t" \
+                    else f" (through alias '{t.text}')"
                 findings.add(
                     scan, toks[j].line, "R1",
-                    f"raw uint64_t parameter '{toks[j].text}' carries "
-                    f"an address/cycle quantity; use the strong "
-                    f"domain types (ByteAddr/BlockAddr/Cycle...)",
-                    f"param:{toks[j].text}", suppressed)
+                    f"raw uint64_t parameter '{toks[j].text}'{via} "
+                    f"carries an address/cycle quantity; use the strong "
+                    f"domain types (ByteAddr/BlockAddr/Cycle...)", suppressed)
 
 
 def _statements(toks, lo=0, hi=None):
@@ -710,20 +933,23 @@ def pass_r1_raw_arith(scan, suppressed, findings):
                 scan, toks[raws[0]].line, "R1",
                 "arithmetic combines two .raw() escapes; this math "
                 "belongs inside the strong types "
-                "(util/strong_types.hh operators)",
-                "raw-arith", suppressed)
+                "(util/strong_types.hh operators)", suppressed)
 
 
-def pass_r1_reentry(scan, model, suppressed, findings):
-    """R1c: strong-type ctor / strong member init fed raw arithmetic."""
-    if _exempt(scan.rel):
-        return
-    toks = scan.toks
-    strong_members = {
+def _strong_members(model):
+    """Names of all strong-typed members in the model (R1c)."""
+    return {
         m for info in model.classes.values()
         for m, ty in info.members.items()
         if any(ty.split()[-1] == st or ty == st
                for st in STRONG_TYPES)}
+
+
+def pass_r1_reentry(scan, strong_members, suppressed, findings):
+    """R1c: strong-type ctor / strong member init fed raw arithmetic."""
+    if _exempt(scan.rel):
+        return
+    toks = scan.toks
     n = len(toks)
     for i in range(n - 1):
         t = toks[i]
@@ -748,8 +974,7 @@ def pass_r1_reentry(scan, model, suppressed, findings):
                 f"strong-type {what} '{t.text}(...)' is fed .raw() "
                 f"arithmetic — the value escaped the domain and "
                 f"re-enters unchecked; use the strong-type operators "
-                f"instead",
-                f"reentry:{t.text}", suppressed)
+                f"instead", suppressed)
 
 
 def pass_r4_trace_purity(scan, suppressed, findings):
@@ -770,9 +995,114 @@ def pass_r4_trace_purity(scan, suppressed, findings):
                         f"side effect ('{a.text}') inside "
                         f"{toks[i].text} arguments; trace arguments "
                         f"are skipped when tracing is off, so this "
-                        f"changes behavior with tracing on/off",
-                        f"trace:{toks[i].text}", suppressed)
+                        f"changes behavior with tracing on/off", suppressed)
                     break
+
+
+# ------------- src/-scoped token bans (R3, R5, R8) and R10 -----------
+
+def _seq_at(toks, i, seq):
+    """True when the token texts starting at i spell out `seq`."""
+    return i + len(seq) <= len(toks) and all(
+        toks[i + k].text == w for k, w in enumerate(seq))
+
+
+def _std_or_unqualified(toks, i):
+    """True when the call name at i is `name(` or `std::name(`, not a
+    member call or another namespace's function."""
+    prev = toks[i - 1].text if i else ""
+    if prev == "::":
+        return i >= 2 and toks[i - 2].text == "std" \
+            and (i < 3 or toks[i - 3].text != "::")
+    return prev not in (".", "->")
+
+
+def _report_once(scan, suppressed, findings, hits, rule, message):
+    """Report each (line, what) of `hits` once, in line order."""
+    for line, what in sorted(set(hits)):
+        findings.add(scan, line, rule, message.format(what=what), suppressed)
+
+
+def pass_src_bans(scan, suppressed, findings):
+    """R3/R5/R8 bans on plain tokens, in src/ only.
+
+    R3: rand()/srand(), time(), std::random_device, gettimeofday()
+    and the std::chrono clocks — results must be a function of
+    config + seed. R5: raw printf/puts/std::cout/std::cerr outside
+    util/logging and util/trace. R8: raw std synchronization
+    primitives outside util/thread_annotations.hh, which clang
+    -Wthread-safety cannot see. One finding per line and banned
+    name (R8: per line).
+    """
+    if _top_dir(scan.rel) != "src":
+        return
+    rel = str(scan.rel).replace("\\", "/")
+    r5_on = not rel.endswith(R5_EXEMPT_FILES)
+    r8_on = not rel.endswith("util/thread_annotations.hh")
+    toks = scan.toks
+    n = len(toks)
+    r3, r5, r8 = [], [], {}
+    for i, t in enumerate(toks):
+        if t.kind != "id":
+            continue
+        prev = toks[i - 1].text if i else ""
+        nxt = toks[i + 1].text if i + 1 < n else ""
+        if t.text in ("rand", "srand") and nxt == "(" and prev != "::":
+            r3.append((t.line, "rand()/srand()"))
+        elif t.text == "time" and nxt == "(" and i + 3 < n \
+                and toks[i + 2].text in ("NULL", "nullptr", "0") \
+                and toks[i + 3].text == ")":
+            r3.append((t.line, "wall-clock time()"))
+        elif t.text in R5_RAW_CALLS and nxt == "(" and r5_on \
+                and _std_or_unqualified(toks, i):
+            r5.append((t.line, f"{t.text}()"))
+        elif t.text == "std" and nxt == "::" and i + 2 < n:
+            name = toks[i + 2].text
+            if name in R5_RAW_STREAMS and r5_on:
+                r5.append((t.line, f"std::{name}"))
+            elif name in R8_RAW_PRIMITIVES and r8_on:
+                r8.setdefault(t.line, name)
+            for seq, what in R3_BANNED_SEQS:
+                if _seq_at(toks, i, seq):
+                    r3.append((t.line, what))
+        elif t.text == "gettimeofday" and nxt == "(":
+            r3.append((t.line, "gettimeofday()"))
+    _report_once(scan, suppressed, findings, r3, "R3",
+                 "{what} is banned in simulation code (results must "
+                 "be a function of config + seed)")
+    _report_once(scan, suppressed, findings, r5, "R5",
+                 "raw {what} in src/; use warn()/inform()/fatal() "
+                 "(util/logging) or PSB_TRACE (util/trace) instead")
+    _report_once(scan, suppressed, findings, r8.items(), "R8",
+                 "raw std::{what} in src/; use psb::Mutex/MutexLock/"
+                 "CondVar (util/thread_annotations.hh) so clang "
+                 "-Wthread-safety can prove the locking")
+
+
+def pass_r10_marker(rel, toks, suppressed, findings):
+    """R10 marker placement: PSB_HOT_PATH roots src/'s call graph, so
+    it must sit on a function declaration (a `(` before the next
+    `;`, `{`, `}` or `=`), and it does not belong in tests/ or
+    tools/ at all."""
+    n = len(toks)
+    for i, t in enumerate(toks):
+        if t.kind != "id" or t.text != HOT_PATH_MARKER:
+            continue
+        if _top_dir(rel) in ("tests", "tools"):
+            findings.add(
+                rel, t.line, "R10",
+                "PSB_HOT_PATH outside src/; the hot-path annotation "
+                "belongs on the simulator's per-cycle roots, not in "
+                "tests or tools", suppressed)
+            continue
+        k = i + 1
+        while k < n and toks[k].text not in ("(", ";", "{", "}", "="):
+            k += 1
+        if k >= n or toks[k].text != "(":
+            findings.add(
+                rel, t.line, "R10",
+                "PSB_HOT_PATH must annotate a function declaration "
+                "(it roots the hot-path call graph)", suppressed)
 
 
 # --------------------- R6: sweep shared state -----------------------
@@ -821,6 +1151,43 @@ def _r6_statement_is_mutable_decl(span):
     return False
 
 
+def _namespace_scope_statements(toks):
+    """Yield the token span of every `;`-terminated statement whose
+    enclosing braces are all namespace braces (R6 and R8 both audit
+    mutable namespace-scope state). A brace group right after an
+    identifier at namespace scope is an initializer or a class body,
+    not a scope: it stays inside its statement (a function body
+    after `) const` or `) noexcept` is a scope)."""
+    stack = []  # "ns" | "other" per open brace
+    stmt_start = 0
+    i = 0
+    n = len(toks)
+    while i < n:
+        t = toks[i].text
+        if t == "{":
+            opener = "other"
+            for k in range(max(stmt_start, i - 8), i):
+                if toks[k].text == "namespace":
+                    opener = "ns"
+                    break
+            if opener == "other" and i and toks[i - 1].kind == "id" \
+                    and toks[i - 1].text not in ("const", "noexcept") \
+                    and all(s == "ns" for s in stack):
+                i = _find_matching(toks, i, "{", "}") + 1
+                continue
+            stack.append(opener)
+            stmt_start = i + 1
+        elif t == "}":
+            if stack:
+                stack.pop()
+            stmt_start = i + 1
+        elif t == ";":
+            if all(s == "ns" for s in stack):
+                yield toks[stmt_start:i]
+            stmt_start = i + 1
+        i += 1
+
+
 def pass_r6_sweep_shared_state(scan, suppressed, findings):
     """R6: mutable shared state reachable from sweep job paths.
 
@@ -835,40 +1202,14 @@ def pass_r6_sweep_shared_state(scan, suppressed, findings):
     if "sweep" not in name:
         return
     toks = scan.toks
-    n = len(toks)
-
-    # Brace-context walk: a variable declaration is namespace-scope
-    # when every enclosing brace is a namespace brace.
-    stack = []  # "ns" | "other" per open brace
-    stmt_start = 0
-    i = 0
-    while i < n:
-        t = toks[i].text
-        if t == "{":
-            opener = "other"
-            for k in range(max(stmt_start, i - 8), i):
-                if toks[k].text == "namespace":
-                    opener = "ns"
-                    break
-            stack.append(opener)
-            stmt_start = i + 1
-        elif t == "}":
-            if stack:
-                stack.pop()
-            stmt_start = i + 1
-        elif t == ";":
-            span = toks[stmt_start:i]
-            if all(s == "ns" for s in stack) \
-                    and _r6_statement_is_mutable_decl(span):
-                findings.add(
-                    scan, span[0].line, "R6",
-                    "mutable namespace-scope state in a sweep "
-                    "translation unit; sweep jobs are shared-nothing "
-                    "— make it const, atomic, or mutex-guarded, or "
-                    "move it into the job",
-                    f"ns-state:{span[0].line}", suppressed)
-            stmt_start = i + 1
-        i += 1
+    for span in _namespace_scope_statements(toks):
+        if _r6_statement_is_mutable_decl(span):
+            findings.add(
+                scan, span[0].line, "R6",
+                "mutable namespace-scope state in a sweep "
+                "translation unit; sweep jobs are shared-nothing "
+                "— make it const, atomic, or mutex-guarded, or "
+                "move it into the job", suppressed)
 
     # Function-local statics: shared by every call, i.e. every worker.
     for fn in scan.functions:
@@ -889,8 +1230,7 @@ def pass_r6_sweep_shared_state(scan, suppressed, findings):
                         f"'{fname}' on a sweep job path; every "
                         f"worker shares it — make it atomic or "
                         f"mutex-guarded, or hoist it into per-job "
-                        f"state",
-                        f"fn-static:{toks[j].line}", suppressed)
+                        f"state", suppressed)
                 j = end
             j += 1
 
@@ -951,8 +1291,7 @@ def pass_r3_determinism(scan, model, suppressed, findings):
                 scan, toks[s].line, "R3",
                 "pointer-keyed associative container (possibly via "
                 "an alias); iteration order is allocator-dependent "
-                "and can leak into stats",
-                "ptr-key", suppressed)
+                "and can leak into stats", suppressed)
 
     # Range-for over unordered containers writing observable state.
     for fn in scan.functions:
@@ -1002,8 +1341,7 @@ def pass_r3_determinism(scan, model, suppressed, findings):
                                 "container writes stats/trace/"
                                 "output; the visit order is hash-"
                                 "seed and allocator noise — use an "
-                                "ordered container or sort first",
-                                "unordered-iter", suppressed)
+                                "ordered container or sort first", suppressed)
                 i = close + 1
                 continue
             i += 1
@@ -1180,8 +1518,7 @@ def pass_r2_completeness(model, suppressions_by_file, findings):
             f"counter '{member}' of {cls_name} is bumped here but "
             f"never registered: it appears in no registerStats() "
             f"body and no accessor returning it is called from one, "
-            f"so it is missing from the stats JSON",
-            f"counter:{cls_name}.{member}", sup)
+            f"so it is missing from the stats JSON", sup)
 
 
 # --------------------------------------------------------------------
@@ -1228,25 +1565,6 @@ def _parse_params(toks, sig_lo, sig_hi):
         name = ids[-1].text if len(ids) >= 2 else ""
         params.append((name, _type_str(span)))
     return params
-
-
-def _split_args(toks, lo, hi):
-    """Top-level comma split of a call-argument token range."""
-    out = []
-    depth = 0
-    start = lo
-    for i in range(lo, hi):
-        t = toks[i].text
-        if t in ("(", "<", "[", "{"):
-            depth += 1
-        elif t in (")", ">", "]", "}"):
-            depth = max(0, depth - 1)
-        elif t == "," and depth == 0:
-            out.append((start, i))
-            start = i + 1
-    if hi > start:
-        out.append((start, hi))
-    return out
 
 
 class FuncSummary:
@@ -1570,8 +1888,7 @@ class Dataflow:
                                     f"{sink_desc} without a sort/"
                                     f"normalize barrier; the golden "
                                     f"output would differ run to "
-                                    f"run",
-                                    f"taint:{t.text}:{t.line}", sup)
+                                    f"run", sup)
                 k += 1
 
             # Inside a JSON/golden/merge emitter, appending or
@@ -1590,7 +1907,6 @@ class Dataflow:
                             f"appended to ordered output inside "
                             f"'{fn.name}()'; sort or normalize it "
                             f"first",
-                            f"taint:{fn.name}:{toks[op_pos].line}",
                             sup)
 
             # R9 whole-statement checks (emit round only).
@@ -1605,8 +1921,7 @@ class Dataflow:
                         f"arithmetic combines .raw() escapes that "
                         f"round-tripped through locals/returns "
                         f"({names}); keep this math inside the "
-                        f"strong types (util/strong_types.hh)",
-                        f"interproc-arith:{toks[s].line}", sup)
+                        f"strong types (util/strong_types.hh)", sup)
                 k = s
                 while k < e - 1:
                     t = toks[k]
@@ -1627,8 +1942,7 @@ class Dataflow:
                                 f"values that escaped earlier "
                                 f"({names}) after arithmetic — an "
                                 f"interprocedural escape-and-"
-                                f"re-enter round trip",
-                                f"interproc-reentry:{t.line}", sup)
+                                f"re-enter round trip", sup)
                     k += 1
 
             # Assignment / declaration: update the def-use state.
@@ -1870,61 +2184,27 @@ def pass_r8_lock_discipline(scan, suppressed, findings):
                 f"member '{cname}::{name}' is mutable, shares the "
                 f"class with a mutex, but carries no PSB_GUARDED_BY "
                 f"annotation — clang -Wthread-safety cannot check "
-                f"accesses to it (util/thread_annotations.hh)",
-                f"member:{cname}.{name}", suppressed)
+                f"accesses to it (util/thread_annotations.hh)", suppressed)
 
     if "thread_annotations.hh" not in scan.raw:
         return
-    stack = []
-    stmt_start = 0
-    i = 0
-    n = len(toks)
-    while i < n:
-        t = toks[i].text
-        if t == "{":
-            opener = "other"
-            for k in range(max(stmt_start, i - 8), i):
-                if toks[k].text == "namespace":
-                    opener = "ns"
-                    break
-            if opener == "other" and toks[i - 1].kind == "id" \
-                    and all(s == "ns" for s in stack):
-                # namespace-scope brace initializer: skip the group,
-                # the declaration statement continues to the `;`.
-                i = _find_matching(toks, i, "{", "}") + 1
-                continue
-            stack.append(opener)
-            stmt_start = i + 1
-        elif t == "}":
-            if stack:
-                stack.pop()
-            stmt_start = i + 1
-        elif t == ";":
-            span = toks[stmt_start:i]
-            if span and all(s == "ns" for s in stack) \
-                    and span[0].text not in R6_NON_DECL_LEADERS \
-                    and not any(x.text in R6_CONST_WORDS
-                                for x in span) \
-                    and not any(x.kind == "id"
-                                and x.text in R8_SYNC_TYPES
-                                for x in span):
-                # `Type name [= init]` with no parens = a mutable
-                # namespace-scope variable in a concurrency TU.
-                texts = [x.text for x in span]
-                if "(" not in texts:
-                    ids = [x for x in span if x.kind == "id"]
-                    if len(ids) >= 2:
-                        findings.add(
-                            scan, span[0].line, "R8",
-                            f"mutable namespace-scope variable "
-                            f"'{ids[-1].text}' in a concurrency "
-                            f"translation unit (includes "
-                            f"thread_annotations.hh); make it "
-                            f"const, atomic, or a PSB_GUARDED_BY "
-                            f"class member",
-                            f"ns:{ids[-1].text}", suppressed)
-            stmt_start = i + 1
-        i += 1
+    for span in _namespace_scope_statements(toks):
+        # `Type name [= init]` with no parens = a mutable
+        # namespace-scope variable in a concurrency TU.
+        if not span or span[0].text in R6_NON_DECL_LEADERS \
+                or any(x.text in R6_CONST_WORDS for x in span) \
+                or any(x.kind == "id" and x.text in R8_SYNC_TYPES
+                       for x in span) \
+                or any(x.text == "(" for x in span):
+            continue
+        ids = [x for x in span if x.kind == "id"]
+        if len(ids) >= 2:
+            findings.add(
+                scan, span[0].line, "R8",
+                f"mutable namespace-scope variable '{ids[-1].text}' "
+                f"in a concurrency translation unit (includes "
+                f"thread_annotations.hh); make it const, atomic, or "
+                f"a PSB_GUARDED_BY class member", suppressed)
 
 
 # --------------------------------------------------------------------
@@ -1981,7 +2261,7 @@ class HotPathGraph:
         self.funcs = {}     # (cls-or-"", name) -> [(scan, fn, sup)]
         self.children = {}  # class -> set of direct derived classes
         self.edges = {}     # key -> [ {callee, scan, line, allows} ]
-        self.prims = {}     # key -> [(rule, scan, line, msg, ukey, sup)]
+        self.prims = {}     # key -> [(rule, scan, line, msg, sup)]
         self.hot_keys = []  # resolved root keys, sorted
         self._subtree_cache = {}
         self._build()
@@ -2108,9 +2388,9 @@ class HotPathGraph:
             {"callee": callee, "scan": scan, "line": line,
              "allows": allows})
 
-    def _prim(self, key, rule, scan, line, msg, ukey, sup):
+    def _prim(self, key, rule, scan, line, msg, sup):
         self.prims.setdefault(key, []).append(
-            (rule, scan, line, msg, ukey, sup))
+            (rule, scan, line, msg, sup))
 
     def _recv_words(self, key, scan, fn, locals_ty, i):
         """Declared-type words of the receiver ending at token i
@@ -2212,14 +2492,12 @@ class HotPathGraph:
             nxt = toks[i + 1].text if i + 1 < hi else ""
             if t.kind == "id" and t.text == "throw":
                 self._prim(key, "R11", scan, t.line,
-                           "throw statement",
-                           f"throw:{t.line}", sup)
+                           "throw statement", sup)
             elif t.kind == "id" and t.text == "new" \
                     and (i == lo or toks[i - 1].text not in
                          ("operator", "delete")):
                 self._prim(key, "R10", scan, t.line,
-                           "operator new",
-                           f"new:{t.line}", sup)
+                           "operator new", sup)
             elif t.text == "(" and i + 4 < hi \
                     and toks[i + 1].text == "*" \
                     and toks[i + 2].kind == "id" \
@@ -2227,14 +2505,12 @@ class HotPathGraph:
                     and toks[i + 4].text == "(":
                 self._prim(key, "R12", scan, t.line,
                            f"indirect call through "
-                           f"'(*{toks[i + 2].text})'",
-                           f"indirect:{t.line}", sup)
+                           f"'(*{toks[i + 2].text})'", sup)
             elif t.kind == "id" and nxt == "<" \
                     and t.text in R10_ALLOC_CALLS:
                 # template-call syntax: make_unique<T>(...)
                 self._prim(key, "R10", scan, t.line,
-                           f"allocating call '{t.text}<...>()'",
-                           f"alloc:{t.text}:{t.line}", sup)
+                           f"allocating call '{t.text}<...>()'", sup)
             elif t.kind == "id" and nxt == "(" \
                     and t.text not in CONTROL_KEYWORDS:
                 self._call_site(key, scan, fn, sup, locals_ty, i)
@@ -2254,8 +2530,7 @@ class HotPathGraph:
             if prev.text in R10_ALLOC_CONTAINERS:
                 self._prim(key, "R10", scan, line,
                            f"construction of allocating "
-                           f"'std::{prev.text}'",
-                           f"ctor:{line}", sup)
+                           f"'std::{prev.text}'", sup)
                 return
             if prev.text in self.model.classes:
                 ctor = (prev.text, prev.text)
@@ -2279,8 +2554,7 @@ class HotPathGraph:
                     and toks[j - 1].text in R10_ALLOC_CONTAINERS:
                 self._prim(key, "R10", scan, line,
                            f"construction of allocating "
-                           f"'std::{toks[j - 1].text}<...>'",
-                           f"ctor:{line}", sup)
+                           f"'std::{toks[j - 1].text}<...>'", sup)
             return
         if name in self.model.classes:
             ctor = (name, name)
@@ -2289,13 +2563,11 @@ class HotPathGraph:
             return
         if name in R10_ALLOC_CALLS:
             self._prim(key, "R10", scan, line,
-                       f"allocating call '{name}()'",
-                       f"alloc:{name}:{line}", sup)
+                       f"allocating call '{name}()'", sup)
             return
         if name in _R11_BARE_THROWING:
             self._prim(key, "R11", scan, line,
-                       f"throwing call '{name}()'",
-                       f"throwcall:{name}:{line}", sup)
+                       f"throwing call '{name}()'", sup)
             return
         # indirect call through a std::function-typed local/member
         ty = locals_ty.get(name, "") or \
@@ -2304,8 +2576,7 @@ class HotPathGraph:
         if any(w in R12_INDIRECT_TYPES for w in words):
             self._prim(key, "R12", scan, line,
                        f"indirect call through std::function "
-                       f"'{name}'",
-                       f"indirect:{name}:{line}", sup)
+                       f"'{name}'", sup)
             return
         # own-class method (virtual-aware: a bare call is `this->`)
         if fn.cls:
@@ -2342,12 +2613,10 @@ class HotPathGraph:
         if principal in R10_ALLOC_CONTAINERS:
             if name in R10_GROWTH_METHODS:
                 self._prim(key, "R10", scan, line,
-                           f"'.{name}()' grows 'std::{principal}'",
-                           f"grow:{name}:{line}", sup)
+                           f"'.{name}()' grows 'std::{principal}'", sup)
             elif name in R11_THROWING_CALLS:
                 self._prim(key, "R11", scan, line,
-                           f"throwing call '.{name}()'",
-                           f"throwcall:{name}:{line}", sup)
+                           f"throwing call '.{name}()'", sup)
             # other container methods (size/begin/operator[]) are fine
             return
         if principal in self.model.classes:
@@ -2370,8 +2639,7 @@ class HotPathGraph:
                         key, "R12", scan, line,
                         f"virtual call '.{name}()' on "
                         f"'{recv_cls}' has no in-tree "
-                        f"implementation to devirtualize to",
-                        f"virt:{name}:{line}", sup)
+                        f"implementation to devirtualize to", sup)
             else:
                 impl = self._impl(recv_cls, name)
                 if impl is not None:
@@ -2380,29 +2648,25 @@ class HotPathGraph:
         if any(w in R12_INDIRECT_TYPES for w in words):
             self._prim(key, "R12", scan, line,
                        f"indirect call '.{name}()' through a "
-                       f"std::function object",
-                       f"indirect:{name}:{line}", sup)
+                       f"std::function object", sup)
             return
         if any(w in R10_ALLOC_CONTAINERS for w in words) \
                 and name in R10_GROWTH_METHODS:
             cont = next(w for w in words
                         if w in R10_ALLOC_CONTAINERS)
             self._prim(key, "R10", scan, line,
-                       f"'.{name}()' grows 'std::{cont}'",
-                       f"grow:{name}:{line}", sup)
+                       f"'.{name}()' grows 'std::{cont}'", sup)
             return
         if name in R11_THROWING_CALLS:
             self._prim(key, "R11", scan, line,
-                       f"throwing call '.{name}()'",
-                       f"throwcall:{name}:{line}", sup)
+                       f"throwing call '.{name}()'", sup)
             return
         if not words and any(k[1] == name
                              for k in self.model.virtuals):
             self._prim(key, "R12", scan, line,
                        f"cannot resolve the receiver of virtual "
                        f"call '.{name}()' — the callee set is "
-                       f"unknown",
-                       f"virt:{name}:{line}", sup)
+                       f"unknown", sup)
 
     # -- reachability and reporting ----------------------------------
 
@@ -2486,9 +2750,7 @@ class HotPathGraph:
                                 f"unbounded recursion cannot be "
                                 f"proven allocation- and "
                                 f"overflow-free",
-                                f"recursion:{self._label(node)}:"
-                                f"{e['line']}",
-                                self._sup_of(e["scan"]))
+                                e["scan"].sup)
                     elif not color.get(c):
                         color[c] = 1
                         stack.append((c, iter(edges_of(c))))
@@ -2498,14 +2760,11 @@ class HotPathGraph:
                     color[node] = 2
                     stack.pop()
 
-    def _sup_of(self, scan):
-        return scan.sup
-
     def run(self, findings):
         for rule in HOT_RULES:
             parent = self._reach(rule)
             for fkey in sorted(parent):
-                for (r, scan, line, msg, ukey, sup) in \
+                for (r, scan, line, msg, sup) in \
                         self.prims.get(fkey, ()):
                     if r != rule:
                         continue
@@ -2514,230 +2773,46 @@ class HotPathGraph:
                         f"{msg} in '{self._label(fkey)}' on the "
                         f"per-cycle hot path (reachable as "
                         f"{self._path(parent, fkey)}); "
-                        f"{RULES[rule][1]}",
-                        f"hot:{ukey}", sup)
+                        f"{RULES[rule][1]}", sup)
             if rule == "R11":
                 self._report_cycles(rule, parent, findings)
-
-
-# --------------------------------------------------------------------
-# libclang deepening pass (optional; used by CI)
-# --------------------------------------------------------------------
-
-def load_libclang():
-    try:
-        import clang.cindex as ci
-        ci.Index.create()
-        return ci
-    except Exception:
-        return None
-
-
-def libclang_pass(ci, compile_db_dir, root, src_root, suppressions,
-                  findings, seen_keys):
-    """Deepen R1a and R3 with real types from clang.cindex.
-
-    Findings are merged into `findings`, deduplicated against
-    `seen_keys` (file:line:rule) produced by the token engine. Any
-    parse failure degrades to a warning: the token engine remains the
-    floor, clang only raises it.
-    """
-    import re as _re
-    index = ci.Index.create()
-    try:
-        db = ci.CompilationDatabase.fromDirectory(str(compile_db_dir))
-        cmds = list(db.getAllCompileCommands())
-    except Exception as e:  # pragma: no cover
-        print(f"psb_analyze: libclang: cannot load compile DB: {e}",
-              file=sys.stderr)
-        return False
-
-    uint64_spellings = ("uint64_t", "unsigned long", "uint_fast64_t")
-    ptrkey_re = _re.compile(
-        r"(?:unordered_)?(?:map|set)<[^,>]*\*")
-
-    def rel_of(loc):
-        try:
-            p = pathlib.Path(str(loc.file)).resolve()
-            return p.relative_to(root)
-        except Exception:
-            return None
-
-    def in_scope(loc):
-        if loc.file is None:
-            return False
-        p = pathlib.Path(str(loc.file)).resolve()
-        try:
-            p.relative_to(src_root)
-        except ValueError:
-            return False
-        return not str(p).endswith(EXEMPT_FILES)
-
-    def emit(cursor, rule, message, key):
-        rel = rel_of(cursor.location)
-        if rel is None:
-            return
-        line = cursor.location.line
-        dedup = (str(rel), line, rule)
-        if dedup in seen_keys:
-            return
-        seen_keys.add(dedup)
-        findings.add(str(rel), line, rule, message, key,
-                     suppressions.get(str(rel), {}))
-
-    def walk(cursor):
-        for c in cursor.get_children():
-            try:
-                if c.kind == ci.CursorKind.PARM_DECL \
-                        and in_scope(c.location):
-                    canon = c.type.get_canonical().spelling
-                    if any(s in canon for s in uint64_spellings) \
-                            and "*" not in canon \
-                            and DOMAIN_NAME_RE.match(c.spelling or ""):
-                        emit(c, "R1",
-                             f"raw {canon} parameter '{c.spelling}' "
-                             f"carries an address/cycle quantity; "
-                             f"use the strong domain types",
-                             f"param:{c.spelling}")
-                elif c.kind == ci.CursorKind.CXX_FOR_RANGE_STMT \
-                        and in_scope(c.location):
-                    kids = list(c.get_children())
-                    if kids:
-                        ty = kids[0].type.get_canonical().spelling
-                        if "unordered_map" in ty \
-                                or "unordered_set" in ty:
-                            emit(c, "R3",
-                                 "range-for over an unordered "
-                                 "container (resolved type: "
-                                 f"{ty.split('<')[0]}<...>); if the "
-                                 "body feeds stats or traces the "
-                                 "order is nondeterministic",
-                                 "unordered-iter")
-                elif c.kind in (ci.CursorKind.FIELD_DECL,
-                                ci.CursorKind.VAR_DECL) \
-                        and in_scope(c.location):
-                    canon = c.type.get_canonical().spelling
-                    if ptrkey_re.search(canon.replace(" ", "")):
-                        emit(c, "R3",
-                             f"pointer-keyed container "
-                             f"({canon.split('<')[0]}<...>); "
-                             f"iteration order is allocator noise",
-                             "ptr-key")
-            except Exception:
-                pass
-            walk(c)
-
-    parsed = 0
-    for cmd in cmds:
-        args = [a for a in cmd.arguments][1:]
-        # drop the output/source/compile-mode arguments
-        clean = []
-        skip = False
-        for a in args:
-            if skip:
-                skip = False
-                continue
-            if a in ("-o", "-c"):
-                skip = a == "-o"
-                continue
-            if a == cmd.filename or a.endswith(".cc") \
-                    or a.endswith(".cpp"):
-                continue
-            clean.append(a)
-        try:
-            tu = index.parse(cmd.filename, args=clean)
-            walk(tu.cursor)
-            parsed += 1
-        except Exception as e:
-            print(f"psb_analyze: libclang: failed to parse "
-                  f"{cmd.filename}: {e}", file=sys.stderr)
-    print(f"psb_analyze: libclang pass parsed {parsed}/{len(cmds)} "
-          f"TUs", file=sys.stderr)
-    return parsed > 0
 
 
 # --------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------
 
-def _scan_one(item):
-    """Tokenize and scope-scan one file into a private Model.
+def analyze_files(files, root):
+    """Run the token/scope + dataflow engine over `files`.
 
-    Top-level so a multiprocessing pool can pickle it. Everything
-    cross-file (R2 facts, rule passes, the dataflow layer) runs
-    after the merge, so the per-file work is embarrassingly
-    parallel and the merged result is independent of worker order.
+    Every file is scanned, in sorted path order, straight into one
+    cross-TU Model; the rule passes run after the whole model exists.
     """
-    path_str, rel_str = item
-    text = pathlib.Path(path_str).read_text(errors="replace")
-    toks, sup = tokenize(text)
-    scan = FileScan(pathlib.Path(rel_str), toks, raw=text, sup=sup)
-    local = Model()
-    scan.scan(local)
-    return rel_str, scan, sup, local
-
-
-def _merge_model(dst, src):
-    """Fold one file's Model into the cross-TU model.
-
-    Called in sorted-path order for every job count, with the same
-    first-wins/overwrite policy per field the serial scan had — the
-    merged model (and therefore every finding) is byte-identical
-    whether the scans ran on 1 worker or 8.
-    """
-    for name, ci in src.classes.items():
-        d = dst.cls(name)
-        d.bases.extend(b for b in ci.bases if b not in d.bases)
-        for m, ty in ci.members.items():
-            d.members.setdefault(m, ty)
-        d.accessors.update(ci.accessors)
-        d.declares |= ci.declares
-        d.files |= ci.files
-    dst.aliases.update(src.aliases)
-    dst.hot_roots |= src.hot_roots
-    dst.virtuals |= src.virtuals
-    for k, rules in src.decl_allows.items():
-        dst.decl_allows.setdefault(k, set()).update(rules)
-
-
-def analyze_files(files, root, jobs=1):
-    """Run the token/scope + dataflow engine over `files`."""
-    items = []
-    for path in sorted(files):
-        rel = path.relative_to(root) if path.is_absolute() else path
-        items.append((str(path), str(rel)))
-
-    results = None
-    if jobs > 1 and len(items) > 1:
-        try:
-            import multiprocessing as mp
-            with mp.Pool(min(jobs, len(items))) as pool:
-                results = pool.map(_scan_one, items)
-        except (ImportError, OSError) as e:
-            print(f"psb_analyze: worker pool unavailable ({e}); "
-                  f"falling back to serial scan", file=sys.stderr)
-    if results is None:
-        results = [_scan_one(it) for it in items]
-
-    # Merge in input (= sorted path) order, never completion order.
     model = Model()
     scans = []
     suppressions = {}
-    for rel_str, scan, sup, local in results:
-        _merge_model(model, local)
+    for path in sorted(files):
+        rel = path.relative_to(root) if path.is_absolute() else path
+        text = path.read_text(errors="replace")
+        toks, sup = tokenize(text)
+        scan = FileScan(rel, toks, raw=text, sup=sup)
+        scan.scan(model)
         scans.append((scan, sup))
-        suppressions[rel_str] = sup
+        suppressions[str(rel)] = sup
 
     for scan, _sup in scans:
         collect_r2_facts(scan, model)
 
     findings = Findings()
+    strong_members = _strong_members(model)
     for scan, sup in scans:
-        pass_r1_params(scan, sup, findings)
+        pass_r1_params(scan, model, sup, findings)
         pass_r1_raw_arith(scan, sup, findings)
-        pass_r1_reentry(scan, model, sup, findings)
+        pass_r1_reentry(scan, strong_members, sup, findings)
         pass_r3_determinism(scan, model, sup, findings)
         pass_r4_trace_purity(scan, sup, findings)
+        pass_src_bans(scan, sup, findings)
+        pass_r10_marker(scan.rel, scan.toks, sup, findings)
         pass_r6_sweep_shared_state(scan, sup, findings)
         pass_r8_lock_discipline(scan, sup, findings)
     pass_r2_completeness(model, suppressions, findings)
@@ -2745,7 +2820,7 @@ def analyze_files(files, root, jobs=1):
     graph = HotPathGraph(scans, model)
     graph.run(findings)
     _apply_decl_allows(scans, model, findings)
-    return findings, suppressions
+    return findings
 
 
 def _apply_decl_allows(scans, model, findings):
@@ -2777,100 +2852,42 @@ def _apply_decl_allows(scans, model, findings):
     findings.items = kept
 
 
-def load_baseline(path):
-    if path is None or not path.exists():
-        return set()
-    try:
-        data = json.loads(path.read_text())
-        return {f["key"] for f in data.get("findings", [])}
-    except (ValueError, KeyError) as e:
-        print(f"psb_analyze: bad baseline {path}: {e}",
-              file=sys.stderr)
-        sys.exit(EXIT_ERROR)
+def _marker_only_files(root, engine_files):
+    """tests/ and tools/ sources the engine does not scan, minus the
+    fixture corpus: R10 checks them for a stray PSB_HOT_PATH."""
+    skip = set(engine_files)
+    out = []
+    for sub in ("tests", "tools"):
+        d = root / sub
+        for path in sorted(d.rglob("*.hh")) + sorted(d.rglob("*.cc")):
+            if path in skip or path.relative_to(root).parts[:2] == (
+                    "tests", "analyze"):
+                continue
+            out.append(path)
+    return out
 
 
 def run_tree(args):
     root = pathlib.Path(args.root).resolve()
     src = root / "src"
-    dir_mode = not src.is_dir()
-    if dir_mode:
-        # Directory mode: analyze the .hh/.cc files under `root`
-        # directly (fixture corpora, vendored subtrees). No compile
-        # database applies, so the token engine runs alone.
-        files = sorted(root.rglob("*.hh")) + sorted(root.rglob("*.cc"))
-        if not files:
-            print(f"psb_analyze: no src/ and no .hh/.cc files under "
-                  f"{root}", file=sys.stderr)
-            return EXIT_ERROR
-        print(f"psb_analyze: directory mode ({len(files)} files, "
-              f"token engine only)", file=sys.stderr)
-        compile_db = None
-    else:
-        compile_db = None
-        cand = pathlib.Path(args.compile_db) if args.compile_db \
-            else root / "build" / "compile_commands.json"
-        if cand.exists():
-            compile_db = cand.resolve()
-            cml = root / "CMakeLists.txt"
-            if cml.exists() \
-                    and compile_db.stat().st_mtime < \
-                    cml.stat().st_mtime:
-                msg = (f"psb_analyze: {cand} is older than "
-                       f"CMakeLists.txt — stale compile database; "
-                       f"re-run: cmake -B build -S {root}")
-                if args.backend == "internal":
-                    print(msg + " (continuing: token engine only)",
-                          file=sys.stderr)
-                    compile_db = None
-                else:
-                    print(msg, file=sys.stderr)
-                    return EXIT_NO_COMPILE_DB
-        else:
-            msg = (f"psb_analyze: {cand} not found — configure "
-                   f"first: cmake -B build -S {root}")
-            if args.backend == "internal":
-                print(msg + " (continuing: token engine only)",
-                      file=sys.stderr)
-            else:
-                print(msg, file=sys.stderr)
-                return EXIT_NO_COMPILE_DB
-        files = sorted(src.rglob("*.hh")) + sorted(src.rglob("*.cc"))
-        # The rules apply to the offline tooling too: a
-        # nondeterministic merge key in psb-sweep or a tainted report
-        # field corrupts golden output the same way simulator code
-        # would.
-        tools_dir = root / "tools"
-        if tools_dir.is_dir():
-            files += sorted(tools_dir.glob("*.cc"))
-    findings, suppressions = analyze_files(files, root,
-                                           jobs=args.jobs)
+    if not src.is_dir():
+        print(f"psb_analyze: no src/ under {root}", file=sys.stderr)
+        return EXIT_ERROR
+    files = sorted(src.rglob("*.hh")) + sorted(src.rglob("*.cc"))
+    # The rules apply to the offline tooling too: a nondeterministic
+    # merge key in psb-sweep or a tainted report field corrupts
+    # golden output the same way simulator code would.
+    files += sorted((root / "tools").glob("*.cc"))
+    findings = analyze_files(files, root)
+    for path in _marker_only_files(root, files):
+        text = path.read_text(errors="replace")
+        if HOT_PATH_MARKER in text:
+            toks, sup = tokenize(text)
+            pass_r10_marker(path.relative_to(root), toks, sup, findings)
 
-    backend = "internal"
-    if args.backend in ("auto", "libclang"):
-        ci = load_libclang()
-        if ci is None:
-            if args.backend == "libclang":
-                print("psb_analyze: clang.cindex not importable "
-                      "(pip install libclang)", file=sys.stderr)
-                return EXIT_ERROR
-        elif compile_db is not None:
-            seen = {(f["file"], f["line"], f["rule"])
-                    for f in findings.items}
-            if libclang_pass(ci, compile_db.parent, root, src.resolve(),
-                             suppressions, findings, seen):
-                backend = "internal+libclang"
-            elif args.backend == "libclang":
-                return EXIT_ERROR
-    print(f"psb_analyze: backend={backend}", file=sys.stderr)
-
-    baseline = load_baseline(
-        pathlib.Path(args.baseline) if args.baseline
-        else root / "tools" / "psb_analyze_baseline.json")
-    fresh = [f for f in findings.sorted() if f["key"] not in baseline]
-
+    fresh = findings.sorted()
     if args.json:
-        payload = {"backend": backend, "root": str(root),
-                   "findings": fresh}
+        payload = {"root": str(root), "findings": fresh}
         pathlib.Path(args.json).write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -2885,14 +2902,17 @@ def run_tree(args):
     return EXIT_CLEAN
 
 
+#: Rules whose allow() plumbing the self-test proves end to end.
+ROUNDTRIP_RULES = ("R5", "R7", "R8", "R9", "R10", "R11", "R12")
+
+
 def run_self_test(args):
-    fixture_dir = pathlib.Path(
-        args.root if args.root != "." or not args.self_test
-        else ".").resolve()
-    if args.self_test and args.root == ".":
+    if args.root == ".":
         # default: tests/analyze next to this script's repo root
         fixture_dir = (pathlib.Path(__file__).resolve().parent.parent
                        / "tests" / "analyze")
+    else:
+        fixture_dir = pathlib.Path(args.root).resolve()
     golden_path = fixture_dir / "golden_findings.json"
     if not golden_path.exists():
         print(f"psb_analyze: no golden_findings.json in {fixture_dir}",
@@ -2906,11 +2926,7 @@ def run_self_test(args):
         if not path.exists():
             failures.append(f"{name}: fixture missing")
             continue
-        files = [path]
-        prelude = fixture_dir / "fixture_prelude.hh"
-        if prelude.exists():
-            files.append(prelude)
-        findings, _sup = analyze_files(files, fixture_dir)
+        findings = analyze_files([path], fixture_dir)
         # One entry per finding: the count is pinned, not just the
         # rule set, so a detector that loses one pattern fails here.
         got = sorted(f["rule"] for f in findings.items
@@ -2925,14 +2941,13 @@ def run_self_test(args):
                 f"{name}: expected findings {want}, got {got}"
                 + (f" [{detail}]" if detail else ""))
 
-    # Suppression round trip for the dataflow rules: inserting one
-    # `// psb-analyze: allow(Rn)` above the first finding must
-    # silence exactly that finding and nothing else — proving the
-    # suppression plumbing reaches the new passes (the bad fixtures
-    # carry at least two findings each so "exactly one" is a real
-    # assertion, not 1 -> 0).
+    # Suppression round trip: inserting one `// psb-analyze:
+    # allow(Rn)` above the first finding must silence exactly that
+    # finding and nothing else — proving the suppression plumbing
+    # reaches the pass (the bad fixtures carry at least two findings
+    # each so "exactly one" is a real assertion, not 1 -> 0).
     import tempfile
-    for rule in ("R7", "R8", "R9", "R10", "R11", "R12"):
+    for rule in ROUNDTRIP_RULES:
         name = next((n for n, rules in sorted(golden.items())
                      if rule in rules), None)
         if name is None:
@@ -2942,7 +2957,7 @@ def run_self_test(args):
         path = fixture_dir / name
         if not path.exists():
             continue  # already reported missing above
-        findings, _sup = analyze_files([path], fixture_dir)
+        findings = analyze_files([path], fixture_dir)
         mine = sorted(
             (f for f in findings.items
              if f["rule"] == rule and f["file"] == name),
@@ -2957,8 +2972,9 @@ def run_self_test(args):
                      f"// psb-analyze: allow({rule})\n")
         with tempfile.TemporaryDirectory() as td:
             tmp = pathlib.Path(td) / name
+            tmp.parent.mkdir(parents=True, exist_ok=True)
             tmp.write_text("".join(lines))
-            redo, _sup = analyze_files([tmp], pathlib.Path(td))
+            redo = analyze_files([tmp], pathlib.Path(td))
             after = len([f for f in redo.items
                          if f["rule"] == rule and f["file"] == name])
         if after != before - 1:
@@ -2988,7 +3004,7 @@ def run_self_test(args):
             with tempfile.TemporaryDirectory() as td:
                 tmp = pathlib.Path(td) / decl_fixture.name
                 tmp.write_text("".join(stripped_lines))
-                redo, _sup = analyze_files([tmp], pathlib.Path(td))
+                redo = analyze_files([tmp], pathlib.Path(td))
                 surfaced = [f for f in redo.items
                             if f["rule"] == "R10"]
             if not surfaced:
@@ -3009,32 +3025,19 @@ def run_self_test(args):
         return EXIT_FINDINGS
     print(f"psb_analyze: self-test ok "
           f"({len(golden)} fixtures, exact finding match; suppression "
-          f"round trip for R7-R12; declaration-site allow() round "
-          f"trip)")
+          f"round trip for {', '.join(ROUNDTRIP_RULES)}; "
+          f"declaration-site allow() round trip)")
     return EXIT_CLEAN
 
 
 def main():
     ap = argparse.ArgumentParser(
-        description="Compile-aware AST-level analyzer for the PSB "
-                    "tree; see tools/psb_rules.py for the rule "
-                    "catalog shared with psb_lint.")
+        description="Static analyzer for the PSB tree (rules R1-R12; "
+                    "--list-rules prints the catalog).")
     ap.add_argument("root", nargs="?", default=".",
                     help="repo root (default .) or, with "
                          "--self-test, the fixture directory")
-    ap.add_argument("--compile-db",
-                    help="path to compile_commands.json (default: "
-                         "<root>/build/compile_commands.json)")
-    ap.add_argument("--backend",
-                    choices=("auto", "internal", "libclang"),
-                    default="auto")
-    ap.add_argument("--baseline",
-                    help="findings baseline JSON (default: "
-                         "<root>/tools/psb_analyze_baseline.json)")
     ap.add_argument("--json", help="write findings JSON here")
-    ap.add_argument("--jobs", type=int, default=1, metavar="N",
-                    help="tokenize/scan N files in parallel; "
-                         "findings are byte-identical at any N")
     ap.add_argument("--self-test", action="store_true",
                     help="run the tests/analyze fixture corpus")
     ap.add_argument("--list-rules", action="store_true")
