@@ -12,19 +12,15 @@
  *    allocateStream / confidence / twoMissFilterPass);
  *  - per-stream state carried in StreamState (the alternation phase
  *    bit lives in StreamState::historyToken);
- *  - constructing PredictorDirectedStreamBuffers around it directly,
- *    bypassing the SimConfig presets.
+ *  - handing it to Simulator, which builds the PSB around it in place
+ *    of the built-in SFM predictor.
  */
 
 #include <algorithm>
 #include <cstdio>
 #include <map>
 
-#include "core/psb.hh"
-#include "cpu/ooo_core.hh"
-#include "memory/hierarchy.hh"
 #include "predictors/address_predictor.hh"
-#include "prefetch/stride_stream_buffers.hh"
 #include "sim/simulator.hh"
 #include "trace/trace_builder.hh"
 #include "util/bitfield.hh"
@@ -152,35 +148,28 @@ class PingPongWalk : public TraceBuilder
     bool _phase = false;
 };
 
-SimResult
-simulate(Prefetcher &prefetcher, MemoryHierarchy &hierarchy)
+/** 200k warm-up then 600k measured instructions under @p kind. */
+SimConfig
+walkConfig(PrefetcherKind kind)
 {
-    PingPongWalk trace;
-    CoreConfig core_cfg;
-    OoOCore core(core_cfg, hierarchy, prefetcher, trace);
+    SimConfig cfg;
+    cfg.prefetcher = kind;
+    cfg.warmupInstructions = 200'000;
+    cfg.maxInstructions = 600'000;
+    return cfg;
+}
 
-    Cycle now{};
-    while (core.stats().instructions < 200'000) {
-        core.tick(now);
-        prefetcher.tick(now);
-        ++now;
-    }
-    core.resetStats();
-    hierarchy.resetStats();
-    prefetcher.resetStats();
-    while (core.stats().instructions < 600'000) {
-        core.tick(now);
-        prefetcher.tick(now);
-        ++now;
-    }
-
-    SimResult r;
-    r.core = core.stats();
-    r.prefetch = prefetcher.stats();
-    r.ipc = r.core.ipc();
-    r.avgLoadLatency = r.core.loadLatency.mean();
-    r.prefetchAccuracy = prefetcher.accuracy();
-    return r;
+/** Run @p sim and add its row to @p table. */
+void
+addRow(TablePrinter &table, const char *label, Simulator &sim)
+{
+    sim.run();
+    const CoreStats &core = sim.core().stats();
+    table.addRow({label, TablePrinter::fmt(core.ipc(), 3),
+                  TablePrinter::fmt(core.loadLatency.mean(), 2),
+                  TablePrinter::fmt(100.0 * sim.prefetcher().accuracy(),
+                                    1) +
+                      "%"});
 }
 
 } // namespace
@@ -191,32 +180,22 @@ main()
     TablePrinter table;
     table.addRow({"prefetcher", "IPC", "avg load lat", "accuracy"});
 
-    auto add = [&](const char *label, const SimResult &r) {
-        table.addRow({label, TablePrinter::fmt(r.ipc, 3),
-                      TablePrinter::fmt(r.avgLoadLatency, 2),
-                      TablePrinter::fmt(100.0 * r.prefetchAccuracy, 1) +
-                          "%"});
-    };
-
-    MemoryConfig mem_cfg;
-
     { // Baseline.
-        MemoryHierarchy hier(mem_cfg);
-        NullPrefetcher none;
-        add("none", simulate(none, hier));
+        PingPongWalk trace;
+        Simulator sim(walkConfig(PrefetcherKind::None), trace);
+        addRow(table, "none", sim);
     }
     { // PC-stride buffers: a two-delta stride cannot track the
       // alternation (the stride never repeats twice in a row).
-        MemoryHierarchy hier(mem_cfg);
-        StrideStreamBuffers stride({}, {}, hier);
-        add("PC-stride SB", simulate(stride, hier));
+        PingPongWalk trace;
+        Simulator sim(walkConfig(PrefetcherKind::PcStride), trace);
+        addRow(table, "PC-stride SB", sim);
     }
     { // PSB directed by the custom alternating-stride predictor.
-        MemoryHierarchy hier(mem_cfg);
+        PingPongWalk trace;
         AlternatingStridePredictor predictor;
-        PsbConfig psb_cfg;
-        PredictorDirectedStreamBuffers psb(psb_cfg, predictor, hier);
-        add("PSB + AlternatingStride", simulate(psb, hier));
+        Simulator sim(walkConfig(PrefetcherKind::Psb), trace, predictor);
+        addRow(table, "PSB + AlternatingStride", sim);
     }
 
     std::puts("Ping-pong matrix walk (strides +40KB / -39.9KB):\n");

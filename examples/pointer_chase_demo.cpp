@@ -96,18 +96,20 @@ main()
         cfg.harmonize();
 
         psb::Simulator sim(cfg, trace);
-        psb::SimResult r = sim.run();
+        sim.run();
+        const psb::CoreStats &core = sim.core().stats();
+        double ipc = core.ipc();
         if (m.kind == psb::PrefetcherKind::None)
-            base_ipc = r.ipc;
+            base_ipc = ipc;
 
         char speedup[32];
         std::snprintf(speedup, sizeof(speedup), "%+.1f%%",
-                      base_ipc > 0 ? 100.0 * (r.ipc / base_ipc - 1.0)
+                      base_ipc > 0 ? 100.0 * (ipc / base_ipc - 1.0)
                                    : 0.0);
-        table.addRow({m.label, psb::TablePrinter::fmt(r.ipc, 3),
-                      psb::TablePrinter::fmt(r.avgLoadLatency, 2),
-                      psb::TablePrinter::fmt(100.0 * r.prefetchAccuracy,
-                                             1) + "%",
+        table.addRow({m.label, psb::TablePrinter::fmt(ipc, 3),
+                      psb::TablePrinter::fmt(core.loadLatency.mean(), 2),
+                      psb::TablePrinter::fmt(
+                          100.0 * sim.prefetcher().accuracy(), 1) + "%",
                       speedup});
     }
 

@@ -2,7 +2,8 @@
  * @file
  * Quickstart: simulate one workload on the paper's baseline machine
  * and on predictor-directed stream buffers (ConfAlloc-Priority), then
- * print both reports and the speedup.
+ * print both run reports (the Markdown psb-report renders) and the
+ * speedup.
  *
  * Usage: quickstart [workload] [instructions]
  *   workload      health | burg | deltablue | gs | sis | turb3d
@@ -14,7 +15,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "sim/report.hh"
+#include "sim/run_report.hh"
 #include "sim/simulator.hh"
 #include "workloads/workload.hh"
 
@@ -25,7 +26,8 @@ main(int argc, char **argv)
     uint64_t instructions = argc > 2 ? std::strtoull(argv[2], nullptr, 10)
                                      : 500'000;
 
-    auto run = [&](psb::PaperConfig cfg) {
+    // Print the run report of one machine; return its IPC.
+    auto run = [&](psb::PaperConfig cfg, const std::string &title) {
         auto trace = psb::makeWorkload(workload);
         if (!trace) {
             std::fprintf(stderr, "unknown workload '%s'\n",
@@ -35,17 +37,27 @@ main(int argc, char **argv)
         psb::SimConfig sim_cfg = psb::makePaperConfig(cfg);
         sim_cfg.maxInstructions = instructions;
         psb::Simulator sim(sim_cfg, *trace);
-        return sim.run();
+        sim.run();
+
+        psb::RunReportInputs in;
+        in.title = workload + " / " + title;
+        in.statsJson = sim.statsJson();
+        std::string report, error;
+        if (!psb::renderRunReport(in, psb::ReportFormat::Markdown, report,
+                                  error)) {
+            std::fprintf(stderr, "%s\n", error.c_str());
+            std::exit(1);
+        }
+        std::fputs(report.c_str(), stdout);
+        return sim.core().stats().ipc();
     };
 
-    psb::SimResult base = run(psb::PaperConfig::Base);
-    psb::SimResult psb_result = run(psb::PaperConfig::ConfAllocPriority);
+    double base = run(psb::PaperConfig::Base, "baseline (no prefetching)");
+    std::puts("");
+    double psb_ipc =
+        run(psb::PaperConfig::ConfAllocPriority, "PSB ConfAlloc-Priority");
 
-    psb::printReport(workload + " / baseline (no prefetching)", base);
-    psb::printReport(workload + " / PSB ConfAlloc-Priority", psb_result);
-
-    double speedup = base.ipc > 0.0
-        ? 100.0 * (psb_result.ipc / base.ipc - 1.0) : 0.0;
+    double speedup = base > 0.0 ? 100.0 * (psb_ipc / base - 1.0) : 0.0;
     std::printf("\nPSB speedup over baseline: %+.1f%%\n", speedup);
     return 0;
 }

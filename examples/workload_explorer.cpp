@@ -45,16 +45,23 @@ main(int argc, char **argv)
             psb::SimConfig sim_cfg = psb::makePaperConfig(cfg);
             sim_cfg.maxInstructions = instructions;
             psb::Simulator sim(sim_cfg, *trace);
-            psb::SimResult r = sim.run();
+            sim.run();
+            const psb::CoreStats &core = sim.core().stats();
+            double bus_util = sim.statsRegistry()
+                                  .snapshot()
+                                  .at("sim.l1_l2_bus_util")
+                                  .real;
 
             table.addRow({name, psb::paperConfigName(cfg),
-                          psb::TablePrinter::fmt(r.ipc, 3),
-                          psb::TablePrinter::fmt(r.l1dMissRate, 4),
-                          psb::TablePrinter::fmt(r.avgLoadLatency, 2),
+                          psb::TablePrinter::fmt(core.ipc(), 3),
+                          psb::TablePrinter::fmt(core.l1dMissRate(), 4),
                           psb::TablePrinter::fmt(
-                              100.0 * r.prefetchAccuracy, 1) + "%",
+                              core.loadLatency.mean(), 2),
                           psb::TablePrinter::fmt(
-                              100.0 * r.l1L2BusUtil, 1) + "%"});
+                              100.0 * sim.prefetcher().accuracy(), 1) +
+                              "%",
+                          psb::TablePrinter::fmt(100.0 * bus_util, 1) +
+                              "%"});
         }
     }
     table.print();

@@ -106,10 +106,15 @@ buildSummary(const StatsMap &stats)
     // A fixed, ordered selection; absent keys are skipped so the
     // section degrades gracefully for partial documents.
     const char *const keys[] = {
-        "core.instructions", "core.cycles",   "core.ipc",
-        "l1d.accesses",      "l1d.misses",    "l1d.miss_rate",
-        "l2.accesses",       "l2.misses",     "l2.prefetches",
-        "l2.prefetch_hits",
+        "core.instructions",      "core.cycles",
+        "core.ipc",               "sim.pct_loads",
+        "sim.pct_stores",         "core.load_latency.mean",
+        "core.branches",          "core.mispredicts",
+        "l1d.accesses",           "l1d.misses",
+        "l1d.miss_rate",          "l2.accesses",
+        "l2.misses",              "l2.prefetches",
+        "l2.prefetch_hits",       "sim.l1_l2_bus_util",
+        "sim.l2_mem_bus_util",
     };
     for (const char *key : keys) {
         if (const ParsedStat *s = findStat(stats, key))

@@ -7,7 +7,8 @@
  * series, a psb-sweep merged document, and a golden stats file — and
  * renders one deterministic Markdown or HTML report:
  *
- *   - run summary (instructions, cycles, IPC, memory-system totals)
+ *   - run summary (instructions, cycles, IPC, instruction mix, load
+ *     latency, branches, memory-system totals, bus utilisation)
  *   - prefetch attribution: lifecycle outcome table, accuracy /
  *     coverage / timeliness, per-source breakdown, distance and
  *     lateness percentiles (DESIGN.md §13)

@@ -15,9 +15,43 @@
 namespace psb
 {
 
-Simulator::Simulator(const SimConfig &cfg, TraceSource &trace) : _cfg(cfg)
+namespace
+{
+
+/** The Psb kind's built-in predictor: SFM, or order-k context. */
+std::unique_ptr<AddressPredictor>
+makePsbPredictor(const SimConfig &cfg)
+{
+    if (cfg.psbContextOrder == 0)
+        return std::make_unique<SfmPredictor>(cfg.sfm);
+    ContextConfig ctx;
+    ctx.stride = cfg.sfm.stride;
+    ctx.entries = cfg.sfm.markov.entries;
+    ctx.historyLength = cfg.psbContextOrder;
+    return std::make_unique<ContextPredictor>(ctx);
+}
+
+} // namespace
+
+Simulator::Simulator(const SimConfig &cfg, TraceSource &trace)
+    : Simulator(cfg, trace, nullptr)
+{}
+
+Simulator::Simulator(const SimConfig &cfg, TraceSource &trace,
+                     AddressPredictor &predictor)
+    : Simulator(cfg, trace, &predictor)
+{}
+
+Simulator::Simulator(const SimConfig &cfg, TraceSource &trace,
+                     AddressPredictor *predictor)
+    : _cfg(cfg), _predictor(predictor)
 {
     _cfg.harmonize();
+    if (_predictor && _cfg.prefetcher != PrefetcherKind::Psb) {
+        fatal("a caller-built predictor needs PrefetcherKind::Psb, "
+              "not %s",
+              prefetcherKindName(_cfg.prefetcher));
+    }
     _hierarchy = std::make_unique<MemoryHierarchy>(_cfg.memory);
 
     switch (_cfg.prefetcher) {
@@ -28,26 +62,14 @@ Simulator::Simulator(const SimConfig &cfg, TraceSource &trace) : _cfg(cfg)
         _prefetcher = std::make_unique<StrideStreamBuffers>(
             _cfg.psb.buffers, _cfg.stride, *_hierarchy);
         break;
-      case PrefetcherKind::Psb: {
-        if (_cfg.psbContextOrder > 0) {
-            ContextConfig ctx;
-            ctx.stride = _cfg.sfm.stride;
-            ctx.entries = _cfg.sfm.markov.entries;
-            ctx.historyLength = _cfg.psbContextOrder;
-            auto pred = std::make_unique<ContextPredictor>(ctx);
-            _prefetcher =
-                std::make_unique<PredictorDirectedStreamBuffers>(
-                    _cfg.psb, *pred, *_hierarchy);
-            _predictor = std::move(pred);
-        } else {
-            auto sfm = std::make_unique<SfmPredictor>(_cfg.sfm);
-            _prefetcher =
-                std::make_unique<PredictorDirectedStreamBuffers>(
-                    _cfg.psb, *sfm, *_hierarchy);
-            _predictor = std::move(sfm);
+      case PrefetcherKind::Psb:
+        if (!_predictor) {
+            _ownedPredictor = makePsbPredictor(_cfg);
+            _predictor = _ownedPredictor.get();
         }
+        _prefetcher = std::make_unique<PredictorDirectedStreamBuffers>(
+            _cfg.psb, *_predictor, *_hierarchy);
         break;
-      }
       case PrefetcherKind::Sequential:
         _prefetcher = std::make_unique<SequentialStreamBuffers>(
             _cfg.psb.buffers, *_hierarchy);
@@ -101,7 +123,8 @@ Simulator::buildStatsRegistry()
     if (_predictor)
         _predictor->registerStats(_registry, "sfm_predictor");
 
-    // Cross-component derived values (the SimResult figures).
+    // Cross-component derived values (Figure 9's bus utilisation,
+    // Table 2's instruction mix).
     _registry.addReal("sim.l1_l2_bus_util", [this] {
         return ratio(_hierarchy->l1L2Bus().busyCycles(),
                      _core->stats().cycles);
@@ -200,7 +223,7 @@ Simulator::stepCycle()
     ++_steppedCycles; // psb-analyze: allow(R2)
 }
 
-SimResult
+void
 Simulator::run()
 {
     while (!_core->done() &&
@@ -219,8 +242,8 @@ Simulator::run()
         // legitimately allocate (workload trace generation in
         // OoOCore::fetchStage, interval stats snapshots) sit inside
         // PSB_ALLOC_GUARD_PAUSE blocks. The scope closes before the
-        // interval writer's final record and gather(), which are
-        // teardown, not per-cycle work.
+        // interval writer's final record, which is teardown, not
+        // per-cycle work.
         PSB_NO_ALLOC_SCOPE("steady-state cycle loop");
         while (!_core->done() &&
                _core->stats().instructions < _cfg.maxInstructions) {
@@ -243,30 +266,6 @@ Simulator::run()
 
     if (_intervalStats)
         _intervalStats->finish(_now);
-    return gather();
-}
-
-SimResult
-Simulator::gather() const
-{
-    SimResult r;
-    r.core = _core->stats();
-    r.memory = _hierarchy->stats();
-    r.prefetch = _prefetcher->stats();
-    r.tlbMisses = _hierarchy->dtlb().misses();
-
-    r.ipc = r.core.ipc();
-    r.l1dMissRate = r.core.l1dMissRate();
-    r.avgLoadLatency = r.core.loadLatency.mean();
-    r.prefetchIssued = _prefetcher->attribution().issued();
-    r.prefetchAccuracy = _prefetcher->accuracy();
-
-    uint64_t cycles = r.core.cycles;
-    r.l1L2BusUtil = ratio(_hierarchy->l1L2Bus().busyCycles(), cycles);
-    r.l2MemBusUtil = ratio(_hierarchy->l2MemBus().busyCycles(), cycles);
-    r.pctLoads = percent(r.core.loads, r.core.instructions);
-    r.pctStores = percent(r.core.stores, r.core.instructions);
-    return r;
 }
 
 } // namespace psb

@@ -1,9 +1,11 @@
 /**
  * @file
- * The top-level simulator: assembles memory hierarchy, predictor,
- * prefetcher, and out-of-order core around a trace source, runs the
- * warm-up and measurement phases, and collects a SimResult with every
- * number the paper's tables and figures report.
+ * The top-level simulator and the one loop that runs a whole
+ * simulation: assembles memory hierarchy, predictor, prefetcher, and
+ * out-of-order core around a trace source, then runs the warm-up and
+ * measurement phases. Every number the paper's tables and figures
+ * report is read afterwards from the stats registry (statsJson()),
+ * or from the components' own stats.
  */
 
 #ifndef PSB_SIM_SIMULATOR_HH
@@ -21,34 +23,6 @@
 namespace psb
 {
 
-/**
- * The headline numbers of one simulation.
- *
- * This is a thin copied-out view over the stats registry: every field
- * here is also registered under a stable dotted path (core.*, l1d.*,
- * l2.*, bus.*, the prefetcher's prefix, sim.*) and exported by
- * Simulator::statsJson(); the struct remains for psb-sim's text
- * report, the examples, and the tests that index fields directly.
- */
-struct SimResult
-{
-    CoreStats core;
-    HierarchyStats memory;
-    PrefetcherStats prefetch;
-
-    uint64_t tlbMisses = 0;
-    uint64_t prefetchIssued = 0;    ///< the attribution ledger's count
-
-    double ipc = 0.0;
-    double l1dMissRate = 0.0;       ///< in-flight counts as miss (§6)
-    double avgLoadLatency = 0.0;    ///< Figure 8
-    double prefetchAccuracy = 0.0;  ///< Figure 6
-    double l1L2BusUtil = 0.0;       ///< Figure 9, left axis
-    double l2MemBusUtil = 0.0;      ///< Figure 9, right axis
-    double pctLoads = 0.0;          ///< Table 2
-    double pctStores = 0.0;         ///< Table 2
-};
-
 /** Registry prefix of @p kind's own counters ("psb", "pcstride", ...). */
 const char *prefetcherStatsPrefix(PrefetcherKind kind);
 
@@ -61,16 +35,22 @@ class Simulator
      * @param trace Instruction stream to execute (not owned).
      */
     Simulator(const SimConfig &cfg, TraceSource &trace);
+
+    /**
+     * A PSB directed by a caller-built predictor (paper §7: any
+     * address predictor can guide the prefetch stream). @p cfg must
+     * select PrefetcherKind::Psb; any other kind is a fatal error.
+     * @param predictor Directs the stream buffers (not owned).
+     */
+    Simulator(const SimConfig &cfg, TraceSource &trace,
+              AddressPredictor &predictor);
     ~Simulator();
 
     Simulator(const Simulator &) = delete;
     Simulator &operator=(const Simulator &) = delete;
 
-    /**
-     * Run warm-up (stats discarded) then the measurement region.
-     * @return Aggregated results of the measurement region.
-     */
-    SimResult run();
+    /** Run warm-up (stats discarded) then the measurement region. */
+    void run();
 
     MemoryHierarchy &hierarchy() { return *_hierarchy; }
     Prefetcher &prefetcher() { return *_prefetcher; }
@@ -103,6 +83,9 @@ class Simulator
     uint64_t steppedCycles() const { return _steppedCycles; }
 
   private:
+    Simulator(const SimConfig &cfg, TraceSource &trace,
+              AddressPredictor *predictor);
+
     void resetAllStats();
     void buildStatsRegistry();
 
@@ -115,12 +98,12 @@ class Simulator
     PSB_HOT_PATH void stepCycle();
 
     void maybeFastForward();
-    SimResult gather() const;
 
     SimConfig _cfg;
     StatsRegistry _registry;
     std::unique_ptr<MemoryHierarchy> _hierarchy;
-    std::unique_ptr<AddressPredictor> _predictor; ///< PSB kind only
+    std::unique_ptr<AddressPredictor> _ownedPredictor; ///< built-in one
+    AddressPredictor *_predictor = nullptr; ///< PSB kind only
     std::unique_ptr<Prefetcher> _prefetcher;
     std::unique_ptr<OoOCore> _core;
     std::unique_ptr<IntervalStatsWriter> _intervalStats;

@@ -1,0 +1,45 @@
+#!/bin/sh
+# Smoke check for the examples under examples/.
+#
+#   check_examples.sh EXAMPLES_BIN_DIR
+#
+# Runs each example twice with a small budget and checks that:
+#
+#  1. every run exits 0;
+#  2. both runs of an example print byte-identical stdout (the
+#     examples drive the deterministic Simulator, so any difference is
+#     a determinism bug).
+set -eu
+
+BIN=$1
+
+DIR=$(mktemp -d "${TMPDIR:-/tmp}/examples_check.XXXXXX")
+trap 'rm -rf "$DIR"' EXIT
+
+failed=0
+while read -r name args; do
+    for run in 1 2; do
+        # shellcheck disable=SC2086  # $args is a word list
+        if ! "$BIN/$name" $args > "$DIR/$name.$run" 2> "$DIR/$name.err"; then
+            echo "check_examples.sh: $name $args exited non-zero" >&2
+            cat "$DIR/$name.err" >&2
+            failed=1
+            continue 2
+        fi
+    done
+    if ! cmp -s "$DIR/$name.1" "$DIR/$name.2"; then
+        echo "check_examples.sh: $name $args prints different stdout" \
+            "across two runs" >&2
+        diff "$DIR/$name.1" "$DIR/$name.2" >&2 || true
+        failed=1
+    fi
+done <<LIST
+quickstart health 20000
+workload_explorer 20000 health
+pointer_chase_demo
+custom_predictor
+sb_lifecycle
+LIST
+
+[ "$failed" -eq 0 ] || exit 1
+echo "check_examples.sh: every example runs deterministically"

@@ -12,7 +12,10 @@
 #  3. the report actually carries the attribution and interval
 #     sections (not vacuously deterministic);
 #  4. a golden-drift section renders when a golden document is given
-#     (here: the run's own stats, i.e. zero drift).
+#     (here: the run's own stats, i.e. zero drift);
+#  5. psb-sim's stdout report is byte-identical to the Markdown
+#     psb-report renders from the same run's stats under the
+#     "<workload> / <label>" title psb-sim gives it.
 set -eu
 
 PSB_SIM=$1
@@ -23,7 +26,7 @@ trap 'rm -rf "$DIR"' EXIT
 
 "$PSB_SIM" --workload health --seed 1 --insts 20000 --warmup 5000 \
     --interval-stats 4997 --interval-out "$DIR/intervals.jsonl" \
-    --stats-json "$DIR/stats.json" > /dev/null
+    --stats-json "$DIR/stats.json" > "$DIR/sim.md"
 
 for run in 1 2; do
     "$PSB_REPORT" --stats-json "$DIR/stats.json" \
@@ -60,6 +63,12 @@ for needle in "## Prefetch attribution" "## Interval series" \
 done
 grep -q "<h2>Prefetch attribution</h2>" "$DIR/report1.html" || {
     echo "check_report.sh: HTML missing the attribution section" >&2
+    exit 1
+}
+"$PSB_REPORT" --stats-json "$DIR/stats.json" \
+    --title "health / ConfAlloc-Priority" --md "$DIR/rendered.md"
+cmp "$DIR/sim.md" "$DIR/rendered.md" || {
+    echo "check_report.sh: psb-sim's report differs from psb-report's" >&2
     exit 1
 }
 echo "check_report.sh: reports render deterministically"

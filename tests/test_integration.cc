@@ -16,14 +16,9 @@
 #include <memory>
 #include <vector>
 
-#include "cpu/ooo_core.hh"
-#include "memory/hierarchy.hh"
-#include "core/psb.hh"
-#include "predictors/sfm_predictor.hh"
-#include "prefetch/stride_stream_buffers.hh"
+#include "sim/simulator.hh"
 #include "trace/synthetic_heap.hh"
 #include "trace/trace_builder.hh"
-#include "util/random.hh"
 
 namespace psb
 {
@@ -140,68 +135,64 @@ struct RunResult
     double accuracy;
     uint64_t sbServiced;
     uint64_t allocations;
+    uint64_t issued; ///< the attribution ledger's count
+    PrefetcherStats prefetch;
 };
 
+/**
+ * Simulate @p cfg over @p trace: the first @p instructions / 2 warm
+ * up, then @p instructions are measured.
+ */
 RunResult
-run(TraceBuilder &trace, Prefetcher &pf, MemoryHierarchy &hier,
-    uint64_t instructions = 120000)
+run(TraceBuilder &&trace, SimConfig cfg, uint64_t instructions = 120000)
 {
-    CoreConfig cfg;
-    OoOCore core(cfg, hier, pf, trace);
-    Cycle now{};
-    while (core.stats().instructions < instructions / 2) {
-        core.tick(now);
-        pf.tick(now);
-        ++now;
-    }
-    core.resetStats();
-    pf.resetStats();
-    while (core.stats().instructions < instructions) {
-        core.tick(now);
-        pf.tick(now);
-        ++now;
-    }
-    return RunResult{core.stats().ipc(), pf.accuracy(),
-                     core.stats().sbServiced, pf.stats().allocations};
+    cfg.warmupInstructions = instructions / 2;
+    cfg.maxInstructions = instructions;
+    Simulator sim(cfg, trace);
+    sim.run();
+    const CoreStats &core = sim.core().stats();
+    const Prefetcher &pf = sim.prefetcher();
+    return RunResult{core.ipc(),
+                     pf.accuracy(),
+                     core.sbServiced,
+                     pf.stats().allocations,
+                     pf.attribution().issued(),
+                     pf.stats()};
 }
 
-PsbConfig
+SimConfig
+machine(PrefetcherKind kind)
+{
+    SimConfig cfg;
+    cfg.prefetcher = kind;
+    return cfg;
+}
+
+SimConfig
 psbConfig(AllocPolicy alloc, SchedPolicy sched)
 {
-    PsbConfig cfg;
-    cfg.alloc = alloc;
-    cfg.sched = sched;
+    SimConfig cfg = machine(PrefetcherKind::Psb);
+    cfg.psb.alloc = alloc;
+    cfg.psb.sched = sched;
     return cfg;
 }
 
 TEST(IntegrationTest, PsbFollowsPointerChainStrideBuffersCannot)
 {
     // 900 scattered nodes: beyond the L1, within the Markov table.
-    double base_ipc, psb_ipc, stride_ipc;
+    double base_ipc =
+        run(ChaseTrace(900, 64), machine(PrefetcherKind::None)).ipc;
+    double psb_ipc;
     {
-        ChaseTrace t(900, 64);
-        MemoryHierarchy hier({});
-        NullPrefetcher pf;
-        base_ipc = run(t, pf, hier).ipc;
-    }
-    {
-        ChaseTrace t(900, 64);
-        MemoryHierarchy hier({});
-        SfmPredictor sfm;
-        PredictorDirectedStreamBuffers pf(
-            psbConfig(AllocPolicy::Confidence, SchedPolicy::Priority),
-            sfm, hier);
-        RunResult r = run(t, pf, hier);
+        RunResult r = run(
+            ChaseTrace(900, 64),
+            psbConfig(AllocPolicy::Confidence, SchedPolicy::Priority));
         psb_ipc = r.ipc;
         EXPECT_GT(r.accuracy, 0.12);
         EXPECT_GT(r.sbServiced, 1000u);
     }
-    {
-        ChaseTrace t(900, 64);
-        MemoryHierarchy hier({});
-        StrideStreamBuffers pf({}, {}, hier);
-        stride_ipc = run(t, pf, hier).ipc;
-    }
+    double stride_ipc =
+        run(ChaseTrace(900, 64), machine(PrefetcherKind::PcStride)).ipc;
     // The paper's headline claim: PSB speeds up the pointer chase.
     EXPECT_GT(psb_ipc, base_ipc * 1.08);
     // Stride buffers gain little to nothing here.
@@ -210,28 +201,13 @@ TEST(IntegrationTest, PsbFollowsPointerChainStrideBuffersCannot)
 
 TEST(IntegrationTest, BothFollowStridedStreams)
 {
-    double base_ipc, psb_ipc, stride_ipc;
-    {
-        StrideTrace t;
-        MemoryHierarchy hier({});
-        NullPrefetcher pf;
-        base_ipc = run(t, pf, hier).ipc;
-    }
-    {
-        StrideTrace t;
-        MemoryHierarchy hier({});
-        SfmPredictor sfm;
-        PredictorDirectedStreamBuffers pf(
-            psbConfig(AllocPolicy::Confidence, SchedPolicy::Priority),
-            sfm, hier);
-        psb_ipc = run(t, pf, hier).ipc;
-    }
-    {
-        StrideTrace t;
-        MemoryHierarchy hier({});
-        StrideStreamBuffers pf({}, {}, hier);
-        stride_ipc = run(t, pf, hier).ipc;
-    }
+    double base_ipc = run(StrideTrace(), machine(PrefetcherKind::None)).ipc;
+    double psb_ipc =
+        run(StrideTrace(),
+            psbConfig(AllocPolicy::Confidence, SchedPolicy::Priority))
+            .ipc;
+    double stride_ipc =
+        run(StrideTrace(), machine(PrefetcherKind::PcStride)).ipc;
     EXPECT_GT(stride_ipc, base_ipc * 1.15);
     EXPECT_GT(psb_ipc, base_ipc * 1.15);
     // And PSB is in PCStride's neighbourhood on FORTRAN-like code
@@ -242,47 +218,25 @@ TEST(IntegrationTest, BothFollowStridedStreams)
 
 TEST(IntegrationTest, NegativeStrideStreamsFollowed)
 {
-    double base_ipc, psb_ipc;
-    {
-        StrideTrace t(512 * 1024, -64);
-        MemoryHierarchy hier({});
-        NullPrefetcher pf;
-        base_ipc = run(t, pf, hier).ipc;
-    }
-    {
-        StrideTrace t(512 * 1024, -64);
-        MemoryHierarchy hier({});
-        SfmPredictor sfm;
-        PredictorDirectedStreamBuffers pf(
-            psbConfig(AllocPolicy::Confidence, SchedPolicy::Priority),
-            sfm, hier);
-        psb_ipc = run(t, pf, hier).ipc;
-    }
+    double base_ipc =
+        run(StrideTrace(512 * 1024, -64), machine(PrefetcherKind::None))
+            .ipc;
+    double psb_ipc =
+        run(StrideTrace(512 * 1024, -64),
+            psbConfig(AllocPolicy::Confidence, SchedPolicy::Priority))
+            .ipc;
     EXPECT_GT(psb_ipc, base_ipc * 1.1);
 }
 
 TEST(IntegrationTest, ConfidenceAllocationResistsThrashing)
 {
     // 4 hot + 20 cold stride streams over 8 buffers.
-    RunResult two_miss, conf;
-    {
-        ManyStreamsTrace t(4, 20);
-        MemoryHierarchy hier({});
-        SfmPredictor sfm;
-        PredictorDirectedStreamBuffers pf(
-            psbConfig(AllocPolicy::TwoMiss, SchedPolicy::RoundRobin),
-            sfm, hier);
-        two_miss = run(t, pf, hier);
-    }
-    {
-        ManyStreamsTrace t(4, 20);
-        MemoryHierarchy hier({});
-        SfmPredictor sfm;
-        PredictorDirectedStreamBuffers pf(
-            psbConfig(AllocPolicy::Confidence, SchedPolicy::Priority),
-            sfm, hier);
-        conf = run(t, pf, hier);
-    }
+    RunResult two_miss =
+        run(ManyStreamsTrace(4, 20),
+            psbConfig(AllocPolicy::TwoMiss, SchedPolicy::RoundRobin));
+    RunResult conf =
+        run(ManyStreamsTrace(4, 20),
+            psbConfig(AllocPolicy::Confidence, SchedPolicy::Priority));
     // Confidence allocation reallocates noticeably less (it still
     // lets cold-but-predictable streams rotate through the low-priority
     // buffers, so the reduction is bounded)...
@@ -295,15 +249,10 @@ TEST(IntegrationTest, ConfidenceAllocationResistsThrashing)
 TEST(IntegrationTest, SfmBeatsStrideOnlyOnPointerCode)
 {
     auto run_mode = [](SfmMode mode) {
-        ChaseTrace t(900, 64);
-        MemoryHierarchy hier({});
-        SfmConfig cfg;
-        cfg.mode = mode;
-        SfmPredictor sfm(cfg);
-        PredictorDirectedStreamBuffers pf(
-            psbConfig(AllocPolicy::Confidence, SchedPolicy::Priority),
-            sfm, hier);
-        return run(t, pf, hier);
+        SimConfig cfg =
+            psbConfig(AllocPolicy::Confidence, SchedPolicy::Priority);
+        cfg.sfm.mode = mode;
+        return run(ChaseTrace(900, 64), cfg);
     };
     RunResult full = run_mode(SfmMode::Sfm);
     RunResult stride_only = run_mode(SfmMode::StrideOnly);
@@ -319,15 +268,11 @@ TEST(IntegrationTest, PrefetchingNeverBreaksCorrectnessInvariants)
                               AllocPolicy::Always}) {
         for (SchedPolicy sched :
              {SchedPolicy::RoundRobin, SchedPolicy::Priority}) {
-            ChaseTrace t(1000, 16);
-            MemoryHierarchy hier({});
-            SfmPredictor sfm;
-            PredictorDirectedStreamBuffers pf(psbConfig(alloc, sched),
-                                              sfm, hier);
-            RunResult r = run(t, pf, hier, 40000);
+            RunResult r =
+                run(ChaseTrace(1000, 16), psbConfig(alloc, sched), 40000);
             EXPECT_GT(r.ipc, 0.0);
-            const auto &s = pf.stats();
-            EXPECT_LE(s.hits, pf.attribution().issued());
+            const auto &s = r.prefetch;
+            EXPECT_LE(s.hits, r.issued);
             EXPECT_LE(s.allocations + s.allocationsFiltered,
                       s.allocationRequests);
         }

@@ -3,15 +3,21 @@
  * Run-report renderer (sim/run_report.hh): section selection from the
  * provided documents, parse-error propagation, the determinism
  * contract (byte-identical output for identical inputs), and HTML
- * escaping. The end-to-end CLI path (psb-sim → psb-report, rendered
- * twice and byte-diffed) lives in tests/report/check_report.sh.
+ * escaping, and the exact JSON round trip of a simulator's stats that
+ * every rendered run report reads. The end-to-end CLI path (psb-sim →
+ * psb-report, rendered twice and byte-diffed, and psb-sim's own
+ * report) lives in tests/report/check_report.sh.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 
 #include "sim/run_report.hh"
+#include "sim/simulator.hh"
+#include "util/stats_json.hh"
+#include "workloads/workload.hh"
 
 namespace psb
 {
@@ -242,6 +248,30 @@ TEST(RunReport, IntervalSectionReVerifiesTelescoping)
     md = render(in, ReportFormat::Markdown);
     EXPECT_NE(md.find("Telescoping check: FAILED for 1 stat paths"),
               std::string::npos);
+}
+
+TEST(FormatStatsReport, JsonRoundTripMatchesSnapshotExactly)
+{
+    // A run report renders the parsed statsJson(), so the parse must
+    // give back exactly what the registry holds.
+    auto trace = makeWorkload("health", 1);
+    SimConfig cfg = makePaperConfig(PaperConfig::ConfAllocPriority);
+    cfg.warmupInstructions = 5000;
+    cfg.maxInstructions = 20000;
+    Simulator sim(cfg, *trace);
+    sim.run();
+    auto snapshot = sim.statsRegistry().snapshot();
+    std::map<std::string, ParsedStat> parsed;
+    std::string error;
+    ASSERT_TRUE(parseStatsJson(sim.statsJson(), parsed, error)) << error;
+
+    ASSERT_EQ(parsed.size(), snapshot.size());
+    for (const auto &[path, value] : snapshot) {
+        ASSERT_TRUE(parsed.count(path)) << path;
+        // %.17g round-trips doubles exactly; integers are exact by
+        // construction — so equality is exact, not approximate.
+        EXPECT_EQ(parsed.at(path).value, value.asReal()) << path;
+    }
 }
 
 } // namespace

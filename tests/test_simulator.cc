@@ -1,12 +1,14 @@
 /**
  * @file
  * Tests for the simulator driver: configuration presets, warm-up
- * handling, result consistency, and the miss hook.
+ * handling, result consistency, the caller-built predictor seam, and
+ * fast-forward.
  */
 
 #include <gtest/gtest.h>
 
-#include "sim/report.hh"
+#include <memory>
+
 #include "sim/simulator.hh"
 #include "workloads/workload.hh"
 
@@ -89,13 +91,13 @@ TEST(SimulatorTest, RunsMeasuredRegionOfRequestedLength)
     cfg.warmupInstructions = 20000;
     cfg.maxInstructions = 50000;
     Simulator sim(cfg, *w);
-    SimResult r = sim.run();
-    EXPECT_GE(r.core.instructions, 50000u);
-    EXPECT_LE(r.core.instructions, 50100u);
-    EXPECT_GT(r.core.cycles, 0u);
-    EXPECT_NEAR(r.ipc,
-                double(r.core.instructions) / double(r.core.cycles),
-                1e-9);
+    sim.run();
+    const CoreStats &core = sim.core().stats();
+    EXPECT_GE(core.instructions, 50000u);
+    EXPECT_LE(core.instructions, 50100u);
+    EXPECT_GT(core.cycles, 0u);
+    EXPECT_NEAR(sim.statsRegistry().snapshot().at("core.ipc").real,
+                double(core.instructions) / double(core.cycles), 1e-9);
 }
 
 TEST(SimulatorTest, ResultFieldsConsistent)
@@ -105,20 +107,25 @@ TEST(SimulatorTest, ResultFieldsConsistent)
     cfg.warmupInstructions = 30000;
     cfg.maxInstructions = 60000;
     Simulator sim(cfg, *w);
-    SimResult r = sim.run();
+    sim.run();
+    const CoreStats &core = sim.core().stats();
+    const Prefetcher &pf = sim.prefetcher();
+    auto stats = sim.statsRegistry().snapshot();
 
-    EXPECT_EQ(r.core.l1dAccesses, r.core.l1dHits + r.core.l1dMisses);
-    EXPECT_LE(r.core.l1dInFlight, r.core.l1dMisses);
-    EXPECT_GE(r.l1dMissRate, 0.0);
-    EXPECT_LE(r.l1dMissRate, 1.0);
-    EXPECT_GE(r.prefetchAccuracy, 0.0);
-    EXPECT_LE(r.prefetchAccuracy, 1.0);
-    EXPECT_LE(r.prefetch.hits, r.prefetchIssued);
-    EXPECT_GE(r.l1L2BusUtil, 0.0);
-    EXPECT_LE(r.l1L2BusUtil, 1.05); // bookings may spill past the end
-    EXPECT_GT(r.pctLoads, 0.0);
-    EXPECT_LT(r.pctLoads, 100.0);
-    EXPECT_GT(r.avgLoadLatency, 0.9);
+    EXPECT_EQ(core.l1dAccesses, core.l1dHits + core.l1dMisses);
+    EXPECT_LE(core.l1dInFlight, core.l1dMisses);
+    EXPECT_GE(core.l1dMissRate(), 0.0);
+    EXPECT_LE(core.l1dMissRate(), 1.0);
+    EXPECT_GE(pf.accuracy(), 0.0);
+    EXPECT_LE(pf.accuracy(), 1.0);
+    EXPECT_LE(pf.stats().hits, pf.attribution().issued());
+    double l1_l2_bus_util = stats.at("sim.l1_l2_bus_util").real;
+    EXPECT_GE(l1_l2_bus_util, 0.0);
+    EXPECT_LE(l1_l2_bus_util, 1.05); // bookings may spill past the end
+    double pct_loads = stats.at("sim.pct_loads").real;
+    EXPECT_GT(pct_loads, 0.0);
+    EXPECT_LT(pct_loads, 100.0);
+    EXPECT_GT(core.loadLatency.mean(), 0.9);
 }
 
 TEST(SimulatorTest, WarmupExcludedFromStats)
@@ -128,20 +135,22 @@ TEST(SimulatorTest, WarmupExcludedFromStats)
     with_warmup.warmupInstructions = 100000;
     with_warmup.maxInstructions = 50000;
     Simulator s1(with_warmup, *w1);
-    SimResult warm = s1.run();
+    s1.run();
+    const CoreStats &warm = s1.core().stats();
 
     auto w2 = makeWorkload("turb3d");
     SimConfig no_warmup = makePaperConfig(PaperConfig::Base);
     no_warmup.warmupInstructions = 0;
     no_warmup.maxInstructions = 50000;
     Simulator s2(no_warmup, *w2);
-    SimResult cold = s2.run();
+    s2.run();
+    const CoreStats &cold = s2.core().stats();
 
     // Both runs measure the same number of instructions; the warmed
     // one must not look wildly different (phase drift allowed).
-    EXPECT_NEAR(warm.l1dMissRate, cold.l1dMissRate, 0.15);
-    EXPECT_NEAR(double(warm.core.instructions),
-                double(cold.core.instructions), 16.0);
+    EXPECT_NEAR(warm.l1dMissRate(), cold.l1dMissRate(), 0.15);
+    EXPECT_NEAR(double(warm.instructions), double(cold.instructions),
+                16.0);
 }
 
 TEST(SimulatorTest, EveryPrefetcherKindConstructsAndRuns)
@@ -149,16 +158,48 @@ TEST(SimulatorTest, EveryPrefetcherKindConstructsAndRuns)
     for (PrefetcherKind kind :
          {PrefetcherKind::None, PrefetcherKind::PcStride,
           PrefetcherKind::Psb, PrefetcherKind::Sequential,
-          PrefetcherKind::NextLine, PrefetcherKind::MarkovDemand}) {
+          PrefetcherKind::NextLine, PrefetcherKind::MarkovDemand,
+          PrefetcherKind::MinDelta}) {
         auto w = makeWorkload("gs");
         SimConfig cfg;
         cfg.prefetcher = kind;
         cfg.warmupInstructions = 2000;
         cfg.maxInstructions = 10000;
         Simulator sim(cfg, *w);
-        SimResult r = sim.run();
-        EXPECT_GT(r.ipc, 0.0) << prefetcherKindName(kind);
+        sim.run();
+        EXPECT_GT(sim.core().stats().ipc(), 0.0)
+            << prefetcherKindName(kind);
     }
+}
+
+TEST(SimulatorTest, CallerBuiltPredictorRunsLikeTheBuiltInOne)
+{
+    // The caller-built predictor takes the same construction path as
+    // the built-in SFM, so handing in an equal SFM changes nothing.
+    auto run = [](bool caller_built) {
+        auto w = makeWorkload("health");
+        SimConfig cfg = makePaperConfig(PaperConfig::ConfAllocPriority);
+        cfg.warmupInstructions = 5000;
+        cfg.maxInstructions = 20000;
+        cfg.harmonize();
+        SfmPredictor sfm(cfg.sfm);
+        std::unique_ptr<Simulator> sim =
+            caller_built ? std::make_unique<Simulator>(cfg, *w, sfm)
+                         : std::make_unique<Simulator>(cfg, *w);
+        sim->run();
+        return sim->statsJson();
+    };
+    EXPECT_EQ(run(true), run(false));
+}
+
+TEST(SimulatorDeathTest, CallerBuiltPredictorNeedsPsbKind)
+{
+    auto w = makeWorkload("health");
+    SimConfig cfg = makePaperConfig(PaperConfig::PcStride);
+    SfmPredictor sfm(cfg.sfm);
+    EXPECT_EXIT({ Simulator sim(cfg, *w, sfm); },
+                ::testing::ExitedWithCode(1),
+                "PrefetcherKind::Psb, not PCStride");
 }
 
 TEST(SimulatorTest, StalledPortCellFastForwardsLikeBase)
@@ -302,20 +343,6 @@ TEST(SimulatorTest, SchedulingSensitiveCountsPinned)
         EXPECT_EQ(stats.at("core.order_violations").scalar,
                   pin.orderViolations);
     }
-}
-
-TEST(ReportTest, ContainsHeadlineNumbers)
-{
-    auto w = makeWorkload("turb3d");
-    SimConfig cfg = makePaperConfig(PaperConfig::ConfAllocPriority);
-    cfg.warmupInstructions = 5000;
-    cfg.maxInstructions = 20000;
-    Simulator sim(cfg, *w);
-    SimResult r = sim.run();
-    std::string report = formatReport("t", r);
-    EXPECT_NE(report.find("IPC"), std::string::npos);
-    EXPECT_NE(report.find("L1D miss rate"), std::string::npos);
-    EXPECT_NE(report.find("bus util"), std::string::npos);
 }
 
 } // namespace

@@ -1,8 +1,10 @@
 /**
  * @file
  * psb-sim — the command-line front end to the simulator: pick a
- * workload and a machine configuration, run, and get the full report.
- * The downstream-user entry point that needs no C++.
+ * workload and a machine configuration, run, and get the run report
+ * on stdout: the Markdown `psb-report --stats-json F --title
+ * "<workload> / <label>" --md -` renders from this run's stats. The
+ * downstream-user entry point that needs no C++.
  *
  * Usage:
  *   psb-sim [options]
@@ -42,8 +44,8 @@
  *                         steady-state cycle loop (needs a
  *                         PSB_ALLOC_GUARD build; rule R10)
  *     --stats-json PATH   write every registered stat as
- *                         deterministic JSON ("-" = stdout)
- *     --stats             print the full stats registry as text
+ *                         deterministic JSON ("-" = stdout, after
+ *                         the report)
  *     --trace FLAGS       enable event tracing: comma-separated flag
  *                         list (psb,sched,sfm,markov,bus,cache,mshr,
  *                         cpu) or "all"
@@ -71,7 +73,7 @@
 #include <iostream>
 
 #include "sim/config.hh"
-#include "sim/report.hh"
+#include "sim/run_report.hh"
 #include "sim/simulator.hh"
 #include "util/alloc_guard.hh"
 #include "util/logging.hh"
@@ -108,7 +110,7 @@ usage(int code)
         "  --nodis --tlb-cache --no-fastforward\n"
         "  --assert-no-alloc   fatal heap use in the steady-state "
         "loop (PSB_ALLOC_GUARD builds)\n"
-        "  --stats-json PATH --stats\n"
+        "  --stats-json PATH   every stat as JSON (\"-\" = stdout)\n"
         "  --trace FLAGS       comma list of psb,sched,sfm,markov,bus,"
         "cache,mshr,cpu or all\n"
         "  --trace-out PATH    trace sink (\"-\" = stdout; default "
@@ -166,7 +168,6 @@ main(int argc, char **argv)
     uint64_t traceEnd = ~uint64_t(0);
     uint64_t intervalCycles = 0;
     std::string intervalOut;
-    bool printStats = false;
     uint64_t seed = 1;
     SimConfig cfg;
     cfg.prefetcher = PrefetcherKind::Psb;
@@ -205,8 +206,6 @@ main(int argc, char **argv)
             settings.emplace_back(flag.substr(2), value());
         } else if (flag == "--stats-json") {
             statsJsonPath = value();
-        } else if (flag == "--stats") {
-            printStats = true;
         } else if (flag == "--trace") {
             traceFlags = value();
         } else if (flag == "--trace-out") {
@@ -322,23 +321,23 @@ main(int argc, char **argv)
         }
     }
 
-    psb::SimResult r = sim.run();
+    sim.run();
     TraceManager::get().finish();
     if (intervalFile.is_open() && !intervalFile.flush()) {
         fatal("cannot write interval stats to '%s'",
               intervalOut.c_str());
     }
-    psb::printReport(workload + " / " + cfg.label(), r);
 
-    if (printStats) {
-        std::fputs(psb::formatStatsReport(workload + " stats",
-                                          sim.statsRegistry())
-                       .c_str(),
-                   stdout);
-    }
+    RunReportInputs report;
+    report.title = workload + " / " + cfg.label();
+    report.statsJson = sim.statsJson();
+    std::string text, error;
+    if (!renderRunReport(report, ReportFormat::Markdown, text, error))
+        fatal("%s", error.c_str());
+    std::fputs(text.c_str(), stdout);
 
     if (!statsJsonPath.empty()) {
-        std::string json = sim.statsJson();
+        const std::string &json = report.statsJson;
         if (statsJsonPath == "-") {
             std::fputs(json.c_str(), stdout);
         } else {
