@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "sim/config.hh"
 #include "sim/run_report.hh"
 #include "sim/simulator.hh"
 #include "workloads/workload.hh"
@@ -23,8 +24,12 @@ int
 main(int argc, char **argv)
 {
     std::string workload = argc > 1 ? argv[1] : "health";
-    uint64_t instructions = argc > 2 ? std::strtoull(argv[2], nullptr, 10)
-                                     : 500'000;
+    uint64_t instructions = 500'000;
+    if (argc > 2 && !psb::parseUInt(argv[2], instructions)) {
+        std::fprintf(stderr, "quickstart: bad instruction count '%s'\n",
+                     argv[2]);
+        return 1;
+    }
 
     // Print the run report of one machine; return its IPC.
     auto run = [&](psb::PaperConfig cfg, const std::string &title) {

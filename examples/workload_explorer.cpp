@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/config.hh"
 #include "sim/simulator.hh"
 #include "util/table_printer.hh"
 #include "workloads/workload.hh"
@@ -21,8 +22,13 @@
 int
 main(int argc, char **argv)
 {
-    uint64_t instructions =
-        argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 300'000;
+    uint64_t instructions = 300'000;
+    if (argc > 1 && !psb::parseUInt(argv[1], instructions)) {
+        std::fprintf(stderr,
+                     "workload_explorer: bad instruction count '%s'\n",
+                     argv[1]);
+        return 1;
+    }
 
     std::vector<std::string> names;
     for (int i = 2; i < argc; ++i)

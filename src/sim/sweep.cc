@@ -34,9 +34,9 @@ namespace
  * The engine's only wall-clock access point. Wall time is control
  * plane — timeout enforcement and progress display — and must never
  * reach a job result or the merged document (DESIGN.md §10), which is
- * why the R3 determinism suppression is justified here.
+ * why this object is the R3 allowlist entry for steady_clock::now() in
+ * tests/symbol_bans/check_symbol_bans.py.
  */
-// psb-analyze: allow(R3)
 using WallClock = std::chrono::steady_clock;
 using WallTime = WallClock::time_point;
 

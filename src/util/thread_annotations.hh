@@ -26,8 +26,10 @@
  *    (Mutex/CondVar/std::atomic/CancelToken), or carries an inline
  *    `// psb-analyze: allow(R8)` with the external-synchronization
  *    protocol that replaces the lock (e.g. slot ownership);
- *  - mutable namespace-scope state in a concurrency-bearing TU is
- *    const, atomic, or PSB_GUARDED_BY a namespace-scope Mutex;
+ *  - writable namespace-scope state in a sweep or logging object is
+ *    an atomic, a namespace-scope Mutex, or data PSB_GUARDED_BY one,
+ *    and each such symbol is an R6 allowlist entry in
+ *    tests/symbol_bans/check_symbol_bans.py;
  *  - private `*Locked()` helpers that expect the lock held are
  *    annotated PSB_REQUIRES(mu) instead of re-acquiring.
  */

@@ -8,7 +8,9 @@
 #  1. every run exits 0;
 #  2. both runs of an example print byte-identical stdout (the
 #     examples drive the deterministic Simulator, so any difference is
-#     a determinism bug).
+#     a determinism bug);
+#  3. a mistyped instruction count exits non-zero instead of running a
+#     zero-length simulation.
 set -eu
 
 BIN=$1
@@ -40,6 +42,14 @@ pointer_chase_demo
 custom_predictor
 sb_lifecycle
 LIST
+
+for bad in "quickstart health abc" "workload_explorer abc health"; do
+    # shellcheck disable=SC2086  # $bad is a word list
+    if "$BIN"/$bad > /dev/null 2>&1; then
+        echo "check_examples.sh: $bad exited 0 on a bad count" >&2
+        failed=1
+    fi
+done
 
 [ "$failed" -eq 0 ] || exit 1
 echo "check_examples.sh: every example runs deterministically"

@@ -31,10 +31,7 @@ compiler bindings, no third-party packages.
      Range-for iteration over unordered_map/unordered_set (resolved
      through members, locals, and using-aliases) whose loop body feeds
      stats, trace events, or ordered output; pointer-keyed
-     associative containers, including ones hidden behind aliases;
-     and, in src/, the banned nondeterminism sources rand()/srand(),
-     time(), std::random_device, gettimeofday() and the std::chrono
-     clocks.
+     associative containers, including ones hidden behind aliases.
 
   R4 trace-purity
      PSB_TRACE* argument expressions containing assignments or
@@ -42,15 +39,10 @@ compiler bindings, no third-party packages.
      flag is off, so a side effect there makes behavior differ with
      tracing on/off.
 
-  R5 output-discipline
-     Raw printf/puts/std::cout/std::cerr in src/ outside util/logging
-     and util/trace. Components report through warn()/inform()/
-     fatal() or PSB_TRACE; targeted stream writes (fprintf, snprintf)
-     stay legal.
-
-  R6 sweep-shared-state
-     Mutable namespace-scope or function-static state in the sweep
-     engine's translation units.
+  R3's banned calls (clocks, rand, time, random_device), R5 output
+  discipline and R6 sweep shared state are checked on the built
+  objects, not here: the symbol_bans ctest (tests/symbol_bans/) reads
+  the symbol tables of the libpsb_* archives with nm.
 
 On top of the token/scope model sits a dataflow layer: per-function
 def-use chains (locals, parameters, members) plus a cross-TU call
@@ -72,11 +64,9 @@ It powers three rules the per-statement passes cannot express:
      util/thread_annotations.hh are banned (clang -Wthread-safety
      cannot see them). Every class that owns a mutex (or already
      annotates a member) must annotate *all* its mutable shared
-     members with PSB_GUARDED_BY(...), and translation units on the
-     sweep concurrency surface must not declare bare mutable
-     namespace-scope state. Clang's -Wthread-safety (enabled under
-     PSB_WERROR) then proves the annotations; this rule audits that
-     the annotations exist.
+     members with PSB_GUARDED_BY(...). Clang's -Wthread-safety
+     (enabled under PSB_WERROR) then proves the annotations; this
+     rule audits that the annotations exist.
 
   R9 interprocedural strong-type escape
      A .raw() value that round-trips through locals or helper returns
@@ -130,18 +120,11 @@ RULES = {
            "export"),
     "R3": ("determinism",
            "results must be a pure function of config + seed; no "
-           "clocks, rand(), pointer-keyed containers, or unordered "
-           "iteration feeding observable output"),
+           "pointer-keyed containers or unordered iteration feeding "
+           "observable output"),
     "R4": ("trace-purity",
            "PSB_TRACE arguments are not evaluated when tracing is "
            "off, so they must be side-effect free"),
-    "R5": ("output-discipline",
-           "components report through util/logging or util/trace, "
-           "never raw printf/std::cout"),
-    "R6": ("sweep-shared-state",
-           "sweep jobs are shared-nothing: no mutable namespace-scope "
-           "or function-static state on a job path unless it is "
-           "atomic, mutex-guarded, or const"),
     "R7": ("nondeterminism-taint",
            "values derived from unordered iteration order, pointer "
            "casts, clocks, or uninitialized reads must pass a "
@@ -187,30 +170,6 @@ DOMAIN_PARAM_NAMES = (
 #: The strong domain types of util/strong_types.hh.
 STRONG_TYPES = ("ByteAddr", "Addr", "BlockAddr", "BlockDelta", "Cycle",
                 "CycleDelta")
-
-#: R3: nondeterminism sources banned in src/, as token sequences.
-#: pass_r3_banned_calls matches two more shapes itself: rand()/srand()
-#: not qualified by `::`, and the classic time(NULL|nullptr|0) call.
-R3_BANNED_SEQS = (
-    (("std", "::", "time"), "wall-clock time()"),
-    (("std", "::", "random_device"), "std::random_device"),
-    (("gettimeofday", "("), "gettimeofday()"),
-    (("std", "::", "chrono", "::", "system_clock"),
-     "std::chrono clocks"),
-    (("std", "::", "chrono", "::", "steady_clock"),
-     "std::chrono clocks"),
-    (("std", "::", "chrono", "::", "high_resolution_clock"),
-     "std::chrono clocks"),
-)
-
-#: R5: raw stdout/stderr writers banned in src/ (fprintf, snprintf
-#: and fputs are different tokens and stay legal).
-R5_RAW_CALLS = ("printf", "puts")
-R5_RAW_STREAMS = ("cout", "cerr")
-
-#: R5: the files allowed to talk to stdout/stderr directly.
-R5_EXEMPT_FILES = ("util/logging.hh", "util/logging.cc",
-                   "util/trace.hh", "util/trace.cc")
 
 #: R8: raw std synchronization primitives, banned in src/ outside the
 #: annotated wrappers of util/thread_annotations.hh.
@@ -497,13 +456,9 @@ class Func:
 class FileScan:
     """Single-file scan: builds scope structure over the token list."""
 
-    def __init__(self, rel, toks, raw="", sup=None):
+    def __init__(self, rel, toks, sup=None):
         self.rel = rel
         self.toks = toks
-        #: original file text, kept for raw-text scoping decisions
-        #: (the tokenizer swallows preprocessor lines, so "does this
-        #: TU include thread_annotations.hh" is only answerable here)
-        self.raw = raw
         #: line -> suppressed rule set (for declaration-site allow())
         self.sup = sup or {}
         self.functions = []  # list of Func
@@ -999,84 +954,27 @@ def pass_r4_trace_purity(scan, suppressed, findings):
                     break
 
 
-# ------------- src/-scoped token bans (R3, R5, R8) and R10 -----------
+# ------------- src/-scoped raw primitives (R8) and R10 ---------------
 
-def _seq_at(toks, i, seq):
-    """True when the token texts starting at i spell out `seq`."""
-    return i + len(seq) <= len(toks) and all(
-        toks[i + k].text == w for k, w in enumerate(seq))
-
-
-def _std_or_unqualified(toks, i):
-    """True when the call name at i is `name(` or `std::name(`, not a
-    member call or another namespace's function."""
-    prev = toks[i - 1].text if i else ""
-    if prev == "::":
-        return i >= 2 and toks[i - 2].text == "std" \
-            and (i < 3 or toks[i - 3].text != "::")
-    return prev not in (".", "->")
-
-
-def _report_once(scan, suppressed, findings, hits, rule, message):
-    """Report each (line, what) of `hits` once, in line order."""
-    for line, what in sorted(set(hits)):
-        findings.add(scan, line, rule, message.format(what=what), suppressed)
-
-
-def pass_src_bans(scan, suppressed, findings):
-    """R3/R5/R8 bans on plain tokens, in src/ only.
-
-    R3: rand()/srand(), time(), std::random_device, gettimeofday()
-    and the std::chrono clocks — results must be a function of
-    config + seed. R5: raw printf/puts/std::cout/std::cerr outside
-    util/logging and util/trace. R8: raw std synchronization
-    primitives outside util/thread_annotations.hh, which clang
-    -Wthread-safety cannot see. One finding per line and banned
-    name (R8: per line).
-    """
-    if _top_dir(scan.rel) != "src":
+def pass_r8_raw_primitives(scan, suppressed, findings):
+    """R8: raw std synchronization primitives in src/ outside
+    util/thread_annotations.hh, which clang -Wthread-safety cannot
+    see. One finding per line."""
+    if _top_dir(scan.rel) != "src" or str(scan.rel).replace(
+            "\\", "/").endswith("util/thread_annotations.hh"):
         return
-    rel = str(scan.rel).replace("\\", "/")
-    r5_on = not rel.endswith(R5_EXEMPT_FILES)
-    r8_on = not rel.endswith("util/thread_annotations.hh")
     toks = scan.toks
-    n = len(toks)
-    r3, r5, r8 = [], [], {}
-    for i, t in enumerate(toks):
-        if t.kind != "id":
-            continue
-        prev = toks[i - 1].text if i else ""
-        nxt = toks[i + 1].text if i + 1 < n else ""
-        if t.text in ("rand", "srand") and nxt == "(" and prev != "::":
-            r3.append((t.line, "rand()/srand()"))
-        elif t.text == "time" and nxt == "(" and i + 3 < n \
-                and toks[i + 2].text in ("NULL", "nullptr", "0") \
-                and toks[i + 3].text == ")":
-            r3.append((t.line, "wall-clock time()"))
-        elif t.text in R5_RAW_CALLS and nxt == "(" and r5_on \
-                and _std_or_unqualified(toks, i):
-            r5.append((t.line, f"{t.text}()"))
-        elif t.text == "std" and nxt == "::" and i + 2 < n:
-            name = toks[i + 2].text
-            if name in R5_RAW_STREAMS and r5_on:
-                r5.append((t.line, f"std::{name}"))
-            elif name in R8_RAW_PRIMITIVES and r8_on:
-                r8.setdefault(t.line, name)
-            for seq, what in R3_BANNED_SEQS:
-                if _seq_at(toks, i, seq):
-                    r3.append((t.line, what))
-        elif t.text == "gettimeofday" and nxt == "(":
-            r3.append((t.line, "gettimeofday()"))
-    _report_once(scan, suppressed, findings, r3, "R3",
-                 "{what} is banned in simulation code (results must "
-                 "be a function of config + seed)")
-    _report_once(scan, suppressed, findings, r5, "R5",
-                 "raw {what} in src/; use warn()/inform()/fatal() "
-                 "(util/logging) or PSB_TRACE (util/trace) instead")
-    _report_once(scan, suppressed, findings, r8.items(), "R8",
-                 "raw std::{what} in src/; use psb::Mutex/MutexLock/"
-                 "CondVar (util/thread_annotations.hh) so clang "
-                 "-Wthread-safety can prove the locking")
+    hits = {}
+    for i, t in enumerate(toks[:-2]):
+        if t.text == "std" and toks[i + 1].text == "::" \
+                and toks[i + 2].text in R8_RAW_PRIMITIVES:
+            hits.setdefault(t.line, toks[i + 2].text)
+    for line, what in sorted(hits.items()):
+        findings.add(scan, line, "R8",
+                     f"raw std::{what} in src/; use psb::Mutex/"
+                     f"MutexLock/CondVar (util/thread_annotations.hh) "
+                     f"so clang -Wthread-safety can prove the locking",
+                     suppressed)
 
 
 def pass_r10_marker(rel, toks, suppressed, findings):
@@ -1103,136 +1001,6 @@ def pass_r10_marker(rel, toks, suppressed, findings):
                 rel, t.line, "R10",
                 "PSB_HOT_PATH must annotate a function declaration "
                 "(it roots the hot-path call graph)", suppressed)
-
-
-# --------------------- R6: sweep shared state -----------------------
-
-#: Types that are legitimately shared between sweep workers: they
-#: synchronize by construction.
-R6_SYNC_TYPES = ("atomic", "mutex", "shared_mutex", "condition_variable",
-                 "condition_variable_any", "once_flag", "CancelToken")
-
-R6_CONST_WORDS = ("const", "constexpr", "constinit")
-
-#: Statement-leading tokens that mean "not a variable declaration".
-R6_NON_DECL_LEADERS = {"using", "typedef", "template", "namespace",
-                       "struct", "class", "enum", "union", "extern",
-                       "static_assert", "friend", "return", "if",
-                       "for", "while", "switch", "do", "public",
-                       "private", "protected", "case", "default"}
-
-
-def _r6_statement_is_mutable_decl(span):
-    """True when a token span declares unsynchronized mutable state.
-
-    A declaration for R6's purposes is `Type name` followed by `=`,
-    `{`, or `;` with no intervening `(` (which would make it a
-    function declaration/definition), not marked const/constexpr, and
-    not one of the synchronization types.
-    """
-    if not span or span[0].text in R6_NON_DECL_LEADERS:
-        return False
-    texts = [t.text for t in span]
-    if any(w in texts for w in R6_CONST_WORDS):
-        return False
-    if any(w in texts for w in R6_SYNC_TYPES):
-        return False
-    # `Type name =|{|;` with the name preceded by another identifier
-    # (or `>` closing a template argument list).
-    for k in range(1, len(span)):
-        t = span[k]
-        if t.text == "(":
-            return False  # function declaration / call
-        if t.kind == "id" and k + 1 < len(span) \
-                and span[k + 1].text in ("=", "{", ";") \
-                and (span[k - 1].kind == "id"
-                     or span[k - 1].text in (">", "*", "&")):
-            return True
-    return False
-
-
-def _namespace_scope_statements(toks):
-    """Yield the token span of every `;`-terminated statement whose
-    enclosing braces are all namespace braces (R6 and R8 both audit
-    mutable namespace-scope state). A brace group right after an
-    identifier at namespace scope is an initializer or a class body,
-    not a scope: it stays inside its statement (a function body
-    after `) const` or `) noexcept` is a scope)."""
-    stack = []  # "ns" | "other" per open brace
-    stmt_start = 0
-    i = 0
-    n = len(toks)
-    while i < n:
-        t = toks[i].text
-        if t == "{":
-            opener = "other"
-            for k in range(max(stmt_start, i - 8), i):
-                if toks[k].text == "namespace":
-                    opener = "ns"
-                    break
-            if opener == "other" and i and toks[i - 1].kind == "id" \
-                    and toks[i - 1].text not in ("const", "noexcept") \
-                    and all(s == "ns" for s in stack):
-                i = _find_matching(toks, i, "{", "}") + 1
-                continue
-            stack.append(opener)
-            stmt_start = i + 1
-        elif t == "}":
-            if stack:
-                stack.pop()
-            stmt_start = i + 1
-        elif t == ";":
-            if all(s == "ns" for s in stack):
-                yield toks[stmt_start:i]
-            stmt_start = i + 1
-        i += 1
-
-
-def pass_r6_sweep_shared_state(scan, suppressed, findings):
-    """R6: mutable shared state reachable from sweep job paths.
-
-    Scoped to the sweep engine's translation units (any file whose
-    name contains "sweep"): the engine's contract is shared-nothing,
-    so everything reachable by more than one worker — namespace-scope
-    variables and function-local statics — must be const, atomic, or
-    a synchronization primitive. Per-instance members are fine (each
-    job owns its objects).
-    """
-    name = str(scan.rel).replace("\\", "/").rsplit("/", 1)[-1]
-    if "sweep" not in name:
-        return
-    toks = scan.toks
-    for span in _namespace_scope_statements(toks):
-        if _r6_statement_is_mutable_decl(span):
-            findings.add(
-                scan, span[0].line, "R6",
-                "mutable namespace-scope state in a sweep "
-                "translation unit; sweep jobs are shared-nothing "
-                "— make it const, atomic, or mutex-guarded, or "
-                "move it into the job", suppressed)
-
-    # Function-local statics: shared by every call, i.e. every worker.
-    for fn in scan.functions:
-        fname, lo, hi = fn.name, fn.body_lo, fn.body_hi
-        j = lo
-        while j < hi:
-            if toks[j].text == "static":
-                end = next((k for k in range(j, hi)
-                            if toks[k].text in (";", "{", "=")), hi)
-                span = toks[j:end]
-                texts = [t.text for t in span]
-                if not any(w in texts for w in R6_CONST_WORDS) \
-                        and not any(w in texts
-                                    for w in R6_SYNC_TYPES):
-                    findings.add(
-                        scan, toks[j].line, "R6",
-                        f"mutable function-local static in "
-                        f"'{fname}' on a sweep job path; every "
-                        f"worker shares it — make it atomic or "
-                        f"mutex-guarded, or hoist it into per-job "
-                        f"state", suppressed)
-                j = end
-            j += 1
 
 
 def _resolve_type(name, scan_locals, cls_info, model, depth=0):
@@ -2131,7 +1899,7 @@ def _r8_classify(span):
     texts = [t.text for t in core]
     if "(" in texts:
         return None, False  # function/constructor declaration
-    if any(w in texts for w in R6_CONST_WORDS):
+    if any(w in texts for w in ("const", "constexpr", "constinit")):
         return None, False
     if any(w in texts for w in R8_SYNC_TYPES):
         return None, False
@@ -2147,21 +1915,15 @@ def _r8_classify(span):
 
 
 def pass_r8_lock_discipline(scan, suppressed, findings):
-    """R8: annotation coverage for mutex-owning classes and
-    concurrency translation units.
+    """R8: annotation coverage for mutex-owning classes.
 
-    Two audits:
-      - Any class that owns a mutex (Mutex / std::mutex member) or
-        already annotates at least one member must annotate *every*
-        mutable non-sync data member with PSB_GUARDED_BY /
-        PSB_PT_GUARDED_BY. Half-annotated classes are how stale lock
-        discipline slips past clang (-Wthread-safety only checks
-        what is annotated).
-      - A translation unit that includes util/thread_annotations.hh
-        (detected on the raw text — it is on the sweep concurrency
-        surface by definition) must not declare bare mutable
-        namespace-scope state; it must be const, atomic, a sync
-        primitive, or guarded (and therefore a class member).
+    Any class that owns a mutex (Mutex / std::mutex member) or already
+    annotates at least one member must annotate *every* mutable
+    non-sync data member with PSB_GUARDED_BY / PSB_PT_GUARDED_BY.
+    Half-annotated classes are how stale lock discipline slips past
+    clang (-Wthread-safety only checks what is annotated). Bare
+    namespace-scope state in a concurrency object is R6's, checked on
+    the built objects (tests/symbol_bans/).
     """
     if _exempt(scan.rel):
         return
@@ -2185,26 +1947,6 @@ def pass_r8_lock_discipline(scan, suppressed, findings):
                 f"class with a mutex, but carries no PSB_GUARDED_BY "
                 f"annotation — clang -Wthread-safety cannot check "
                 f"accesses to it (util/thread_annotations.hh)", suppressed)
-
-    if "thread_annotations.hh" not in scan.raw:
-        return
-    for span in _namespace_scope_statements(toks):
-        # `Type name [= init]` with no parens = a mutable
-        # namespace-scope variable in a concurrency TU.
-        if not span or span[0].text in R6_NON_DECL_LEADERS \
-                or any(x.text in R6_CONST_WORDS for x in span) \
-                or any(x.kind == "id" and x.text in R8_SYNC_TYPES
-                       for x in span) \
-                or any(x.text == "(" for x in span):
-            continue
-        ids = [x for x in span if x.kind == "id"]
-        if len(ids) >= 2:
-            findings.add(
-                scan, span[0].line, "R8",
-                f"mutable namespace-scope variable '{ids[-1].text}' "
-                f"in a concurrency translation unit (includes "
-                f"thread_annotations.hh); make it const, atomic, or "
-                f"a PSB_GUARDED_BY class member", suppressed)
 
 
 # --------------------------------------------------------------------
@@ -2795,7 +2537,7 @@ def analyze_files(files, root):
         rel = path.relative_to(root) if path.is_absolute() else path
         text = path.read_text(errors="replace")
         toks, sup = tokenize(text)
-        scan = FileScan(rel, toks, raw=text, sup=sup)
+        scan = FileScan(rel, toks, sup=sup)
         scan.scan(model)
         scans.append((scan, sup))
         suppressions[str(rel)] = sup
@@ -2811,9 +2553,8 @@ def analyze_files(files, root):
         pass_r1_reentry(scan, strong_members, sup, findings)
         pass_r3_determinism(scan, model, sup, findings)
         pass_r4_trace_purity(scan, sup, findings)
-        pass_src_bans(scan, sup, findings)
+        pass_r8_raw_primitives(scan, sup, findings)
         pass_r10_marker(scan.rel, scan.toks, sup, findings)
-        pass_r6_sweep_shared_state(scan, sup, findings)
         pass_r8_lock_discipline(scan, sup, findings)
     pass_r2_completeness(model, suppressions, findings)
     pass_r7_r9_dataflow(scans, model, findings)
@@ -2903,7 +2644,7 @@ def run_tree(args):
 
 
 #: Rules whose allow() plumbing the self-test proves end to end.
-ROUNDTRIP_RULES = ("R5", "R7", "R8", "R9", "R10", "R11", "R12")
+ROUNDTRIP_RULES = ("R7", "R8", "R9", "R10", "R11", "R12")
 
 
 def run_self_test(args):
@@ -3032,8 +2773,8 @@ def run_self_test(args):
 
 def main():
     ap = argparse.ArgumentParser(
-        description="Static analyzer for the PSB tree (rules R1-R12; "
-                    "--list-rules prints the catalog).")
+        description="Static analyzer for the PSB tree (rules R1-R4 "
+                    "and R7-R12; --list-rules prints the catalog).")
     ap.add_argument("root", nargs="?", default=".",
                     help="repo root (default .) or, with "
                          "--self-test, the fixture directory")
