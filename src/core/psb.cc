@@ -71,16 +71,8 @@ PredictorDirectedStreamBuffers::lookup(Addr addr, Cycle now)
 
     // The entry is freed for a new prediction and prefetch.
     _attrib.use(entry.lineage, now, entry.ready);
-    buf.clearEntry(hit->entry);
+    _file.clearEntry(hit->buf, hit->entry);
     return result;
-}
-
-bool
-PredictorDirectedStreamBuffers::lookupWouldHit(Addr addr) const
-{
-    auto hit = _file.findBlock(_file.blockOf(addr));
-    return hit &&
-           _file.buffer(hit->buf).entries()[hit->entry].prefetched;
 }
 
 void
@@ -115,10 +107,10 @@ PredictorDirectedStreamBuffers::tryAllocate(Addr pc, Addr addr)
 {
     if (_cfg.alloc == AllocPolicy::Always) {
         unsigned victim = _file.lruBuffer();
+        settleThrashedStream(_file.buffer(victim));
+        _file.allocateStream(victim, _predictor.allocateStream(pc, addr),
+                             _predictor.confidence(pc));
         StreamBuffer &buf = _file.buffer(victim);
-        settleThrashedStream(buf);
-        buf.allocateStream(_predictor.allocateStream(pc, addr),
-                           _predictor.confidence(pc));
         buf.allocStamp = buf.lastHitStamp = _file.nextStamp();
         return true;
     }
@@ -129,10 +121,10 @@ PredictorDirectedStreamBuffers::tryAllocate(Addr pc, Addr addr)
         if (!_predictor.twoMissFilterPass(pc, addr))
             return false;
         unsigned victim = _file.lruBuffer();
+        settleThrashedStream(_file.buffer(victim));
+        _file.allocateStream(victim, _predictor.allocateStream(pc, addr),
+                             _predictor.confidence(pc));
         StreamBuffer &buf = _file.buffer(victim);
-        settleThrashedStream(buf);
-        buf.allocateStream(_predictor.allocateStream(pc, addr),
-                           _predictor.confidence(pc));
         buf.allocStamp = buf.lastHitStamp = _file.nextStamp();
         return true;
     }
@@ -149,7 +141,7 @@ PredictorDirectedStreamBuffers::tryAllocate(Addr pc, Addr addr)
     if (buf.allocated() && buf.priority.value() > conf)
         return false;
     settleThrashedStream(buf);
-    buf.allocateStream(_predictor.allocateStream(pc, addr), conf);
+    _file.allocateStream(victim, _predictor.allocateStream(pc, addr), conf);
     buf.allocStamp = buf.lastHitStamp = _file.nextStamp();
     return true;
 }
@@ -169,7 +161,7 @@ PredictorDirectedStreamBuffers::demandMiss(Addr pc, Addr addr, Cycle)
             ++_stats.lateTagHits;
             PSB_TRACE(Psb, "late_tag_hit", int(tag->buf), "block=%llu",
                       (unsigned long long)block.raw());
-            buf.clearEntry(tag->entry);
+            _file.clearEntry(tag->buf, tag->entry);
             return;
         }
     }
@@ -200,9 +192,8 @@ void
 PredictorDirectedStreamBuffers::makePrediction(Cycle now)
 {
     // One buffer per cycle gets the shared predictor port.
-    int winner = _predictSched.pick(
-        _file, [this](unsigned b) { return portCandidate(b); },
-        [this](unsigned b) { return _file.buffer(b).lastPredictStamp; });
+    int winner = _predictSched.pick(_file, _file.portCandidates(),
+                                    &StreamBuffer::lastPredictStamp);
     if (winner < 0)
         return;
 
@@ -228,7 +219,7 @@ PredictorDirectedStreamBuffers::makePrediction(Cycle now)
 
     int slot = buf.freeEntry();
     psb_assert(slot >= 0, "scheduler picked a buffer with no free entry");
-    buf.fillEntry(slot, block, buf.state.lastSource);
+    _file.fillEntry(unsigned(winner), slot, block, buf.state.lastSource);
     (void)now;
 }
 
@@ -240,14 +231,8 @@ PredictorDirectedStreamBuffers::issuePrefetch(Cycle now)
     if (!_hierarchy.l1ToL2BusFree(now))
         return;
 
-    auto candidate = [this](unsigned b) {
-        const StreamBuffer &buf = _file.buffer(b);
-        return buf.allocated() && buf.pendingPrefetchEntry() >= 0;
-    };
-    auto tie_stamp = [this](unsigned b) {
-        return _file.buffer(b).lastPrefetchStamp;
-    };
-    int winner = _prefetchSched.pick(_file, candidate, tie_stamp);
+    int winner = _prefetchSched.pick(_file, _file.pendingCandidates(),
+                                     &StreamBuffer::lastPrefetchStamp);
     if (winner < 0)
         return;
 
@@ -282,7 +267,7 @@ PredictorDirectedStreamBuffers::issuePrefetch(Cycle now)
     uint64_t lineage = _attrib.issue(
         origin, entry.block, now, outcome.ready,
         _hierarchy.demandHasBlock(entry.block, now));
-    buf.markPrefetched(slot, outcome.ready, lineage);
+    _file.markPrefetched(unsigned(winner), slot, outcome.ready, lineage);
     PSB_TRACE(Psb, "prefetch", winner,
               "block=%llu ready=%llu translate=%d",
               (unsigned long long)entry.block.raw(),
@@ -297,26 +282,10 @@ PredictorDirectedStreamBuffers::tick(Cycle now)
 }
 
 bool
-PredictorDirectedStreamBuffers::portCandidate(unsigned b) const
-{
-    const StreamBuffer &buf = _file.buffer(b);
-    return buf.allocated() && buf.freeEntry() >= 0;
-}
-
-bool
 PredictorDirectedStreamBuffers::fastForwardTicks(Cycle from, uint64_t n)
 {
-    bool predict_candidate = false;
-    bool prefetch_candidate = false;
-    for (unsigned b = 0; b < _file.numBuffers(); ++b) {
-        const StreamBuffer &buf = _file.buffer(b);
-        if (!buf.allocated())
-            continue;
-        if (buf.freeEntry() >= 0)
-            predict_candidate = true;
-        if (buf.pendingPrefetchEntry() >= 0)
-            prefetch_candidate = true;
-    }
+    const bool predict_candidate = _file.portCandidates() != 0;
+    const bool prefetch_candidate = _file.pendingCandidates() != 0;
 
     // issuePrefetch() consults the scheduler only on bus-free cycles,
     // and a queued prefetch would issue on the first of them. Nothing
@@ -346,8 +315,7 @@ PredictorDirectedStreamBuffers::replayStalledPort(uint64_t n)
         return false;
 
     std::span<const unsigned> cycle = _predictSched.winnerCycle(
-        _file, [this](unsigned b) { return portCandidate(b); },
-        [this](unsigned b) { return _file.buffer(b).lastPredictStamp; });
+        _file, _file.portCandidates(), &StreamBuffer::lastPredictStamp);
     const uint64_t k = cycle.size();
     const uint64_t winners = n < k ? n : k;
 

@@ -99,9 +99,7 @@ class PredictorDirectedStreamBuffers : public Prefetcher
      */
     bool fastForwardTicks(Cycle from, uint64_t n) override;
 
-    /** A prefetched entry holds @p addr's block (lookup() would use
-     *  it); a tag match whose prefetch has not issued misses. */
-    bool lookupWouldHit(Addr addr) const override;
+    uint64_t hitEpoch() const override { return _file.hitEpoch(); }
     void replayMissedLookups(uint64_t n) override { _stats.lookups += n; }
 
     const PrefetcherStats &stats() const override { return _stats; }
@@ -121,8 +119,6 @@ class PredictorDirectedStreamBuffers : public Prefetcher
     const PsbConfig &config() const { return _cfg; }
 
   private:
-    /** Whether buffer @p b competes for the predictor port. */
-    bool portCandidate(unsigned b) const;
     PSB_HOT_PATH void makePrediction(Cycle now);
     /**
      * Replay @p n cycles whose predictor-port winners are all stalled

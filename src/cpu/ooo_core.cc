@@ -76,6 +76,9 @@ OoOCore::skipIdleCycles(uint64_t n)
     _stats.mshrStallRetries += n * _stalledCount;
     _hierarchy.replayDataTranslations({_stalled.data(), _stalledCount},
                                       CycleDelta(n));
+    // As after a stall-only tick, the last stalled access made the
+    // last translation (stallsRepeat()).
+    _stalledTlbStamp = _hierarchy.dtlb().useStamp();
     _prefetcher.replayMissedLookups(n * _stalledCount);
 }
 
@@ -84,9 +87,17 @@ OoOCore::skipIdleCycles(uint64_t n)
 // ---------------------------------------------------------------------
 
 void
-OoOCore::recordMshrStall(Addr addr, bool tlb_miss, Cycle now)
+OoOCore::recordMshrStall(RobEntry &entry, bool tlb_miss, Cycle now)
 {
+    const Addr addr = entry.op.effAddr;
     ++_stats.mshrStallRetries;
+    PSB_TRACE(Cpu, "mshr_stall", -1, "pc=%llu addr=%llu%s",
+              (unsigned long long)entry.op.pc.raw(),
+              (unsigned long long)addr.raw(),
+              entry.op.isStore() ? " store=1" : "");
+    entry.mshrStalled = true;
+    entry.stallDataEpoch = _hierarchy.dataEpoch();
+    entry.stallHitEpoch = _prefetcher.hitEpoch();
     // Until a data MSHR frees, the attempt repeats every cycle with
     // the same effects, unless it filled a DTLB entry (the next one
     // hits) or Cpu tracing must see each attempt.
@@ -97,7 +108,33 @@ OoOCore::recordMshrStall(Addr addr, bool tlb_miss, Cycle now)
     psb_assert(_stalledCount < _stalled.size(), "stall list overflow");
     _stalled[_stalledCount++] = addr;
     _stalledTlbStamp = _hierarchy.dtlb().useStamp();
+    _stalledHitEpoch = entry.stallHitEpoch;
     clampWake(_hierarchy.dataMshrs().nextRetire());
+}
+
+bool
+OoOCore::retryFromMemo(RobEntry &entry, Cycle now)
+{
+    if (!entry.mshrStalled)
+        return false;
+    // The full attempt reads the DTLB, the data MSHRs, the L1D tags
+    // and the prefetcher. Only the DTLB can change without moving an
+    // epoch, so when neither moved and the MSHRs are still full, the
+    // attempt would stall again with the same L1D and prefetcher
+    // misses (DESIGN.md §11).
+    const uint64_t hit_epoch = _prefetcher.hitEpoch();
+    if (hit_epoch == 0 || hit_epoch != entry.stallHitEpoch ||
+        _hierarchy.dataEpoch() != entry.stallDataEpoch ||
+        !_hierarchy.dataMshrsFull(now)) {
+        ++_fullRetries; // psb-analyze: allow(R2)
+        return false;
+    }
+    // Work counts, not stats (see memoRetries()).
+    ++_memoRetries; // psb-analyze: allow(R2)
+    const bool tlb_miss = _hierarchy.translateData(entry.op.effAddr);
+    _prefetcher.replayMissedLookups(1);
+    recordMshrStall(entry, tlb_miss, now);
+    return true;
 }
 
 bool
@@ -108,13 +145,16 @@ OoOCore::stallsRepeat() const
     // the DTLB; the replayed ticks themselves issue none. In a
     // stall-only tick the last stalled attempt made the last
     // translation, so an unchanged use stamp proves every page is
-    // still resident.
+    // still resident. An unchanged hit epoch proves every stalled
+    // lookup still misses; an untracked one (0) proves nothing.
+    const uint64_t hit_epoch = _prefetcher.hitEpoch();
+    if (hit_epoch == 0 || hit_epoch != _stalledHitEpoch)
+        return false;
     const Tlb &dtlb = _hierarchy.dtlb();
-    const bool translated = dtlb.useStamp() != _stalledTlbStamp;
+    if (dtlb.useStamp() == _stalledTlbStamp)
+        return true;
     for (std::size_t i = 0; i < _stalledCount; ++i) {
-        const Addr addr = _stalled[i];
-        if ((translated && !dtlb.probe(addr)) ||
-            _prefetcher.lookupWouldHit(addr))
+        if (!dtlb.probe(_stalled[i]))
             return false;
     }
     return true;
@@ -243,7 +283,7 @@ OoOCore::consumeFu(OpClass cls, Cycle now)
 void
 OoOCore::linkOperands(const RobEntry &entry)
 {
-    const uint32_t slot = slotOf(entry.seq);
+    const uint32_t slot = entry.slot;
     SlotSched &sched = _slots[slot];
     sched = SlotSched{};
     const uint8_t srcs[2] = {entry.op.src1, entry.op.src2};
@@ -257,7 +297,7 @@ OoOCore::linkOperands(const RobEntry &entry)
             sched.readyAt = maxCycle(sched.readyAt, producer->doneAt);
             continue;
         }
-        uint32_t &head = _slots[slotOf(producer->seq)].dependents;
+        uint32_t &head = _slots[producer->slot].dependents;
         sched.nextNode[i] = head;
         head = 2 * slot + i;
         ++sched.pendingSrcs;
@@ -278,8 +318,8 @@ OoOCore::scheduleReady(uint32_t slot)
 void
 OoOCore::parkOn(const RobEntry &load, const RobEntry &store)
 {
-    const uint32_t slot = slotOf(load.seq);
-    uint32_t &head = _slots[slotOf(store.seq)].waiters;
+    const uint32_t slot = load.slot;
+    uint32_t &head = _slots[store.slot].waiters;
     _slots[slot].nextWaiter = head;
     head = slot;
     _readySlots[slot / 64] &= ~(uint64_t(1) << (slot % 64));
@@ -297,7 +337,7 @@ OoOCore::wakeWaiters(uint32_t slot)
 void
 OoOCore::wakeDependents(const RobEntry &entry)
 {
-    SlotSched &producer = _slots[slotOf(entry.seq)];
+    SlotSched &producer = _slots[entry.slot];
     for (uint32_t node = producer.dependents; node != noNode;) {
         SlotSched &consumer = _slots[node / 2];
         consumer.readyAt = maxCycle(consumer.readyAt, entry.doneAt);
@@ -315,6 +355,8 @@ OoOCore::wakeDependents(const RobEntry &entry)
 bool
 OoOCore::commitStore(RobEntry &entry, Cycle now)
 {
+    if (retryFromMemo(entry, now))
+        return false;
     Addr addr = entry.op.effAddr;
     ++_stats.l1dAccesses;
     ++_stats.stores;
@@ -355,10 +397,7 @@ OoOCore::commitStore(RobEntry &entry, Cycle now)
 
     FillOutcome fill = _hierarchy.missToL2(addr, now, /*is_write=*/true);
     if (fill.mshrStall) {
-        recordMshrStall(addr, probe.tlbMiss, now);
-        PSB_TRACE(Cpu, "mshr_stall", -1, "pc=%llu addr=%llu store=1",
-                  (unsigned long long)entry.op.pc.raw(),
-                  (unsigned long long)addr.raw());
+        recordMshrStall(entry, probe.tlbMiss, now);
         --_stats.l1dMisses;
         --_stats.l1dAccesses;
         --_stats.stores;
@@ -454,6 +493,8 @@ OoOCore::executeLoad(RobEntry &entry, Cycle now)
         break;
     }
 
+    if (retryFromMemo(entry, now))
+        return false;
     ++_stats.loads;
     entry.storeForwarded = false;
 
@@ -524,13 +565,10 @@ OoOCore::executeLoad(RobEntry &entry, Cycle now)
             if (fill.mshrStall) {
                 // No MSHR: the load cannot issue this cycle, and
                 // retries until one frees.
-                recordMshrStall(addr, probe.tlbMiss, now);
+                recordMshrStall(entry, probe.tlbMiss, now);
                 --_stats.loads;
                 --_stats.l1dAccesses;
                 --_stats.l1dMisses;
-                PSB_TRACE(Cpu, "mshr_stall", -1, "pc=%llu addr=%llu",
-                          (unsigned long long)entry.op.pc.raw(),
-                          (unsigned long long)addr.raw());
                 return false;
             }
             entry.doneAt = fill.ready + extra;
@@ -577,7 +615,7 @@ OoOCore::tryIssue(RobEntry &entry, Cycle now)
     consumeFu(entry.op.op, now);
     entry.issued = true;
     wakeDependents(entry);
-    wakeWaiters(slotOf(entry.seq));
+    wakeWaiters(entry.slot);
 
     if (entry.op.isBranch() && entry.seq == _redirectBranchSeq) {
         // The mispredicted branch resolves; fetch restarts after
@@ -612,7 +650,7 @@ OoOCore::issueStage(Cycle now)
     // once. They are younger, so later in the scan: each word is
     // re-read after every attempt, masked past the attempted slot.
     const uint32_t cap = _cfg.robEntries;
-    const uint32_t head = slotOf(_rob.front().seq);
+    const uint32_t head = _rob.front().slot;
     unsigned issued = 0;
     for (uint32_t pass = 0; pass < 2; ++pass) {
         const uint32_t lo = pass == 0 ? head : 0;
@@ -699,6 +737,8 @@ OoOCore::fetchStage(Cycle now)
         RobEntry entry;
         entry.op = _pendingOp;
         entry.seq = _nextSeq++;
+        entry.slot = _nextSlot;
+        _nextSlot = _nextSlot + 1 == _cfg.robEntries ? 0 : _nextSlot + 1;
         _havePending = false;
 
         // Register dependences against the current last writers.

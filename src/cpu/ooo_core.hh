@@ -126,8 +126,20 @@ class OoOCore
      * Account @p n skipped idle cycles: the cycle counter, plus, per
      * cycle, the last tick's MSHR-stalled accesses replayed in order
      * (a stall retry, a DTLB hit and a missed prefetcher lookup each).
+     * nextWake() stays valid afterwards, so the simulator can also
+     * replay a single proven-idle cycle in place of tick().
      */
     void skipIdleCycles(uint64_t n);
+
+    /**
+     * Work counts of MSHR-full retries, warm-up included: those the
+     * retry memo served (a DTLB translation and the books only) and
+     * those that ran the full access because an input had changed.
+     * Not stats: fast-forward skips retries, so they differ with it
+     * on and off.
+     */
+    uint64_t memoRetries() const { return _memoRetries; }
+    uint64_t fullRetries() const { return _fullRetries; }
 
     /** True when no more work remains. */
     bool done() const { return _traceDone && _rob.empty(); }
@@ -169,6 +181,16 @@ class OoOCore
          * too, and findEntry() returns null as a fresh search would.
          */
         uint64_t aliasSeq = 0;
+        /** Issue-scheduler slot, assigned in dispatch order. */
+        uint32_t slot = 0;
+        /**
+         * Retry memo (DESIGN.md §11): the last attempt stalled on
+         * MSHR-full, seeing these hierarchy data and prefetcher hit
+         * epochs.
+         */
+        bool mshrStalled = false;
+        uint64_t stallDataEpoch = 0;
+        uint64_t stallHitEpoch = 0;
     };
 
     /** A dispatched, uncommitted store: the store queue's entry. */
@@ -182,7 +204,7 @@ class OoOCore
     static constexpr uint32_t noNode = UINT32_MAX;
 
     /**
-     * Issue-scheduler state of one ROB slot (seq % robEntries); see
+     * Issue-scheduler state of one ROB slot (RobEntry::slot); see
      * DESIGN.md "Core issue scheduling". Dependents are an intrusive
      * list threaded through the consumers' two source nodes (node
      * 2 * slot + source index).
@@ -233,13 +255,6 @@ class OoOCore
         return &_rob[std::size_t(seq - _rob.front().seq)];
     }
 
-    /** The scheduler-array index of the entry with @p seq. */
-    uint32_t
-    slotOf(uint64_t seq) const
-    {
-        return uint32_t(seq % _cfg.robEntries);
-    }
-
     /** Resolve @p entry's source operands against their producers at
      *  dispatch: ready, folded into readyAt, or linked as dependent. */
     void linkOperands(const RobEntry &entry);
@@ -256,9 +271,15 @@ class OoOCore
      *  ready set, in time for this cycle's scan. */
     void wakeWaiters(uint32_t slot);
 
-    /** Count an MSHR-full attempt to access @p addr and record it for
-     *  replay (see nextWake()). */
-    void recordMshrStall(Addr addr, bool tlb_miss, Cycle now);
+    /** Count @p entry's MSHR-full attempt, memoize it, and record it
+     *  for replay (see nextWake()). */
+    void recordMshrStall(RobEntry &entry, bool tlb_miss, Cycle now);
+    /**
+     * Retry @p entry's MSHR-full access from its memo when nothing it
+     * read has changed: only the DTLB translation and the books run.
+     * @retval true = served (the access stalled again).
+     */
+    bool retryFromMemo(RobEntry &entry, Cycle now);
     /** Would every recorded MSHR-stalled access repeat exactly? */
     bool stallsRepeat() const;
 
@@ -289,6 +310,7 @@ class OoOCore
      *  commit; sized min(robEntries, lsqEntries), which bounds them. */
     FixedRing<SqEntry> _sq;
     uint64_t _nextSeq = 1;
+    uint32_t _nextSlot = 0; ///< slot of the next dispatched entry
     unsigned _memOpsInRob = 0;
     std::array<uint64_t, numArchRegs> _regLastWriter{};
 
@@ -314,6 +336,11 @@ class OoOCore
     std::size_t _stalledCount = 0;
     /** DTLB use stamp after the last recorded stalled access. */
     uint64_t _stalledTlbStamp = 0;
+    /** Prefetcher hit epoch at the last recorded stalled access. */
+    uint64_t _stalledHitEpoch = 0;
+
+    uint64_t _memoRetries = 0; ///< see memoRetries()
+    uint64_t _fullRetries = 0;
 
     bool _traceDone = false;
     MicroOp _pendingOp;

@@ -28,11 +28,8 @@ ProbeResult
 MemoryHierarchy::probeData(Addr addr, Cycle now)
 {
     ProbeResult result;
-    // A miss fills the entry, so only the miss count tells a miss
-    // with a zero penalty from a hit.
-    const uint64_t misses = _dtlb.misses();
-    result.tlbPenalty = _dtlb.translate(addr);
-    result.tlbMiss = _dtlb.misses() != misses;
+    result.tlbMiss = translateData(addr);
+    result.tlbPenalty = result.tlbMiss ? _dtlb.missPenalty() : CycleDelta{};
 
     BlockAddr block = _l1d.blockOf(addr);
     if (auto ready = _dataMshrs.lookup(block, now)) {
@@ -113,16 +110,7 @@ MemoryHierarchy::missToL2(Addr addr, Cycle now, bool is_write)
     if (ready < slot.end)
         ready = slot.end;
 
-    if (auto evicted = _l1d.insert(block, is_write)) {
-        if (evicted->dirty) {
-            ++_stats.l1Writebacks;
-            // Writeback occupies the L1-L2 bus and dirties the L2.
-            _l1L2Bus.transact(ready, _cfg.l1d.blockBytes);
-            if (!_l2.touch(evicted->blockAddr, /*is_write=*/true))
-                _l2.insert(evicted->blockAddr, /*dirty=*/true);
-        }
-    }
-
+    insertL1d(block, is_write, ready);
     _dataMshrs.allocate(_l1d.blockOf(block), ready);
     outcome.ready = ready;
     return outcome;
@@ -158,16 +146,26 @@ MemoryHierarchy::prefetch(BlockAddr block, Cycle now, bool translate)
 }
 
 void
-MemoryHierarchy::fillFromStreamBuffer(BlockAddr block, Cycle now)
+MemoryHierarchy::insertL1d(Addr block_addr, bool is_write,
+                           Cycle writeback_at)
 {
-    if (auto evicted = _l1d.insert(block.toByte(_l1d.lineBits()))) {
+    // An epoch, not a stat: it counts events for the retry memo.
+    ++_dataEpoch; // psb-analyze: allow(R2)
+    if (auto evicted = _l1d.insert(block_addr, is_write)) {
         if (evicted->dirty) {
             ++_stats.l1Writebacks;
-            _l1L2Bus.transact(now, _cfg.l1d.blockBytes);
+            // Writeback occupies the L1-L2 bus and dirties the L2.
+            _l1L2Bus.transact(writeback_at, _cfg.l1d.blockBytes);
             if (!_l2.touch(evicted->blockAddr, /*is_write=*/true))
                 _l2.insert(evicted->blockAddr, /*dirty=*/true);
         }
     }
+}
+
+void
+MemoryHierarchy::fillFromStreamBuffer(BlockAddr block, Cycle now)
+{
+    insertL1d(block.toByte(_l1d.lineBits()), /*is_write=*/false, now);
 }
 
 void

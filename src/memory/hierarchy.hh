@@ -117,6 +117,35 @@ class MemoryHierarchy
     ProbeResult probeData(Addr addr, Cycle now);
 
     /**
+     * The DTLB half of probeData() alone: translate @p addr.
+     * @retval true on a DTLB miss (ProbeResult::tlbMiss).
+     */
+    bool
+    translateData(Addr addr)
+    {
+        // A miss fills the entry, so only the miss count tells a miss
+        // with a zero penalty from a hit.
+        const uint64_t misses = _dtlb.misses();
+        _dtlb.translate(addr);
+        return _dtlb.misses() != misses;
+    }
+
+    /**
+     * True iff every data MSHR is busy at @p now, so missToL2() would
+     * stall (retires completed fills first, as missToL2() does).
+     */
+    bool dataMshrsFull(Cycle now) { return _dataMshrs.full(now); }
+
+    /**
+     * Advances on every L1D insertion, which every data-MSHR
+     * allocation comes with: the only events that can turn an
+     * access's L1D or in-flight miss into a hit. An unchanged value
+     * between two attempts of an access proves its L1D tag and
+     * data-MSHR answers are unchanged too.
+     */
+    uint64_t dataEpoch() const { return _dataEpoch; }
+
+    /**
      * Replay @p cycles rounds of the DTLB hits probeData() would make
      * for @p addrs, in order (Tlb::replayHits): the fast-forward of
      * MSHR-stalled accesses.
@@ -218,6 +247,10 @@ class MemoryHierarchy
      */
     Cycle l2AndBelow(Addr addr, Cycle arrive, bool &l2_hit);
 
+    /** Insert @p block_addr into the L1D, writing back a dirty victim
+     *  whose transfer starts at @p writeback_at. */
+    void insertL1d(Addr block_addr, bool is_write, Cycle writeback_at);
+
     MemoryConfig _cfg;
     SetAssocCache _l1d;
     SetAssocCache _l1i;
@@ -231,6 +264,7 @@ class MemoryHierarchy
     Cycle _l2NextAccept{};
     CycleDelta _l2AcceptInterval;
     HierarchyStats _stats;
+    uint64_t _dataEpoch = 0; ///< see dataEpoch()
 };
 
 } // namespace psb

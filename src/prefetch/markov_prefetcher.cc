@@ -66,17 +66,6 @@ MarkovPrefetcher::lookup(Addr addr, Cycle now)
     return result;
 }
 
-bool
-MarkovPrefetcher::lookupWouldHit(Addr addr) const
-{
-    const BlockAddr block = _hierarchy.blockOf(addr);
-    for (const auto &e : _buffer) {
-        if (e.valid && e.block == block)
-            return e.prefetched;
-    }
-    return false;
-}
-
 void
 MarkovPrefetcher::trainLoad(Addr, Addr addr, bool l1_miss,
                             bool store_forwarded)
@@ -172,6 +161,7 @@ MarkovPrefetcher::tick(Cycle now)
         return;
     PrefetchOutcome outcome = _hierarchy.prefetch(oldest->block, now);
     oldest->prefetched = true;
+    ++_hitEpoch; // psb-analyze: allow(R2)
     oldest->ready = outcome.ready;
     PrefetchOrigin origin;
     origin.source = PredictionSource::Markov;

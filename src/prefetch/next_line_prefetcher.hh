@@ -38,7 +38,9 @@ class NextLinePrefetcher : public Prefetcher
     void demandMiss(Addr pc, Addr addr, Cycle now) override;
     void tick(Cycle now) override;
     bool fastForwardTicks(Cycle from, uint64_t n) override;
-    bool lookupWouldHit(Addr addr) const override;
+    /** Advances whenever a queued entry is issued (tick()), the
+     *  only change that turns a missing lookup into a hit. */
+    uint64_t hitEpoch() const override { return _hitEpoch; }
     void replayMissedLookups(uint64_t n) override { _stats.lookups += n; }
     const PrefetcherStats &stats() const override { return _stats; }
 
@@ -66,6 +68,7 @@ class NextLinePrefetcher : public Prefetcher
     unsigned _degree;
     std::vector<BufEntry> _buffer;
     uint64_t _stamp = 0;
+    uint64_t _hitEpoch = 1;
     PrefetcherStats _stats;
 };
 

@@ -101,8 +101,9 @@ class Prefetcher
      * The contract holds because the core is quiescent over a skipped
      * span: no training or demand misses arrive, and the only lookups
      * are MSHR-stalled accesses re-attempted every cycle. Those are
-     * skipped only while lookupWouldHit() says they miss, and arrive
-     * afterwards as counted replays (replayMissedLookups()). So the
+     * skipped only while an unchanged hitEpoch() proves they miss,
+     * and arrive afterwards as counted replays
+     * (replayMissedLookups()). So the
      * only inputs that change are the cycle number and bus occupancy,
      * and no replayed tick may change what a lookup would find.
      */
@@ -114,30 +115,27 @@ class Prefetcher
     }
 
     /**
-     * Side-effect-free preview of lookup(): would looking @p addr up
-     * now hit? The core asks it for every MSHR-stalled access before
-     * skipping the cycles that would repeat the lookup. The default
-     * answers "yes", which is conservative: such spans then never
-     * skip.
+     * Advances whenever a lookup() that missed could start to hit: for
+     * a stream-buffer file, whenever an entry becomes prefetched. An
+     * unchanged nonzero value between two lookups of the same address
+     * proves the second misses as the first did, so a caller may
+     * account it with replayMissedLookups(1) instead. The default 0
+     * means "not tracked": every lookup must run, and spans that
+     * would repeat one are never skipped.
      */
-    virtual bool
-    lookupWouldHit(Addr addr) const
-    {
-        (void)addr;
-        return true;
-    }
+    virtual uint64_t hitEpoch() const { return 0; }
 
     /**
-     * Account @p n lookups that lookupWouldHit() previewed as misses,
-     * made by skipped cycles. A missed lookup only counts itself.
-     * Never called on an implementation that keeps the default
-     * lookupWouldHit().
+     * Account @p n lookups known to miss (proven by an unchanged
+     * hitEpoch()), made by skipped cycles or memoized retries. A
+     * missed lookup only counts itself. Never called on an
+     * implementation whose hit epoch is 0.
      */
     virtual void
     replayMissedLookups(uint64_t n)
     {
         (void)n;
-        panic("replayMissedLookups() without a lookupWouldHit() preview");
+        panic("replayMissedLookups() without a hit epoch");
     }
 
     virtual const PrefetcherStats &stats() const = 0;
@@ -233,7 +231,8 @@ class NullPrefetcher : public Prefetcher
     void demandMiss(Addr, Addr, Cycle) override {}
     void tick(Cycle) override {}
     bool fastForwardTicks(Cycle, uint64_t) override { return true; }
-    bool lookupWouldHit(Addr) const override { return false; }
+    /** Nothing ever hits: one epoch forever. */
+    uint64_t hitEpoch() const override { return 1; }
     void replayMissedLookups(uint64_t n) override { _stats.lookups += n; }
     const PrefetcherStats &stats() const override { return _stats; }
 

@@ -19,10 +19,10 @@ schedPolicyName(SchedPolicy policy)
 
 BufferScheduler::BufferScheduler(SchedPolicy policy, unsigned num_buffers,
                                  const char *label)
-    : _policy(policy), _numBuffers(num_buffers), _label(label),
-      _cycle(num_buffers)
+    : _policy(policy), _label(label), _cycle(num_buffers)
 {
-    psb_assert(num_buffers > 0, "scheduler needs at least one buffer");
+    psb_assert(num_buffers > 0 && num_buffers <= 64,
+               "a candidate mask holds 1 to 64 buffers");
 }
 
 void

@@ -11,6 +11,7 @@
 #define PSB_PREFETCH_SCHEDULER_HH
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -50,66 +51,54 @@ class BufferScheduler
                     const char *label = "sched");
 
     /**
-     * Choose among buffers for which @p candidate returns true.
+     * Which StreamBuffer stamp breaks a priority tie: the resource's
+     * last-use stamp (&StreamBuffer::lastPredictStamp or
+     * &StreamBuffer::lastPrefetchStamp). Lower = less recently used =
+     * wins.
+     */
+    using TieStamp = uint64_t StreamBuffer::*;
+
+    /**
+     * Choose among the buffers in @p candidates (bit b = buffer b, as
+     * StreamBufferFile::portCandidates() or pendingCandidates()).
+     * Round-robin takes the first candidate after the pointer,
+     * wrapping; Priority takes the highest counter, then the lowest
+     * @p tie_stamp, then the lowest index.
      *
-     * A template so the per-cycle call binds the caller's lambdas
-     * directly (this is on the simulator's hottest path; going
-     * through std::function showed up in profiles).
-     *
-     * @param file The stream-buffer file.
-     * @param candidate Whether a buffer can use the resource now.
-     * @param tie_stamp Last-use stamp for LRU tie-breaking under the
-     *        priority policy (lower = less recently used = wins).
      * @return Winning buffer index, or -1 when no candidate exists.
      */
-    template <typename CandidateFn, typename StampFn>
     PSB_HOT_PATH int
-    pick(const StreamBufferFile &file, const CandidateFn &candidate,
-         const StampFn &tie_stamp)
+    pick(const StreamBufferFile &file, uint64_t candidates,
+         TieStamp tie_stamp)
     {
-        if (_policy == SchedPolicy::RoundRobin) {
-            for (unsigned i = 1; i <= _numBuffers; ++i) {
-                unsigned b = (_rrPtr + i) % _numBuffers;
-                if (candidate(b)) {
-                    _rrPtr = b;
-                    ++_grants;
-                    PSB_TRACE(Sched, "grant", int(b),
-                              "resource=%s policy=rr", _label);
-                    return int(b);
-                }
-            }
+        if (candidates == 0) {
             ++_noCandidate;
             return -1;
         }
+        ++_grants;
+        if (_policy == SchedPolicy::RoundRobin) {
+            const uint64_t after = candidates & above(_rrPtr);
+            _rrPtr = unsigned(std::countr_zero(after ? after : candidates));
+            PSB_TRACE(Sched, "grant", int(_rrPtr), "resource=%s policy=rr",
+                      _label);
+            return int(_rrPtr);
+        }
 
-        // Priority: highest counter first, least-recently-used on
-        // ties.
-        int best = -1;
-        for (unsigned b = 0; b < _numBuffers; ++b) {
-            if (!candidate(b))
-                continue;
-            if (best < 0) {
-                best = int(b);
-                continue;
-            }
-            uint32_t pb = file.buffer(b).priority.value();
-            uint32_t pbest =
-                file.buffer(unsigned(best)).priority.value();
-            if (pb > pbest ||
-                (pb == pbest &&
-                 tie_stamp(b) < tie_stamp(unsigned(best)))) {
-                best = int(b);
-            }
+        unsigned best = unsigned(std::countr_zero(candidates));
+        for (uint64_t m = candidates & (candidates - 1); m != 0;
+             m &= m - 1) {
+            const unsigned b = unsigned(std::countr_zero(m));
+            const StreamBuffer &buf = file.buffer(b);
+            const StreamBuffer &cur = file.buffer(best);
+            if (buf.priority.value() > cur.priority.value() ||
+                (buf.priority.value() == cur.priority.value() &&
+                 buf.*tie_stamp < cur.*tie_stamp))
+                best = b;
         }
-        if (best >= 0) {
-            ++_grants;
-            PSB_TRACE(Sched, "grant", best,
-                      "resource=%s policy=priority priority=%u", _label,
-                      file.buffer(unsigned(best)).priority.value());
-        } else {
-            ++_noCandidate;
-        }
-        return best;
+        PSB_TRACE(Sched, "grant", int(best),
+                  "resource=%s policy=priority priority=%u", _label,
+                  file.buffer(best).priority.value());
+        return int(best);
     }
 
     /**
@@ -132,25 +121,24 @@ class BufferScheduler
      * @return A view of scratch space sized at construction, valid
      *         until the next call; empty when no buffer is a candidate.
      */
-    template <typename CandidateFn, typename StampFn>
     std::span<const unsigned>
-    winnerCycle(const StreamBufferFile &file, const CandidateFn &candidate,
-                const StampFn &tie_stamp)
+    winnerCycle(const StreamBufferFile &file, uint64_t candidates,
+                TieStamp tie_stamp)
     {
         unsigned k = 0;
         if (_policy == SchedPolicy::RoundRobin) {
-            for (unsigned i = 1; i <= _numBuffers; ++i) {
-                unsigned b = (_rrPtr + i) % _numBuffers;
-                if (candidate(b))
-                    _cycle[k++] = b;
+            // Candidates after the pointer, then from 0 to it.
+            const uint64_t after = above(_rrPtr);
+            for (uint64_t part : {candidates & after, candidates & ~after}) {
+                for (; part != 0; part &= part - 1)
+                    _cycle[k++] = unsigned(std::countr_zero(part));
             }
             return {_cycle.data(), k};
         }
 
         uint32_t top = 0;
-        for (unsigned b = 0; b < _numBuffers; ++b) {
-            if (!candidate(b))
-                continue;
+        for (uint64_t m = candidates; m != 0; m &= m - 1) {
+            const unsigned b = unsigned(std::countr_zero(m));
             uint32_t p = file.buffer(b).priority.value();
             if (k > 0 && p < top)
                 continue;
@@ -161,9 +149,9 @@ class BufferScheduler
             _cycle[k++] = b;
         }
         std::sort(_cycle.begin(), _cycle.begin() + k,
-                  [&tie_stamp](unsigned a, unsigned b) {
-                      return std::pair(tie_stamp(a), a) <
-                             std::pair(tie_stamp(b), b);
+                  [&file, tie_stamp](unsigned a, unsigned b) {
+                      return std::pair(file.buffer(a).*tie_stamp, a) <
+                             std::pair(file.buffer(b).*tie_stamp, b);
                   });
         return {_cycle.data(), k};
     }
@@ -202,8 +190,14 @@ class BufferScheduler
     void registerStats(StatsRegistry &reg, const std::string &prefix) const;
 
   private:
+    /** The bits strictly above bit @p b. */
+    static uint64_t
+    above(unsigned b)
+    {
+        return b + 1 < 64 ? ~uint64_t(0) << (b + 1) : 0;
+    }
+
     SchedPolicy _policy;
-    unsigned _numBuffers;
     const char *_label;
     unsigned _rrPtr = 0;
     /** winnerCycle() scratch: one slot per buffer. */

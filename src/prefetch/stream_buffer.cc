@@ -107,21 +107,75 @@ StreamBufferFile::StreamBufferFile(const StreamBufferConfig &cfg)
 {
     psb_assert(cfg.numBuffers > 0, "need at least one stream buffer");
     psb_assert(cfg.entriesPerBuffer > 0, "need at least one entry");
+    psb_assert(cfg.numBuffers <= 64,
+               "buffer candidate masks hold at most 64 buffers");
     psb_assert(isPowerOf2(cfg.blockBytes), "block size must be 2^n");
     _buffers.reserve(cfg.numBuffers);
     for (unsigned i = 0; i < cfg.numBuffers; ++i)
         _buffers.emplace_back(cfg.entriesPerBuffer, cfg.priorityMax, i);
+    _signatures.assign(cfg.numBuffers, 0);
+}
+
+void
+StreamBufferFile::sync(unsigned b)
+{
+    const StreamBuffer &buf = _buffers[b];
+    const uint64_t bit = uint64_t(1) << b;
+    const bool on = buf.allocated();
+    _signatures[b] = on ? buf.blockSignature() : 0;
+    _portCandidates = (_portCandidates & ~bit) |
+                      (on && buf.freeEntry() >= 0 ? bit : 0);
+    _pendingCandidates = (_pendingCandidates & ~bit) |
+                         (on && buf.pendingPrefetchEntry() >= 0 ? bit : 0);
+}
+
+void
+StreamBufferFile::allocateStream(unsigned b, const StreamState &state,
+                                 uint32_t priority_init)
+{
+    _buffers[b].allocateStream(state, priority_init);
+    sync(b);
+}
+
+void
+StreamBufferFile::deallocate(unsigned b)
+{
+    _buffers[b]._allocated = false;
+    sync(b);
+}
+
+void
+StreamBufferFile::fillEntry(unsigned b, int idx, BlockAddr block,
+                            PredictionSource source)
+{
+    _buffers[b].fillEntry(idx, block, source);
+    sync(b);
+}
+
+void
+StreamBufferFile::markPrefetched(unsigned b, int idx, Cycle ready,
+                                 uint64_t lineage)
+{
+    _buffers[b].markPrefetched(idx, ready, lineage);
+    ++_hitEpoch; // psb-analyze: allow(R2)
+    sync(b);
+}
+
+void
+StreamBufferFile::clearEntry(unsigned b, int idx)
+{
+    _buffers[b].clearEntry(idx);
+    sync(b);
 }
 
 std::optional<StreamBufferFile::TagHit>
 StreamBufferFile::findBlock(BlockAddr block) const
 {
     // Most searches miss (MSHR-full retries, duplicate checks): the
-    // signature test rejects a buffer without scanning its entries.
+    // summary's signatures reject a buffer without touching it.
     const uint64_t bit = blockSignatureBit(block);
-    for (unsigned b = 0; b < _buffers.size(); ++b) {
-        if (!_buffers[b].allocated() ||
-            !(_buffers[b].blockSignature() & bit))
+    for (unsigned b = 0; b < _signatures.size(); ++b) {
+        if (!(_signatures[b] & bit))
             continue;
         int e = _buffers[b].findEntry(block);
         if (e >= 0)

@@ -72,7 +72,9 @@ blockSignatureBit(BlockAddr block)
 
 /**
  * One stream buffer: N entries plus the per-stream prediction state
- * and the priority counter of paper §4.4.
+ * and the priority counter of paper §4.4. Its entries and allocation
+ * change only through the owning StreamBufferFile, which keeps a
+ * file-wide summary of them in step.
  */
 class StreamBuffer
 {
@@ -80,9 +82,6 @@ class StreamBuffer
     /** @param index Position in the owning file (trace track id). */
     StreamBuffer(unsigned num_entries, uint32_t priority_max,
                  unsigned index = 0);
-
-    /** Reset entries and install a new stream (allocation). */
-    void allocateStream(const StreamState &state, uint32_t priority_init);
 
     /** Index of the entry holding @p block, or -1. */
     PSB_HOT_PATH int findEntry(BlockAddr block) const;
@@ -113,24 +112,7 @@ class StreamBuffer
         return _pendingMask ? int(countTrailingZeros(_pendingMask)) : -1;
     }
 
-    /**
-     * Install a prediction for @p block into free entry @p idx,
-     * tagged with the predictor @p source that produced it.
-     */
-    void fillEntry(int idx, BlockAddr block,
-                   PredictionSource source = PredictionSource::None);
-
-    /**
-     * Record that entry @p idx's fill was issued, arriving @p ready,
-     * carrying attribution @p lineage (0 when untracked).
-     */
-    void markPrefetched(int idx, Cycle ready, uint64_t lineage = 0);
-
-    /** Invalidate entry @p idx (hit consumed it / late tag hit). */
-    void clearEntry(int idx);
-
     bool allocated() const { return _allocated; }
-    void deallocate() { _allocated = false; }
 
     const std::vector<SbEntry> &entries() const { return _entries; }
 
@@ -172,11 +154,18 @@ class StreamBuffer
     }
 
   private:
+    friend class StreamBufferFile;
+
+    void allocateStream(const StreamState &state, uint32_t priority_init);
+    void fillEntry(int idx, BlockAddr block, PredictionSource source);
+    void markPrefetched(int idx, Cycle ready, uint64_t lineage);
+    void clearEntry(int idx);
+
     std::vector<SbEntry> _entries;
-    // Occupancy summarised as bitmasks so the per-cycle scheduler
-    // candidate checks (free slot? pending prefetch?) are O(1); every
-    // entry mutation goes through fillEntry/markPrefetched/clearEntry
-    // to keep them in sync with _entries.
+    // Occupancy summarised as bitmasks so the free-slot and
+    // pending-prefetch checks are O(1); every entry mutation goes
+    // through the private mutators above to keep them in sync with
+    // _entries.
     uint64_t _validMask = 0;   ///< bit i: _entries[i].valid
     uint64_t _pendingMask = 0; ///< bit i: valid && !prefetched
     uint64_t _fullMask = 0;    ///< low entriesPerBuffer bits
@@ -188,11 +177,62 @@ class StreamBuffer
 /**
  * The file of stream buffers: associative lookup and duplicate
  * suppression across all buffers.
+ *
+ * Every change to a buffer's entries or allocation goes through the
+ * file's mutators, which keep a flat summary in step: each buffer's
+ * block signature (0 while unallocated) and two candidate masks, bit
+ * b per buffer. The associative search and both schedulers' candidate
+ * sets read the summary, one cache line at the paper's geometry,
+ * instead of every buffer. The summary holds values only, so a copied
+ * or moved file stays consistent.
  */
 class StreamBufferFile
 {
   public:
     explicit StreamBufferFile(const StreamBufferConfig &cfg);
+
+    /** Reset buffer @p b's entries and install a new stream in it. */
+    void allocateStream(unsigned b, const StreamState &state,
+                        uint32_t priority_init);
+
+    /** Take buffer @p b out of service; its entries become invisible. */
+    void deallocate(unsigned b);
+
+    /**
+     * Install a prediction for @p block into free entry @p idx of
+     * buffer @p b, tagged with the predictor @p source that made it.
+     */
+    void fillEntry(unsigned b, int idx, BlockAddr block,
+                   PredictionSource source = PredictionSource::None);
+
+    /**
+     * Record that entry @p idx of buffer @p b was prefetched, arriving
+     * @p ready, carrying attribution @p lineage (0 when untracked).
+     * Advances hitEpoch().
+     */
+    void markPrefetched(unsigned b, int idx, Cycle ready,
+                        uint64_t lineage = 0);
+
+    /** Invalidate entry @p idx of buffer @p b (hit or late tag hit). */
+    void clearEntry(unsigned b, int idx);
+
+    /** Bit b: buffer b is allocated and has a free entry, so it
+     *  competes for the predictor port. */
+    uint64_t portCandidates() const { return _portCandidates; }
+
+    /** Bit b: buffer b is allocated and holds a prediction whose
+     *  prefetch has not issued, so it competes for the L1-L2 bus. */
+    uint64_t pendingCandidates() const { return _pendingCandidates; }
+
+    /** Buffer @p b's blockSignature(), or 0 while unallocated. */
+    uint64_t signature(unsigned b) const { return _signatures[b]; }
+
+    /**
+     * Advances every time an entry becomes prefetched, the only change
+     * that can turn a missing findBlock() into a prefetched hit
+     * (Prefetcher::hitEpoch()). Starts at 1.
+     */
+    uint64_t hitEpoch() const { return _hitEpoch; }
 
     /** Location of a tag match. */
     struct TagHit
@@ -223,7 +263,9 @@ class StreamBufferFile
     unsigned minPriorityBuffer() const;
 
     // Indexing is unchecked: every caller iterates i < numBuffers(),
-    // and .at()'s throw path is banned on the hot path (rule R11).
+    // and .at()'s throw path is banned on the hot path (rule R11). The
+    // mutable view reaches the stream state, priority and stamps; the
+    // entries change only through the mutators above.
     StreamBuffer &buffer(unsigned i) { return _buffers[i]; }
     const StreamBuffer &buffer(unsigned i) const { return _buffers[i]; }
     unsigned numBuffers() const { return unsigned(_buffers.size()); }
@@ -258,9 +300,16 @@ class StreamBufferFile
     }
 
   private:
+    /** Recompute buffer @p b's part of the summary. */
+    void sync(unsigned b);
+
     StreamBufferConfig _cfg;
     unsigned _lineBits;
     std::vector<StreamBuffer> _buffers;
+    std::vector<uint64_t> _signatures; ///< see signature()
+    uint64_t _portCandidates = 0;
+    uint64_t _pendingCandidates = 0;
+    uint64_t _hitEpoch = 1;
     uint64_t _stamp = 0;
 };
 

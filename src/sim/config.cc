@@ -259,8 +259,8 @@ SimConfig::validate(std::string &error) const
         return reject("l1d-kb / l1d-assoc must give a power-of-two "
                       "number of " +
                       std::to_string(l1d.blockBytes) + "-byte-line sets");
-    if (psb.buffers.numBuffers == 0)
-        return reject("buffers must be at least 1");
+    if (psb.buffers.numBuffers == 0 || psb.buffers.numBuffers > 64)
+        return reject("buffers must be 1..64");
     if (psb.buffers.entriesPerBuffer == 0 ||
         psb.buffers.entriesPerBuffer > 64)
         return reject("entries must be 1..64");

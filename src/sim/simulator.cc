@@ -162,7 +162,7 @@ Simulator::resetAllStats()
         _predictor->resetStats();
 }
 
-void
+bool
 Simulator::maybeFastForward()
 {
     // Skip ahead to the core's next possible activity, provided the
@@ -177,14 +177,14 @@ Simulator::maybeFastForward()
     // run (asserted by tests/test_properties.cc).
     Cycle wake = _core->nextWake();
     if (wake == Cycle::max() || wake <= _now)
-        return;
+        return false;
     CycleDelta span = wake - _now;
     if (_intervalStats && _intervalStats->started()) {
         // Land exactly on the interval boundary so the record's
         // "end" cycle matches the unskipped run.
         Cycle boundary = _intervalStats->nextBoundary();
         if (boundary <= _now)
-            return;
+            return true;
         span = std::min(span, boundary - _now);
     }
     if (!_prefetcher->fastForwardTicks(_now, span.raw())) {
@@ -195,7 +195,7 @@ Simulator::maybeFastForward()
         CycleDelta busy = _hierarchy->l1L2Bus().busyFor(_now);
         if (busy == CycleDelta{} || busy >= span ||
             !_prefetcher->fastForwardTicks(_now, busy.raw()))
-            return;
+            return true;
         span = busy;
     }
     _core->skipIdleCycles(span.raw());
@@ -207,15 +207,24 @@ Simulator::maybeFastForward()
         PSB_ALLOC_GUARD_PAUSE();
         _intervalStats->tick(_now); // psb-analyze: allow(R10)
     }
+    return _now < wake;
 }
 
 void
 Simulator::stepCycle()
 {
-    if (_cfg.fastForward)
-        maybeFastForward();
+    // A cycle before the core's wake is idle by the nextWake()
+    // contract even when the prefetcher would not let it be skipped:
+    // replay the core's part in closed form and tick only the
+    // prefetcher.
+    const bool core_idle = _cfg.fastForward && maybeFastForward();
     PSB_TRACE_SET_NOW(_now);
-    _core->tick(_now);
+    if (core_idle) {
+        _core->skipIdleCycles(1);
+        ++_replayedCycles; // psb-analyze: allow(R2)
+    } else {
+        _core->tick(_now);
+    }
     _prefetcher->tick(_now);
     ++_now;
     // A work count, not a stat: registering it would make statsJson()

@@ -82,6 +82,15 @@ class Simulator
      */
     uint64_t steppedCycles() const { return _steppedCycles; }
 
+    /**
+     * Of the stepped cycles, those whose core tick was replayed in
+     * closed form (OoOCore::skipIdleCycles(1)) because nextWake()
+     * proved the core idle but the prefetcher's tick could not be
+     * skipped. A work count, like steppedCycles(); the core's retry
+     * counts are OoOCore::memoRetries() and fullRetries().
+     */
+    uint64_t replayedCycles() const { return _replayedCycles; }
+
   private:
     Simulator(const SimConfig &cfg, TraceSource &trace,
               AddressPredictor *predictor);
@@ -97,7 +106,12 @@ class Simulator
      */
     PSB_HOT_PATH void stepCycle();
 
-    void maybeFastForward();
+    /**
+     * Fast-forward as far as the core and the prefetcher allow.
+     * @retval true when the core is still idle at the cycle reached
+     *         (nextWake() is later), so its tick may be replayed.
+     */
+    bool maybeFastForward();
 
     SimConfig _cfg;
     StatsRegistry _registry;
@@ -109,6 +123,7 @@ class Simulator
     std::unique_ptr<IntervalStatsWriter> _intervalStats;
     Cycle _now{};
     uint64_t _steppedCycles = 0;
+    uint64_t _replayedCycles = 0;
 };
 
 } // namespace psb

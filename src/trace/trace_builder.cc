@@ -6,7 +6,9 @@ namespace psb
 bool
 TraceBuilder::next(MicroOp &op)
 {
-    while (_queue.empty()) {
+    while (_head == _queue.size()) {
+        _queue.clear();
+        _head = 0;
         if (_done)
             return false;
         if (!step()) {
@@ -15,8 +17,7 @@ TraceBuilder::next(MicroOp &op)
                 return false;
         }
     }
-    op = _queue.front();
-    _queue.pop_front();
+    op = _queue[_head++];
     return true;
 }
 

@@ -10,7 +10,8 @@
 #ifndef PSB_TRACE_TRACE_BUILDER_HH
 #define PSB_TRACE_TRACE_BUILDER_HH
 
-#include <deque>
+#include <cstddef>
+#include <vector>
 
 #include "trace/micro_op.hh"
 #include "trace/trace_source.hh"
@@ -60,7 +61,10 @@ class TraceBuilder : public TraceSource
     void emitFiller(Addr pc, unsigned n);
 
   private:
-    std::deque<MicroOp> _queue;
+    /** The ops of the current step(), drained from _head; cleared
+     *  (keeping its capacity) before the next step(). */
+    std::vector<MicroOp> _queue;
+    std::size_t _head = 0;
     uint64_t _emitted = 0;
     bool _done = false;
 };

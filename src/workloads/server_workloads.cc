@@ -84,8 +84,9 @@ GraphTraversal::step()
 
     if (_head >= _queue.size()) {
         // Queue drained: scan the visited array for the next
-        // untouched component, one probe per step.
-        while (_nextRoot < _params.vertices) {
+        // untouched component, one probe per step (so a pass's final
+        // scan does not queue every vertex's probe at once).
+        if (_nextRoot < _params.vertices) {
             unsigned v = _nextRoot++;
             emitLoad(pcBase + 0x80, r_flag, _visitedAddr + v * 8u,
                      r_vertex);
@@ -99,8 +100,8 @@ GraphTraversal::step()
                 emitStore(pcBase + 0x90,
                           _queueAddr + (_queue.size() - 1) * 8, r_vertex,
                           r_queue);
-                return true;
             }
+            return true;
         }
         startPass();
         return true;

@@ -63,10 +63,26 @@ BAD_FIXTURES = {
 }
 
 
+def elf_target(path):
+    """`--target=elfNN-ENDIAN` for a file holding GCC fat LTO objects.
+
+    On such objects nm's LTO plugin lists the bytecode's symbols, with
+    no sections and no internal symbols, which would leave R6 nothing
+    to read. The generic ELF target reads the real code instead.
+    """
+    data = pathlib.Path(path).read_bytes()
+    elf = data.find(b"\x7fELF")
+    if elf < 0 or b".gnu.lto_" not in data:
+        return []
+    bits = {1: "32", 2: "64"}[data[elf + 4]]
+    endian = {1: "little", 2: "big"}[data[elf + 5]]
+    return [f"--target=elf{bits}-{endian}"]
+
+
 def read_symbols(nm, path):
     """{object name: [(symbol, class, section)]} of an object/archive."""
-    out = subprocess.run([nm, "-f", "sysv", "-C", path], check=True,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([nm, "-f", "sysv", "-C", *elf_target(path), path],
+                         check=True, capture_output=True, text=True).stdout
     table, current = {}, None
     for line in out.splitlines():
         if line.startswith("Symbols from "):

@@ -6,11 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "cpu/ooo_core.hh"
 #include "memory/hierarchy.hh"
+#include "prefetch/markov_prefetcher.hh"
+#include "prefetch/next_line_prefetcher.hh"
 #include "prefetch/prefetcher.hh"
+#include "prefetch/sequential_stream_buffers.hh"
 #include "trace/trace_source.hh"
 #include "util/random.hh"
 
@@ -596,6 +600,185 @@ TEST(CoreTest, ResetStatsMidRun)
         ++now;
     EXPECT_LE(core.stats().instructions, 100u);
     EXPECT_GT(core.stats().instructions, 0u);
+}
+
+// ---------------------------------------------------------------------
+// The MSHR-full retry memo (DESIGN.md §11): with every data MSHR busy,
+// a stalled access retries from its memo only while nothing it reads
+// has changed. Each test below changes one input between two retries
+// and checks that the next retry runs in full and sees the change.
+// ---------------------------------------------------------------------
+
+/** NullPrefetcher whose tick runs a test hook. */
+class HookPrefetcher : public NullPrefetcher
+{
+  public:
+    void
+    tick(Cycle now) override
+    {
+        if (onTick)
+            onTick(now);
+    }
+
+    std::function<void(Cycle)> onTick;
+};
+
+constexpr Addr loadA{0x400000};
+constexpr Addr loadB{0x800000};
+
+/** One data MSHR: load A takes it, load B stalls behind it. */
+MemoryConfig
+oneMshr()
+{
+    MemoryConfig mem = quietMemory();
+    mem.l1dMshrs = 1;
+    return mem;
+}
+
+/** Tick until load B has stalled @p n times; returns the next cycle. */
+Cycle
+stallB(OoOCore &core, Prefetcher &pf, uint64_t n)
+{
+    Cycle now{};
+    while (core.stats().mshrStallRetries < n) {
+        core.tick(now);
+        pf.tick(now);
+        ++now;
+    }
+    return now;
+}
+
+/**
+ * A's miss makes @p pf prefetch B's block (A's successor) while A's
+ * fill holds the only MSHR. Issuing that prefetch moves the hit epoch,
+ * so B's next retry looks @p pf up again and is served from it long
+ * before the MSHR frees.
+ */
+void
+expectStalledLoadServedByPrefetch(MemoryHierarchy &hier, Prefetcher &pf)
+{
+    VectorTrace trace({loadOp(Addr{0x1000}, 1, loadA),
+                       loadOp(Addr{0x1004}, 2, loadA + 32)});
+    OoOCore core(CoreConfig{}, hier, pf, trace);
+    Cycle now{};
+    Cycle fill_ready = Cycle::max();
+    Cycle served = Cycle::max();
+    while (core.tick(now)) {
+        if (fill_ready == Cycle::max())
+            fill_ready = hier.dataMshrs().nextRetire();
+        if (served == Cycle::max() && core.stats().sbServiced == 1)
+            served = now;
+        pf.tick(now);
+        ++now;
+    }
+    EXPECT_EQ(core.stats().sbServiced, 1u);
+    EXPECT_EQ(pf.stats().hits, 1u);
+    EXPECT_LT(served, fill_ready);
+    EXPECT_GT(core.memoRetries(), 0u);
+    EXPECT_GE(core.fullRetries(), 1u);
+    // Every attempt counted one lookup, served from the memo or not.
+    EXPECT_EQ(pf.stats().lookups, 2 + core.stats().mshrStallRetries);
+}
+
+TEST(CoreTest, MshrRetryMemoSeesStreamBufferPrefetch)
+{
+    // A's miss allocates a sequential stream, which predicts B's block.
+    MemoryHierarchy hier(oneMshr());
+    SequentialStreamBuffers sb(StreamBufferConfig{}, hier);
+    expectStalledLoadServedByPrefetch(hier, sb);
+}
+
+TEST(CoreTest, MshrRetryMemoSeesNextLinePrefetch)
+{
+    // A's miss queues its next block, B's.
+    MemoryHierarchy hier(oneMshr());
+    NextLinePrefetcher nl(hier);
+    expectStalledLoadServedByPrefetch(hier, nl);
+}
+
+TEST(CoreTest, MshrRetryMemoSeesMarkovPrefetch)
+{
+    // Trained on the miss sequence A, B: A's miss predicts B's block.
+    MemoryHierarchy hier(oneMshr());
+    MarkovPrefetcher markov(hier);
+    markov.trainLoad(Addr{0x1000}, loadA, /*l1_miss=*/true, false);
+    markov.trainLoad(Addr{0x1004}, loadA + 32, /*l1_miss=*/true, false);
+    expectStalledLoadServedByPrefetch(hier, markov);
+}
+
+TEST(CoreTest, MshrRetryMemoSeesStreamBufferFillInL1d)
+{
+    // Another access's stream-buffer hit moves B's block into the L1D
+    // between two of B's retries: B's next attempt hits the L1D.
+    MemoryHierarchy hier(oneMshr());
+    NullPrefetcher pf;
+    VectorTrace trace({loadOp(Addr{0x1000}, 1, loadA),
+                       loadOp(Addr{0x1004}, 2, loadB)});
+    OoOCore core(CoreConfig{}, hier, pf, trace);
+    Cycle now = stallB(core, pf, 3);
+    EXPECT_GE(core.memoRetries(), 1u);
+    ASSERT_TRUE(hier.dataMshrsFull(now));
+    hier.fillFromStreamBuffer(hier.blockOf(loadB), now);
+    core.tick(now);
+    EXPECT_EQ(core.stats().mshrStallRetries, 3u);
+    EXPECT_EQ(core.stats().l1dHits, 1u);
+}
+
+TEST(CoreTest, MshrRetryMemoSeesRetakenMshr)
+{
+    // A's fill retires and another access takes the freed MSHR for
+    // B's block before B retries: the file is full again, but B's
+    // block is now in flight, so B merges into that fill.
+    MemoryHierarchy hier(oneMshr());
+    NullPrefetcher pf;
+    VectorTrace trace({loadOp(Addr{0x1000}, 1, loadA),
+                       loadOp(Addr{0x1004}, 2, loadB)});
+    OoOCore core(CoreConfig{}, hier, pf, trace);
+    Cycle now = stallB(core, pf, 2);
+    const Cycle retire = hier.dataMshrs().nextRetire();
+    while (now < retire) {
+        core.tick(now);
+        ++now;
+    }
+    const uint64_t stalls = core.stats().mshrStallRetries;
+    FillOutcome other = hier.missToL2(loadB, now, /*is_write=*/false);
+    ASSERT_FALSE(other.mshrStall);
+    ASSERT_TRUE(hier.dataMshrsFull(now));
+    core.tick(now);
+    EXPECT_EQ(core.stats().mshrStallRetries, stalls);
+    EXPECT_EQ(core.stats().l1dInFlight, 1u);
+}
+
+TEST(CoreTest, MshrRetryMemoSeesPrefetchTlbEviction)
+{
+    // A two-entry DTLB: after B's stalls, a prefetcher tick translates
+    // two other pages and evicts B's. The skip must stand down, and
+    // B's next retry must miss the DTLB, as a full attempt would.
+    MemoryConfig mem = oneMshr();
+    mem.tlbEntries = 2;
+    MemoryHierarchy hier(mem);
+    HookPrefetcher pf;
+    VectorTrace trace({loadOp(Addr{0x1000}, 1, loadA),
+                       loadOp(Addr{0x1004}, 2, loadB)});
+    OoOCore core(CoreConfig{}, hier, pf, trace);
+    Cycle now = stallB(core, pf, 3);
+    // A stall-only tick: idle until A's fill retires.
+    core.tick(now);
+    EXPECT_GT(core.nextWake(), now + CycleDelta(1));
+    ASSERT_TRUE(hier.dtlb().probe(loadB));
+    pf.onTick = [&hier](Cycle at) {
+        hier.prefetch(hier.blockOf(Addr{0xc00000}), at);
+        hier.prefetch(hier.blockOf(Addr{0x1000000}), at);
+    };
+    pf.tick(now);
+    pf.onTick = nullptr;
+    ASSERT_FALSE(hier.dtlb().probe(loadB));
+    EXPECT_EQ(core.nextWake(), now + CycleDelta(1));
+    ++now;
+    const uint64_t misses = hier.dtlb().misses();
+    core.tick(now);
+    EXPECT_EQ(hier.dtlb().misses(), misses + 1);
+    EXPECT_EQ(core.nextWake(), now + CycleDelta(1));
 }
 
 } // namespace

@@ -526,15 +526,18 @@ TEST(StreamBufferEquivalenceTest, BitmaskOccupancyMatchesLinearScan)
 {
     for (uint64_t seed : {21u, 22u, 23u}) {
         Xorshift64 rng(seed);
-        StreamBuffer buf(4, 12);
+        StreamBufferConfig cfg;
+        cfg.numBuffers = 1;
+        StreamBufferFile file(cfg);
+        const StreamBuffer &buf = file.buffer(0);
         StreamState state;
         state.lastAddr = BlockAddr{rng.below(64)};
-        buf.allocateStream(state, 3);
+        file.allocateStream(0, state, 3);
         for (int i = 0; i < 50'000; ++i) {
             switch (rng.below(8)) {
             case 0: { // fresh stream (resets all entries)
                 state.lastAddr = BlockAddr{rng.below(64)};
-                buf.allocateStream(state, uint32_t(rng.below(13)));
+                file.allocateStream(0, state, uint32_t(rng.below(13)));
                 break;
             }
             case 1:
@@ -542,14 +545,14 @@ TEST(StreamBufferEquivalenceTest, BitmaskOccupancyMatchesLinearScan)
             case 3: { // install a prediction into the free slot
                 int slot = buf.freeEntry();
                 if (slot >= 0)
-                    buf.fillEntry(slot, BlockAddr{rng.below(64)});
+                    file.fillEntry(0, slot, BlockAddr{rng.below(64)});
                 break;
             }
             case 4:
             case 5: { // issue the pending prefetch
                 int slot = buf.pendingPrefetchEntry();
                 if (slot >= 0)
-                    buf.markPrefetched(slot, Cycle{uint64_t(i)});
+                    file.markPrefetched(0, slot, Cycle{uint64_t(i)});
                 break;
             }
             default: { // consume a random valid entry
@@ -557,7 +560,7 @@ TEST(StreamBufferEquivalenceTest, BitmaskOccupancyMatchesLinearScan)
                     refFindEntry(buf.entries(),
                                  BlockAddr{rng.below(64)});
                 if (slot >= 0)
-                    buf.clearEntry(slot);
+                    file.clearEntry(0, slot);
                 break;
             }
             }
@@ -638,8 +641,13 @@ TEST_P(FastForwardEquivalenceTest, StatsJsonByteIdenticalOnOff)
 // build, and under 2Miss-RR it reaches only the bus-capped retry.
 // order=2 is the opted-out ContextPredictor, and the next four
 // backends reach only the retry capped at the next free L1-L2 bus
-// cycle. The last two rows skip MSHR-full spans in which a prefetch
-// lands on a stalled block, where the skip guard must stand down.
+// cycle. The gs/PCStride and logscan/ConfAlloc-Priority rows skip
+// MSHR-full spans in which a prefetch lands on a stalled block, where
+// the skip guard must stand down. The last four are the cells with the
+// most MSHR-full retries: with fast-forward on they replay idle core
+// cycles whose prefetcher tick cannot be skipped, and answer
+// stallsRepeat() from the hit epoch (the goldens pin the retry memo,
+// which runs with fast-forward off too).
 INSTANTIATE_TEST_SUITE_P(
     WorkloadsAndConfigs, FastForwardEquivalenceTest,
     ::testing::Values(
@@ -665,7 +673,11 @@ INSTANTIATE_TEST_SUITE_P(
         FastForwardParam{"sis", PaperConfig::Base, 5000, "prefetcher",
                          "mindelta"},
         FastForwardParam{"gs", PaperConfig::PcStride},
-        FastForwardParam{"logscan", PaperConfig::ConfAllocPriority}),
+        FastForwardParam{"logscan", PaperConfig::ConfAllocPriority},
+        FastForwardParam{"gs", PaperConfig::ConfAllocPriority},
+        FastForwardParam{"gs", PaperConfig::TwoMissRR},
+        FastForwardParam{"logscan", PaperConfig::Base},
+        FastForwardParam{"fuzz", PaperConfig::ConfAllocPriority}),
     [](const auto &pinfo) {
         // gtest names must be alphanumeric; drop the '-' from labels
         // like "ConfAlloc-Priority".

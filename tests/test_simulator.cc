@@ -261,6 +261,40 @@ TEST(SimulatorTest, MshrStallSpansFastForward)
     }
 }
 
+TEST(SimulatorTest, MshrRetryWorkCountsCalibrated)
+{
+    // Work-count guard for the retry memo and the idle-core replay
+    // (DESIGN.md §11). gs and logscan under ConfAlloc-Priority spend
+    // long spans with every data MSHR busy while the PSB keeps
+    // prefetching, so most stepped retries should come from the memo,
+    // and many stepped cycles should replay an idle core. A change
+    // that silently defeats either (an epoch moved every cycle, a
+    // replay never taken) breaks these bounds while every stat stays
+    // the same. Calibrated at these region lengths: gs serves 159,293
+    // retries from the memo, runs 35,477 in full and replays 3,993
+    // cycles; logscan 248,414, 126,939 and 21,993.
+    struct Cell
+    {
+        const char *workload;
+        uint64_t minMemo;
+        uint64_t maxFull;
+        uint64_t minReplayed;
+    };
+    for (const Cell &cell : {Cell{"gs", 135000, 41000, 3400},
+                             Cell{"logscan", 210000, 146000, 18500}}) {
+        SCOPED_TRACE(cell.workload);
+        auto trace = makeWorkload(cell.workload);
+        SimConfig cfg = makePaperConfig(PaperConfig::ConfAllocPriority);
+        cfg.warmupInstructions = 20000;
+        cfg.maxInstructions = 60000;
+        Simulator sim(cfg, *trace);
+        sim.run();
+        EXPECT_GE(sim.core().memoRetries(), cell.minMemo);
+        EXPECT_LE(sim.core().fullRetries(), cell.maxFull);
+        EXPECT_GE(sim.replayedCycles(), cell.minReplayed);
+    }
+}
+
 TEST(SimulatorTest, MshrStallSkipStandsDownAfterTlbEviction)
 {
     // With an 8-entry DTLB, graph's PCStride prefetches evict the pages

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <utility>
 
 #include "prefetch/stream_buffer.hh"
 #include "util/random.hh"
@@ -22,14 +23,24 @@ paperConfig()
     return StreamBufferConfig{}; // 8 buffers x 4 entries, as evaluated
 }
 
+/** A file of one paper-sized buffer, to drive a single buffer. */
+StreamBufferFile
+oneBuffer()
+{
+    StreamBufferConfig cfg;
+    cfg.numBuffers = 1;
+    return StreamBufferFile(cfg);
+}
+
 TEST(StreamBufferTest, AllocationResetsEntries)
 {
-    StreamBuffer buf(4, 12);
+    StreamBufferFile file = oneBuffer();
+    const StreamBuffer &buf = file.buffer(0);
     EXPECT_FALSE(buf.allocated());
-    buf.fillEntry(0, BlockAddr{0x1000});
+    file.fillEntry(0, 0, BlockAddr{0x1000});
     StreamState s;
     s.loadPc = Addr{0x400010};
-    buf.allocateStream(s, 5);
+    file.allocateStream(0, s, 5);
     EXPECT_TRUE(buf.allocated());
     EXPECT_EQ(buf.priority.value(), 5u);
     EXPECT_EQ(buf.state.loadPc, Addr{0x400010});
@@ -39,23 +50,24 @@ TEST(StreamBufferTest, AllocationResetsEntries)
 
 TEST(StreamBufferTest, FindFreeAndPendingEntries)
 {
-    StreamBuffer buf(4, 12);
-    buf.allocateStream(StreamState{}, 0);
+    StreamBufferFile file = oneBuffer();
+    const StreamBuffer &buf = file.buffer(0);
+    file.allocateStream(0, StreamState{}, 0);
     EXPECT_EQ(buf.freeEntry(), 0);
     EXPECT_EQ(buf.pendingPrefetchEntry(), -1);
 
-    buf.fillEntry(0, BlockAddr{0x1000});
+    file.fillEntry(0, 0, BlockAddr{0x1000});
     EXPECT_EQ(buf.freeEntry(), 1);
     EXPECT_EQ(buf.pendingPrefetchEntry(), 0);
     EXPECT_EQ(buf.findEntry(BlockAddr{0x1000}), 0);
     EXPECT_EQ(buf.findEntry(BlockAddr{0x2000}), -1);
 
-    buf.markPrefetched(0, Cycle{10});
+    file.markPrefetched(0, 0, Cycle{10});
     EXPECT_EQ(buf.pendingPrefetchEntry(), -1);
     EXPECT_TRUE(buf.entries()[0].prefetched);
     EXPECT_EQ(buf.entries()[0].ready, Cycle{10});
 
-    buf.clearEntry(0);
+    file.clearEntry(0, 0);
     EXPECT_EQ(buf.findEntry(BlockAddr{0x1000}), -1);
     EXPECT_EQ(buf.freeEntry(), 0);
 }
@@ -66,8 +78,8 @@ TEST(StreamBufferFileTest, LookupSearchesAllBuffersAllEntries)
     // Nothing allocated: no hits.
     EXPECT_FALSE(file.findBlock(BlockAddr{0x1000}).has_value());
 
-    file.buffer(3).allocateStream(StreamState{}, 0);
-    file.buffer(3).fillEntry(2, BlockAddr{0x1000});
+    file.allocateStream(3, StreamState{}, 0);
+    file.fillEntry(3, 2, BlockAddr{0x1000});
     auto hit = file.findBlock(BlockAddr{0x1000});
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(hit->buf, 3u);
@@ -79,7 +91,7 @@ TEST(StreamBufferFileTest, LookupSearchesAllBuffersAllEntries)
 TEST(StreamBufferFileTest, UnallocatedBuffersInvisibleToLookup)
 {
     StreamBufferFile file(paperConfig());
-    file.buffer(0).fillEntry(0, BlockAddr{0x1000});
+    file.fillEntry(0, 0, BlockAddr{0x1000});
     // Buffer 0 not allocated: its stale entries must not hit.
     EXPECT_FALSE(file.findBlock(BlockAddr{0x1000}).has_value());
 }
@@ -111,27 +123,27 @@ TEST(StreamBufferFileTest, SignatureFilteredLookupMatchesLinearScan)
     for (uint64_t seed : {31u, 32u, 33u}) {
         Xorshift64 rng(seed);
         for (int i = 0; i < 20'000; ++i) {
-            StreamBuffer &buf =
-                file.buffer(unsigned(rng.below(file.numBuffers())));
+            const unsigned b = unsigned(rng.below(file.numBuffers()));
+            const StreamBuffer &buf = file.buffer(b);
             int slot = int(rng.below(cfg.entriesPerBuffer));
             switch (rng.below(6)) {
             case 0:
-                buf.allocateStream(StreamState{}, 0);
+                file.allocateStream(b, StreamState{}, 0);
                 break;
             case 1:
-                buf.deallocate();
+                file.deallocate(b);
                 break;
             case 2:
             case 3:
                 if (!buf.entries()[slot].valid)
-                    buf.fillEntry(slot, randomBlock(rng));
+                    file.fillEntry(b, slot, randomBlock(rng));
                 break;
             case 4:
                 if (buf.entries()[slot].valid)
-                    buf.markPrefetched(slot, Cycle{});
+                    file.markPrefetched(b, slot, Cycle{});
                 break;
             default:
-                buf.clearEntry(slot);
+                file.clearEntry(b, slot);
                 break;
             }
             BlockAddr probe = randomBlock(rng);
@@ -146,10 +158,83 @@ TEST(StreamBufferFileTest, SignatureFilteredLookupMatchesLinearScan)
     }
 }
 
+/** The summary the file should hold, recomputed from its buffers. */
+void
+expectSummaryMatchesBuffers(const StreamBufferFile &file)
+{
+    uint64_t port = 0;
+    uint64_t pending = 0;
+    for (unsigned b = 0; b < file.numBuffers(); ++b) {
+        const StreamBuffer &buf = file.buffer(b);
+        uint64_t sig = 0;
+        for (const SbEntry &e : buf.entries()) {
+            if (e.valid)
+                sig |= blockSignatureBit(e.block);
+        }
+        ASSERT_EQ(file.signature(b), buf.allocated() ? sig : 0) << b;
+        if (buf.allocated() && buf.freeEntry() >= 0)
+            port |= uint64_t(1) << b;
+        if (buf.allocated() && buf.pendingPrefetchEntry() >= 0)
+            pending |= uint64_t(1) << b;
+    }
+    ASSERT_EQ(file.portCandidates(), port);
+    ASSERT_EQ(file.pendingCandidates(), pending);
+}
+
+TEST(StreamBufferFileTest, SummaryMatchesBuffersThroughEveryMutation)
+{
+    StreamBufferConfig cfg;
+    cfg.numBuffers = 6;
+    cfg.entriesPerBuffer = 3;
+    StreamBufferFile file(cfg);
+    expectSummaryMatchesBuffers(file);
+    Xorshift64 rng(41);
+    uint64_t epoch = file.hitEpoch();
+    for (int i = 0; i < 20'000; ++i) {
+        const unsigned b = unsigned(rng.below(cfg.numBuffers));
+        const StreamBuffer &buf = file.buffer(b);
+        const int slot = int(rng.below(cfg.entriesPerBuffer));
+        switch (rng.below(5)) {
+        case 0:
+            file.allocateStream(b, StreamState{}, 0);
+            break;
+        case 1:
+            file.deallocate(b);
+            break;
+        case 2:
+            if (!buf.entries()[slot].valid)
+                file.fillEntry(b, slot, BlockAddr{rng.below(200)});
+            break;
+        case 3:
+            if (buf.entries()[slot].valid) {
+                file.markPrefetched(b, slot, Cycle{});
+                // Only this mutation may turn a lookup into a hit.
+                EXPECT_EQ(file.hitEpoch(), ++epoch);
+            }
+            break;
+        default:
+            file.clearEntry(b, slot);
+            break;
+        }
+        EXPECT_EQ(file.hitEpoch(), epoch);
+        expectSummaryMatchesBuffers(file);
+        if (i % 1000 == 999) {
+            // The summary holds values only: a copy, and a file moved
+            // from one, agree with their own buffers.
+            StreamBufferFile copy = file;
+            expectSummaryMatchesBuffers(copy);
+            StreamBufferFile moved = std::move(copy);
+            expectSummaryMatchesBuffers(moved);
+            file = moved;
+            expectSummaryMatchesBuffers(file);
+        }
+    }
+}
+
 TEST(StreamBufferFileTest, LruBufferPrefersUnallocated)
 {
     StreamBufferFile file(paperConfig());
-    file.buffer(0).allocateStream(StreamState{}, 0);
+    file.allocateStream(0, StreamState{}, 0);
     file.buffer(0).lastHitStamp = file.nextStamp();
     EXPECT_EQ(file.lruBuffer(), 1u); // first unallocated
 }
@@ -158,7 +243,7 @@ TEST(StreamBufferFileTest, LruBufferPicksOldestAllocation)
 {
     StreamBufferFile file(paperConfig());
     for (unsigned b = 0; b < file.numBuffers(); ++b) {
-        file.buffer(b).allocateStream(StreamState{}, 0);
+        file.allocateStream(b, StreamState{}, 0);
         file.buffer(b).allocStamp = file.nextStamp();
     }
     // Hit-blind by design: recent hits do not protect a buffer from
@@ -173,13 +258,13 @@ TEST(StreamBufferFileTest, MinPriorityBuffer)
 {
     StreamBufferFile file(paperConfig());
     for (unsigned b = 0; b < file.numBuffers(); ++b) {
-        file.buffer(b).allocateStream(StreamState{}, 5);
+        file.allocateStream(b, StreamState{}, 5);
         file.buffer(b).lastHitStamp = file.nextStamp();
     }
     file.buffer(6).priority.set(1);
     EXPECT_EQ(file.minPriorityBuffer(), 6u);
     // Unallocated buffers count as priority zero.
-    file.buffer(4).deallocate();
+    file.deallocate(4);
     EXPECT_EQ(file.minPriorityBuffer(), 4u);
 }
 
@@ -187,7 +272,7 @@ TEST(StreamBufferFileTest, MinPriorityTieBrokenByOldestHit)
 {
     StreamBufferFile file(paperConfig());
     for (unsigned b = 0; b < file.numBuffers(); ++b) {
-        file.buffer(b).allocateStream(StreamState{}, 3);
+        file.allocateStream(b, StreamState{}, 3);
         file.buffer(b).lastHitStamp = file.nextStamp();
     }
     file.buffer(5).priority.set(1);

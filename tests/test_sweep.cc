@@ -196,8 +196,9 @@ TEST(SweepConfigKeyTest, ValidateRejectsOutOfRangeValues)
     // Unvalidated, each of these reaches a constructor assertion or a
     // SIGFPE inside the Simulator.
     const std::pair<const char *, const char *> cases[] = {
-        {"l1d-assoc", "0"},      {"buffers", "0"},    {"entries", "0"},
-        {"entries", "65"},       {"l1d-kb", "0"},     {"l1d-kb", "3"},
+        {"l1d-assoc", "0"},      {"buffers", "0"},    {"buffers", "65"},
+        {"entries", "0"},        {"entries", "65"},   {"l1d-kb", "0"},
+        {"l1d-kb", "3"},
         {"markov-entries", "0"}, {"markov-entries", "3"},
         {"delta-bits", "0"},     {"delta-bits", "70"}, {"order", "9"},
         {"aging", "0"},
@@ -214,6 +215,17 @@ TEST(SweepConfigKeyTest, ValidateRejectsOutOfRangeValues)
     EXPECT_TRUE(ok.validate(err)) << err;
     for (PaperConfig pc : paperConfigs)
         EXPECT_TRUE(makePaperConfig(pc).validate(err)) << err;
+}
+
+TEST(SweepConfigKeyTest, BufferCountFitsTheCandidateMasks)
+{
+    // The stream-buffer file keeps one mask bit per buffer.
+    SimConfig cfg;
+    std::string err;
+    EXPECT_TRUE(applyConfigKeys(cfg, {{"buffers", "64"}}, err)) << err;
+    EXPECT_FALSE(applyConfigKeys(cfg, {{"buffers", "65"}}, err));
+    EXPECT_NE(err.find("buffers must be 1..64"), std::string::npos)
+        << err;
 }
 
 TEST(SweepConfigKeyTest, KeyListIsSortedAndComplete)
