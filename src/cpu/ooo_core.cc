@@ -12,8 +12,10 @@ namespace psb
 {
 
 OoOCore::OoOCore(const CoreConfig &cfg, MemoryHierarchy &hierarchy,
-                 Prefetcher &prefetcher, TraceSource &trace)
+                 Prefetcher &prefetcher, TraceSource &trace,
+                 bool shortcuts)
     : _cfg(cfg),
+      _shortcuts(shortcuts),
       _hierarchy(hierarchy),
       _prefetcher(prefetcher),
       _trace(trace),
@@ -115,7 +117,7 @@ OoOCore::recordMshrStall(RobEntry &entry, bool tlb_miss, Cycle now)
 bool
 OoOCore::retryFromMemo(RobEntry &entry, Cycle now)
 {
-    if (!entry.mshrStalled)
+    if (!entry.mshrStalled || !_shortcuts)
         return false;
     // The full attempt reads the DTLB, the data MSHRs, the L1D tags
     // and the prefetcher. Only the DTLB can change without moving an

@@ -95,8 +95,15 @@ struct CoreStats
 class OoOCore
 {
   public:
+    /**
+     * @param shortcuts Take the exact shortcuts of DESIGN.md §11 that
+     *        run inside a tick (the MSHR-full retry memo). false makes
+     *        the core a naive stepper that runs every attempt in full,
+     *        the reference that SimConfig::fastForward = false selects.
+     */
     OoOCore(const CoreConfig &cfg, MemoryHierarchy &hierarchy,
-            Prefetcher &prefetcher, TraceSource &trace);
+            Prefetcher &prefetcher, TraceSource &trace,
+            bool shortcuts = true);
 
     /**
      * Advance one cycle: commit, issue, fetch (reverse pipeline order
@@ -296,6 +303,7 @@ class OoOCore
     bool commitStore(RobEntry &entry, Cycle now);
 
     CoreConfig _cfg;
+    bool _shortcuts;
     MemoryHierarchy &_hierarchy;
     Prefetcher &_prefetcher;
     TraceSource &_trace;

@@ -94,7 +94,8 @@ Simulator::Simulator(const SimConfig &cfg, TraceSource &trace,
     }
 
     _core = std::make_unique<OoOCore>(_cfg.core, *_hierarchy,
-                                      *_prefetcher, trace);
+                                      *_prefetcher, trace,
+                                      _cfg.fastForward);
     buildStatsRegistry();
 }
 
