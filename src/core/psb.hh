@@ -99,7 +99,9 @@ class PredictorDirectedStreamBuffers : public Prefetcher
      */
     bool fastForwardTicks(Cycle from, uint64_t n) override;
 
-    uint64_t hitEpoch() const override { return _file.hitEpoch(); }
+    /** Every entry becomes prefetched through
+     *  MemoryHierarchy::prefetch() (issuePrefetch()). */
+    uint64_t hitEpoch() const override { return 1; }
     void replayMissedLookups(uint64_t n) override { _stats.lookups += n; }
 
     const PrefetcherStats &stats() const override { return _stats; }

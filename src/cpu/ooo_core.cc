@@ -15,7 +15,6 @@ OoOCore::OoOCore(const CoreConfig &cfg, MemoryHierarchy &hierarchy,
                  Prefetcher &prefetcher, TraceSource &trace,
                  bool shortcuts)
     : _cfg(cfg),
-      _shortcuts(shortcuts),
       _hierarchy(hierarchy),
       _prefetcher(prefetcher),
       _trace(trace),
@@ -25,6 +24,10 @@ OoOCore::OoOCore(const CoreConfig &cfg, MemoryHierarchy &hierarchy,
       _slots(cfg.robEntries),
       _timed(cfg.robEntries),
       _readySlots((cfg.robEntries + 63) / 64, 0),
+      _nextReady(_readySlots.size(), 0),
+      _parkedSlots(_readySlots.size(), 0),
+      _parked(cfg.robEntries),
+      _parkable(shortcuts && prefetcher.hitEpoch() != 0),
       _stalled(cfg.robEntries + 1),
       _intDivFreeAt(cfg.numIntMulDiv, Cycle{}),
       _fpDivFreeAt(cfg.numFpMulDiv, Cycle{})
@@ -48,9 +51,17 @@ OoOCore::tick(Cycle now)
     _nextWake = Cycle::max();
     _progress = false;
     _stalledCount = 0;
+    takeWakes(); // the prefetcher's tick ran since the last one
     commitStage(now);
     issueStage(now);
     fetchStage(now);
+    if (_parkedLookups) {
+        _prefetcher.replayMissedLookups(_parkedLookups);
+        _parkedLookups = 0;
+    }
+    // A tick that keeps its stalls made no translation after the last
+    // of them (see stallsRepeat()).
+    _stalledTlbStamp = _hierarchy.dtlb().useStamp();
     // Anything committed/issued/fetched can unblock more work next
     // cycle; and a wake computed for the past means "retry at once".
     if (_progress || _nextWake <= now)
@@ -89,17 +100,9 @@ OoOCore::skipIdleCycles(uint64_t n)
 // ---------------------------------------------------------------------
 
 void
-OoOCore::recordMshrStall(RobEntry &entry, bool tlb_miss, Cycle now)
+OoOCore::noteStall(Addr addr, bool tlb_miss, Cycle now)
 {
-    const Addr addr = entry.op.effAddr;
     ++_stats.mshrStallRetries;
-    PSB_TRACE(Cpu, "mshr_stall", -1, "pc=%llu addr=%llu%s",
-              (unsigned long long)entry.op.pc.raw(),
-              (unsigned long long)addr.raw(),
-              entry.op.isStore() ? " store=1" : "");
-    entry.mshrStalled = true;
-    entry.stallDataEpoch = _hierarchy.dataEpoch();
-    entry.stallHitEpoch = _prefetcher.hitEpoch();
     // Until a data MSHR frees, the attempt repeats every cycle with
     // the same effects, unless it filled a DTLB entry (the next one
     // hits) or Cpu tracing must see each attempt.
@@ -109,54 +112,110 @@ OoOCore::recordMshrStall(RobEntry &entry, bool tlb_miss, Cycle now)
     }
     psb_assert(_stalledCount < _stalled.size(), "stall list overflow");
     _stalled[_stalledCount++] = addr;
-    _stalledTlbStamp = _hierarchy.dtlb().useStamp();
-    _stalledHitEpoch = entry.stallHitEpoch;
     clampWake(_hierarchy.dataMshrs().nextRetire());
 }
 
-bool
-OoOCore::retryFromMemo(RobEntry &entry, Cycle now)
+void
+OoOCore::recordMshrStall(RobEntry &entry, bool tlb_miss, Cycle now)
 {
-    if (!entry.mshrStalled || !_shortcuts)
-        return false;
-    // The full attempt reads the DTLB, the data MSHRs, the L1D tags
-    // and the prefetcher. Only the DTLB can change without moving an
-    // epoch, so when neither moved and the MSHRs are still full, the
-    // attempt would stall again with the same L1D and prefetcher
-    // misses (DESIGN.md §11).
-    const uint64_t hit_epoch = _prefetcher.hitEpoch();
-    if (hit_epoch == 0 || hit_epoch != entry.stallHitEpoch ||
-        _hierarchy.dataEpoch() != entry.stallDataEpoch ||
-        !_hierarchy.dataMshrsFull(now)) {
-        ++_fullRetries; // psb-analyze: allow(R2)
-        return false;
+    const Addr addr = entry.op.effAddr;
+    PSB_TRACE(Cpu, "mshr_stall", -1, "pc=%llu addr=%llu%s",
+              (unsigned long long)entry.op.pc.raw(),
+              (unsigned long long)addr.raw(),
+              entry.op.isStore() ? " store=1" : "");
+    noteStall(addr, tlb_miss, now);
+    entry.mshrStalled = true;
+    // Cpu tracing emits each attempt's event, so nothing parks.
+    if (!_parkable || traceEnabled(TraceFlag::Cpu))
+        return;
+    const BlockAddr block = _hierarchy.blockOf(addr);
+    _parked[entry.slot] =
+        Parked{block, addr, uint32_t(_hierarchy.dtlb().indexOf(addr))};
+    _hierarchy.watchBlock(block);
+    if (entry.op.isStore()) {
+        _storeParked = true;
+        return;
     }
-    // Work counts, not stats (see memoRetries()).
-    ++_memoRetries; // psb-analyze: allow(R2)
-    const bool tlb_miss = _hierarchy.translateData(entry.op.effAddr);
-    _prefetcher.replayMissedLookups(1);
-    recordMshrStall(entry, tlb_miss, now);
+    const uint64_t bit = uint64_t(1) << (entry.slot % 64);
+    _readySlots[entry.slot / 64] &= ~bit;
+    _parkedSlots[entry.slot / 64] |= bit;
+}
+
+bool
+OoOCore::parkedRepeats(const Parked &parked)
+{
+    // The full attempt reads the DTLB, the data MSHRs, the L1D tags
+    // and the prefetcher. The access stays parked only while no
+    // insertion or prefetch of its block happened (wakeParked()), so
+    // only the DTLB and the MSHRs can have changed; the caller checked
+    // the MSHRs.
+    if (!_hierarchy.translateDataAt(parked.tlbIndex, parked.addr))
+        return false;
+    psb_assert(_stalledCount < _stalled.size(), "stall list overflow");
+    _stalled[_stalledCount++] = parked.addr;
     return true;
+}
+
+void
+OoOCore::chargeParked(uint64_t n)
+{
+    // The books of n repeated attempts. Cpu tracing is off (the
+    // callers checked), and none missed the DTLB.
+    _stats.mshrStallRetries += n;
+    // Work counts, not stats (see parkedRetries()).
+    _parkedRetries += n; // psb-analyze: allow(R2)
+    _parkedLookups += n;
+    clampWake(_hierarchy.dataMshrs().nextRetire());
+}
+
+void
+OoOCore::wakeParked()
+{
+    // Unpark the accesses whose block was logged, then watch the rest.
+    for (std::size_t w = 0; w < _parkedSlots.size(); ++w) {
+        for (uint64_t bits = _parkedSlots[w]; bits; bits &= bits - 1) {
+            const uint32_t bit = uint32_t(std::countr_zero(bits));
+            if (_hierarchy.woke(_parked[w * 64 + bit].block)) {
+                _parkedSlots[w] &= ~(uint64_t(1) << bit);
+                _readySlots[w] |= uint64_t(1) << bit;
+            }
+        }
+    }
+    const uint32_t head = _rob.empty() ? 0 : _rob.front().slot;
+    if (_storeParked && _hierarchy.woke(_parked[head].block))
+        _storeParked = false;
+    _hierarchy.clearWakes();
+    for (std::size_t w = 0; w < _parkedSlots.size(); ++w) {
+        for (uint64_t bits = _parkedSlots[w]; bits; bits &= bits - 1)
+            _hierarchy.watchBlock(
+                _parked[w * 64 + unsigned(std::countr_zero(bits))].block);
+    }
+    if (_storeParked)
+        _hierarchy.watchBlock(_parked[head].block);
 }
 
 bool
 OoOCore::stallsRepeat() const
 {
     // The prefetcher's tick ran after the stalled attempts. A prefetch
-    // it issued may serve a stalled block or evict a stalled page from
-    // the DTLB; the replayed ticks themselves issue none. In a
-    // stall-only tick the last stalled attempt made the last
-    // translation, so an unchanged use stamp proves every page is
-    // still resident. An unchanged hit epoch proves every stalled
-    // lookup still misses; an untracked one (0) proves nothing.
-    const uint64_t hit_epoch = _prefetcher.hitEpoch();
-    if (hit_epoch == 0 || hit_epoch != _stalledHitEpoch)
+    // it issued may serve a stalled block, which the hierarchy's wake
+    // log records (every stalled access is parked and watched), or
+    // evict a stalled page from the DTLB; the replayed ticks
+    // themselves issue none. In a stall-only tick the last stalled
+    // attempt made the last translation, so an unchanged use stamp
+    // proves every page is still resident. Without parking nothing
+    // is watched, and the span steps.
+    if (!_parkable)
         return false;
+    const bool woken = _hierarchy.wakePending();
     const Tlb &dtlb = _hierarchy.dtlb();
-    if (dtlb.useStamp() == _stalledTlbStamp)
+    const bool resident = dtlb.useStamp() == _stalledTlbStamp;
+    if (!woken && resident)
         return true;
     for (std::size_t i = 0; i < _stalledCount; ++i) {
-        if (!dtlb.probe(_stalled[i]))
+        const Addr addr = _stalled[i];
+        if ((woken && _hierarchy.woke(_hierarchy.blockOf(addr))) ||
+            (!resident && !dtlb.probe(addr)))
             return false;
     }
     return true;
@@ -311,6 +370,13 @@ OoOCore::linkOperands(const RobEntry &entry)
 void
 OoOCore::scheduleReady(uint32_t slot)
 {
+    // Called in a tick's issue or fetch stage, so the next issueStage
+    // runs at _lastTick + 1 or later.
+    if (_slots[slot].readyAt <= _lastTick + CycleDelta(1)) {
+        _nextReady[slot / 64] |= uint64_t(1) << (slot % 64);
+        _nextReadyAny = true;
+        return;
+    }
     psb_assert(_timedCount < _timed.size(), "timed wake queue overflow");
     _timed[_timedCount++] = TimedWake{_slots[slot].readyAt, slot};
     std::push_heap(_timed.begin(), _timed.begin() + _timedCount,
@@ -357,8 +423,17 @@ OoOCore::wakeDependents(const RobEntry &entry)
 bool
 OoOCore::commitStore(RobEntry &entry, Cycle now)
 {
-    if (retryFromMemo(entry, now))
-        return false;
+    if (_storeParked) {
+        if (_hierarchy.dataMshrsFull(now) &&
+            !traceEnabled(TraceFlag::Cpu) &&
+            parkedRepeats(_parked[entry.slot])) {
+            chargeParked(1);
+            return false;
+        }
+        _storeParked = false;
+    }
+    if (entry.mshrStalled)
+        ++_fullRetries; // psb-analyze: allow(R2)
     Addr addr = entry.op.effAddr;
     ++_stats.l1dAccesses;
     ++_stats.stores;
@@ -495,8 +570,8 @@ OoOCore::executeLoad(RobEntry &entry, Cycle now)
         break;
     }
 
-    if (retryFromMemo(entry, now))
-        return false;
+    if (entry.mshrStalled)
+        ++_fullRetries; // psb-analyze: allow(R2)
     ++_stats.loads;
     entry.storeForwarded = false;
 
@@ -633,6 +708,13 @@ OoOCore::issueStage(Cycle now)
 {
     // Operands that arrive by now make their entries ready; the
     // earliest later arrival is the next wake-up.
+    if (_nextReadyAny) {
+        for (std::size_t w = 0; w < _nextReady.size(); ++w) {
+            _readySlots[w] |= _nextReady[w];
+            _nextReady[w] = 0;
+        }
+        _nextReadyAny = false;
+    }
     while (_timedCount > 0 && _timed.front().at <= now) {
         const uint32_t slot = _timed.front().slot;
         _readySlots[slot / 64] |= uint64_t(1) << (slot % 64);
@@ -644,16 +726,31 @@ OoOCore::issueStage(Cycle now)
         clampWake(_timed.front().at);
     if (_rob.empty())
         return;
+    takeWakes(); // the commit stage's L1D insertions
 
-    // Attempt ready entries oldest first: slots from the head's to the
-    // end, then wrapping from 0 to the head's. A wake-up issued this
-    // cycle lands in the timed queue (doneAt > now), never in this
-    // scan; only a store's parked loads re-enter the ready set at
-    // once. They are younger, so later in the scan: each word is
-    // re-read after every attempt, masked past the attempted slot.
+    // Attempt ready and MSHR-parked entries oldest first: slots from
+    // the head's to the end, then wrapping from 0 to the head's. A
+    // wake-up issued this cycle lands in the next-cycle mask or the
+    // timed queue (doneAt > now), never in this scan; only a store's
+    // waiting loads and the parked accesses an attempt's L1D
+    // insertion unparks re-enter the ready set at once. Each word is
+    // re-read after every attempt, masked past the attempted slot, so
+    // the younger of them are attempted in this cycle.
     const uint32_t cap = _cfg.robEntries;
     const uint32_t head = _rob.front().slot;
     unsigned issued = 0;
+    // Parked loads repeat while a ld/st unit is free (tryIssue()'s
+    // first check), every data MSHR is busy and Cpu tracing is off.
+    // Only an attempt changes the first two: re-read after each.
+    bool ldst_free = false;
+    bool repeat = false;
+    auto reread = [&] {
+        ldst_free = fuAvailable(OpClass::Load, now);
+        repeat = _hierarchy.dataMshrsFull(now) &&
+                 !traceEnabled(TraceFlag::Cpu);
+    };
+    reread();
+    uint64_t charged = 0;
     for (uint32_t pass = 0; pass < 2; ++pass) {
         const uint32_t lo = pass == 0 ? head : 0;
         const uint32_t hi = pass == 0 ? cap : head;
@@ -663,23 +760,43 @@ OoOCore::issueStage(Cycle now)
                 mask <<= lo % 64;
             if ((w + 1) * 64 > hi)
                 mask &= (uint64_t(1) << (hi % 64)) - 1;
-            for (uint64_t bits; (bits = _readySlots[w] & mask) != 0;) {
+            for (uint64_t bits;
+                 (bits = (_readySlots[w] | _parkedSlots[w]) & mask) != 0;) {
                 if (issued >= _cfg.issueWidth) {
-                    _progress = true;
-                    return;
+                    pass = 2; // the cut: nothing younger is attempted
+                    break;
                 }
                 const uint32_t bit = uint32_t(std::countr_zero(bits));
+                const uint64_t one = uint64_t(1) << bit;
                 mask &= ~uint64_t(0) << bit << 1;
                 const uint32_t slot = w * 64 + bit;
+                if (_parkedSlots[w] & one) {
+                    if (!ldst_free) {
+                        clampWake(fuFreeAt(OpClass::Load, now));
+                        continue;
+                    }
+                    if (repeat && parkedRepeats(_parked[slot])) {
+                        ++charged;
+                        continue;
+                    }
+                    _parkedSlots[w] &= ~one;
+                    _readySlots[w] |= one;
+                }
                 if (tryIssue(_rob[slot >= head ? slot - head
                                                : slot + cap - head],
                              now)) {
-                    _readySlots[w] &= ~(uint64_t(1) << bit);
+                    _readySlots[w] &= ~one;
                     ++issued;
                 }
+                takeWakes();
+                reread();
             }
+            if (pass == 2)
+                break;
         }
     }
+    if (charged)
+        chargeParked(charged);
     if (issued)
         _progress = true;
 }
@@ -736,7 +853,7 @@ OoOCore::fetchStage(Cycle now)
             }
         }
 
-        RobEntry entry;
+        RobEntry &entry = _rob.emplace_back();
         entry.op = _pendingOp;
         entry.seq = _nextSeq++;
         entry.slot = _nextSlot;
@@ -771,26 +888,21 @@ OoOCore::fetchStage(Cycle now)
             }
         }
 
-        bool is_branch = entry.op.isBranch();
-        bool taken = entry.op.taken;
-        Addr pc = entry.op.pc;
-        Addr target = entry.op.target;
-        uint64_t seq = entry.seq;
-
-        _rob.push_back(entry);
         ++fetched;
 
-        if (is_branch) {
+        if (entry.op.isBranch()) {
             ++_stats.branches;
             ++branches;
-            bool correct = _gshare.update(pc, taken, target);
+            const Addr pc = entry.op.pc;
+            const bool taken = entry.op.taken;
+            bool correct = _gshare.update(pc, taken, entry.op.target);
             if (!correct) {
                 ++_stats.mispredicts;
                 PSB_TRACE(Cpu, "mispredict", -1, "pc=%llu taken=%d",
                           (unsigned long long)pc.raw(), int(taken));
                 // Fetch stops until this branch resolves at execute.
                 _fetchResumeAt = waitingForBranch;
-                _redirectBranchSeq = seq;
+                _redirectBranchSeq = entry.seq;
                 break;
             }
             if (taken)

@@ -96,10 +96,11 @@ class OoOCore
 {
   public:
     /**
-     * @param shortcuts Take the exact shortcuts of DESIGN.md §11 that
-     *        run inside a tick (the MSHR-full retry memo). false makes
-     *        the core a naive stepper that runs every attempt in full,
-     *        the reference that SimConfig::fastForward = false selects.
+     * @param shortcuts Take the exact shortcut of DESIGN.md §11 that
+     *        runs inside a tick: parking MSHR-stalled accesses (rule
+     *        6). false makes the core a naive stepper that runs every
+     *        attempt in full, the reference that
+     *        SimConfig::fastForward = false selects.
      */
     OoOCore(const CoreConfig &cfg, MemoryHierarchy &hierarchy,
             Prefetcher &prefetcher, TraceSource &trace,
@@ -125,7 +126,8 @@ class OoOCore
      * it after the prefetcher's tick: a stalled access whose page
      * that tick evicted from the DTLB, or whose block the prefetcher
      * could now serve, would not repeat, so the wake is then the
-     * next cycle.
+     * next cycle. The hierarchy's wake log (MemoryHierarchy::
+     * wakePending()) answers the second check.
      */
     Cycle nextWake() const;
 
@@ -139,13 +141,14 @@ class OoOCore
     void skipIdleCycles(uint64_t n);
 
     /**
-     * Work counts of MSHR-full retries, warm-up included: those the
-     * retry memo served (a DTLB translation and the books only) and
-     * those that ran the full access because an input had changed.
-     * Not stats: fast-forward skips retries, so they differ with it
-     * on and off.
+     * Work counts of MSHR-full retries in stepped cycles, warm-up
+     * included: those charged to a parked access (a DTLB touch and
+     * the books only) and those that ran the full access, because a
+     * wake event unparked it or nothing parks (shortcuts off, an
+     * untracked prefetcher). Not stats: fast-forward skips retries,
+     * so they differ with it on and off.
      */
-    uint64_t memoRetries() const { return _memoRetries; }
+    uint64_t parkedRetries() const { return _parkedRetries; }
     uint64_t fullRetries() const { return _fullRetries; }
 
     /** True when no more work remains. */
@@ -190,14 +193,17 @@ class OoOCore
         uint64_t aliasSeq = 0;
         /** Issue-scheduler slot, assigned in dispatch order. */
         uint32_t slot = 0;
-        /**
-         * Retry memo (DESIGN.md §11): the last attempt stalled on
-         * MSHR-full, seeing these hierarchy data and prefetcher hit
-         * epochs.
-         */
+        /** An attempt stalled on a full data MSHR file: every later
+         *  attempt is a retry. */
         bool mshrStalled = false;
-        uint64_t stallDataEpoch = 0;
-        uint64_t stallHitEpoch = 0;
+    };
+
+    /** What a parked access's retry reads (DESIGN.md §11, rule 6). */
+    struct Parked
+    {
+        BlockAddr block{};     ///< watched in the hierarchy
+        Addr addr{};
+        uint32_t tlbIndex = 0; ///< DTLB entry that held its page
     };
 
     /** A dispatched, uncommitted store: the store queue's entry. */
@@ -265,7 +271,9 @@ class OoOCore
     /** Resolve @p entry's source operands against their producers at
      *  dispatch: ready, folded into readyAt, or linked as dependent. */
     void linkOperands(const RobEntry &entry);
-    /** Queue slot @p slot, whose producers have all issued. */
+    /** Queue slot @p slot, whose producers have all issued: in the
+     *  next-cycle mask when its operands arrive by then, else in the
+     *  timed heap. */
     void scheduleReady(uint32_t slot);
     /** @p entry issued: fold its doneAt into every dependent. */
     void wakeDependents(const RobEntry &entry);
@@ -278,15 +286,31 @@ class OoOCore
      *  ready set, in time for this cycle's scan. */
     void wakeWaiters(uint32_t slot);
 
-    /** Count @p entry's MSHR-full attempt, memoize it, and record it
+    /** Count @p entry's full MSHR-full attempt, park it, and record it
      *  for replay (see nextWake()). */
     void recordMshrStall(RobEntry &entry, bool tlb_miss, Cycle now);
+    /** Count an MSHR-full attempt of @p addr and record it for
+     *  replay. */
+    void noteStall(Addr addr, bool tlb_miss, Cycle now);
     /**
-     * Retry @p entry's MSHR-full access from its memo when nothing it
-     * read has changed: only the DTLB translation and the books run.
-     * @retval true = served (the access stalled again).
+     * Retry a parked access at its place in the cycle, every data
+     * MSHR busy. While its page is still in its DTLB entry the
+     * attempt stalls again exactly: only the DTLB touch runs here,
+     * and the stall is recorded for replay (see nextWake()).
+     * @retval false = it must run in full (the caller unparks it).
      */
-    bool retryFromMemo(RobEntry &entry, Cycle now);
+    bool parkedRepeats(const Parked &parked);
+    /** The books of @p n parked retries (see parkedRepeats()). */
+    void chargeParked(uint64_t n);
+    /** Unpark every parked access whose block the hierarchy logged.
+     *  Inline: called after every issue attempt. */
+    void
+    takeWakes()
+    {
+        if (_hierarchy.wakePending())
+            wakeParked();
+    }
+    void wakeParked();
     /** Would every recorded MSHR-stalled access repeat exactly? */
     bool stallsRepeat() const;
 
@@ -303,7 +327,6 @@ class OoOCore
     bool commitStore(RobEntry &entry, Cycle now);
 
     CoreConfig _cfg;
-    bool _shortcuts;
     MemoryHierarchy &_hierarchy;
     Prefetcher &_prefetcher;
     TraceSource &_trace;
@@ -329,6 +352,22 @@ class OoOCore
     std::size_t _timedCount = 0;
     /** Bit per slot: operands available, not yet issued. */
     std::vector<uint64_t> _readySlots;
+    /** Bit per slot: operands available next cycle; merged into
+     *  _readySlots by the next issueStage. */
+    std::vector<uint64_t> _nextReady;
+    bool _nextReadyAny = false;
+    /** Bit per slot: a load parked on the full data MSHR file. It
+     *  left _readySlots; the issue scan charges its retries. */
+    std::vector<uint64_t> _parkedSlots;
+    std::vector<Parked> _parked; ///< by slot
+    /** The ROB head is a store parked on the full data MSHR file. */
+    bool _storeParked = false;
+    /** Parking is on: shortcuts, and a prefetcher whose every hit
+     *  comes with a MemoryHierarchy::prefetch() (hitEpoch() != 0). */
+    bool _parkable;
+    /** Missed lookups of this tick's parked retries, charged to the
+     *  prefetcher at the end of the tick. */
+    uint64_t _parkedLookups = 0;
 
     /** Earliest possible next activity (see nextWake()); recomputed
      *  by every tick(). Progress in a tick forces now + 1. */
@@ -344,10 +383,8 @@ class OoOCore
     std::size_t _stalledCount = 0;
     /** DTLB use stamp after the last recorded stalled access. */
     uint64_t _stalledTlbStamp = 0;
-    /** Prefetcher hit epoch at the last recorded stalled access. */
-    uint64_t _stalledHitEpoch = 0;
 
-    uint64_t _memoRetries = 0; ///< see memoRetries()
+    uint64_t _parkedRetries = 0; ///< see parkedRetries()
     uint64_t _fullRetries = 0;
 
     bool _traceDone = false;

@@ -128,6 +128,9 @@ MemoryHierarchy::prefetch(BlockAddr block, Cycle now, bool translate)
     if (translate)
         outcome.tlbPenalty = _dtlb.translate(addr);
     ++_stats.prefetches;
+    // Every prefetcher marks a block prefetched, the only change that
+    // lets its lookup hit, together with this call.
+    noteBlockEvent(block);
 
     BusSlot slot =
         _l1L2Bus.transact(now + outcome.tlbPenalty, _cfg.l1d.blockBytes);
@@ -149,8 +152,7 @@ void
 MemoryHierarchy::insertL1d(Addr block_addr, bool is_write,
                            Cycle writeback_at)
 {
-    // An epoch, not a stat: it counts events for the retry memo.
-    ++_dataEpoch; // psb-analyze: allow(R2)
+    noteBlockEvent(_l1d.blockOf(block_addr));
     if (auto evicted = _l1d.insert(block_addr, is_write)) {
         if (evicted->dirty) {
             ++_stats.l1Writebacks;
@@ -179,6 +181,7 @@ MemoryHierarchy::registerInFlightFill(BlockAddr block, Cycle ready,
     } else if (_dataMshrs.full(now)) {
         // Model approximation: the in-flight stream-buffer fill is
         // honoured but not merge-tracked when every MSHR is busy.
+        ++_untrackedFills; // psb-analyze: allow(R2)
         warn_once("L1D MSHRs full; in-flight stream-buffer fill not "
                   "tracked (fills still complete; merges not counted)");
     }

@@ -27,6 +27,7 @@
 #ifndef PSB_MEMORY_HIERARCHY_HH
 #define PSB_MEMORY_HIERARCHY_HH
 
+#include <array>
 #include <cstdint>
 #include <span>
 
@@ -137,13 +138,62 @@ class MemoryHierarchy
     bool dataMshrsFull(Cycle now) { return _dataMshrs.full(now); }
 
     /**
-     * Advances on every L1D insertion, which every data-MSHR
-     * allocation comes with: the only events that can turn an
-     * access's L1D or in-flight miss into a hit. An unchanged value
-     * between two attempts of an access proves its L1D tag and
-     * data-MSHR answers are unchanged too.
+     * translateData() for an access whose page sat in DTLB entry
+     * @p idx (Tlb::indexOf): a hit, counted and stamped alike.
+     * @retval false when the entry no longer maps that page; nothing
+     *         changed, and the full access must translate instead.
      */
-    uint64_t dataEpoch() const { return _dataEpoch; }
+    bool
+    translateDataAt(size_t idx, Addr addr)
+    {
+        return _dtlb.translateAt(idx, addr);
+    }
+
+    /**
+     * Wakes for accesses parked on a full data MSHR file (OoOCore,
+     * DESIGN.md §11 rule 6). Only an L1D insertion of a block (every
+     * data-MSHR allocation comes with one) or a prefetch of it can
+     * turn a parked access's L1D, in-flight or prefetcher miss into a
+     * hit. Such an event on a block in the watched signature (its
+     * low six bits) is logged until the core takes the log
+     * (clearWakes()).
+     */
+    void watchBlock(BlockAddr block) { _watched |= watchBit(block); }
+
+    /** True when a watched block was inserted or prefetched since the
+     *  last clearWakes(). Inline: polled after every issue attempt. */
+    bool wakePending() const { return _wakeCount != 0; }
+
+    /** Was @p block logged? Also true for every block once the log
+     *  has overflowed. */
+    bool
+    woke(BlockAddr block) const
+    {
+        if (_wakeCount > _wakeLog.size())
+            return true;
+        for (std::size_t i = 0; i < _wakeCount; ++i) {
+            if (_wakeLog[i] == block)
+                return true;
+        }
+        return false;
+    }
+
+    /** Empty the log and watch nothing: the core then watches each
+     *  block still parked. */
+    void
+    clearWakes()
+    {
+        _wakeCount = 0;
+        _watched = 0;
+    }
+
+    /**
+     * In-flight stream-buffer fills registerInFlightFill() honoured
+     * without MSHR tracking because every data MSHR was busy. A work
+     * count, off the stats registry: registering it would add a stat
+     * to every cell.
+     */
+    uint64_t untrackedInFlightFills() const { return _untrackedFills; }
 
     /**
      * Replay @p cycles rounds of the DTLB hits probeData() would make
@@ -251,6 +301,24 @@ class MemoryHierarchy
      *  whose transfer starts at @p writeback_at. */
     void insertL1d(Addr block_addr, bool is_write, Cycle writeback_at);
 
+    /** Signature bit of @p block (its low six bits). */
+    static uint64_t
+    watchBit(BlockAddr block)
+    {
+        return uint64_t(1) << (block.raw() & 63);
+    }
+
+    /** Log @p block for the core if it is watched (watchBlock()). */
+    void
+    noteBlockEvent(BlockAddr block)
+    {
+        if (!(_watched & watchBit(block)))
+            return;
+        if (_wakeCount < _wakeLog.size())
+            _wakeLog[_wakeCount] = block;
+        ++_wakeCount;
+    }
+
     MemoryConfig _cfg;
     SetAssocCache _l1d;
     SetAssocCache _l1i;
@@ -264,7 +332,11 @@ class MemoryHierarchy
     Cycle _l2NextAccept{};
     CycleDelta _l2AcceptInterval;
     HierarchyStats _stats;
-    uint64_t _dataEpoch = 0; ///< see dataEpoch()
+    uint64_t _watched = 0; ///< see watchBlock()
+    /** Logged wakes; a count past the capacity means overflowed. */
+    std::array<BlockAddr, 16> _wakeLog{};
+    std::size_t _wakeCount = 0;
+    uint64_t _untrackedFills = 0; ///< see untrackedInFlightFills()
 };
 
 } // namespace psb

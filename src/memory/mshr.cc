@@ -52,13 +52,6 @@ MshrFile::lookup(BlockAddr block, Cycle now)
     return std::nullopt;
 }
 
-bool
-MshrFile::full(Cycle now)
-{
-    retire(now);
-    return _liveCount == _capacity;
-}
-
 void
 MshrFile::allocate(BlockAddr block, Cycle ready)
 {

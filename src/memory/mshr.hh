@@ -58,8 +58,15 @@ class MshrFile
         return false;
     }
 
-    /** True iff no entry is free at @p now (after retiring done fills). */
-    bool full(Cycle now);
+    /** True iff no entry is free at @p now (after retiring done fills).
+     *  Inline: polled for every MSHR-stalled access. */
+    bool
+    full(Cycle now)
+    {
+        if (now >= _minReady)
+            retire(now);
+        return _liveCount == _capacity;
+    }
 
     /**
      * Track a new in-flight fill. The caller must have checked full().

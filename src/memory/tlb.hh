@@ -43,6 +43,30 @@ class Tlb
     /** True iff the page of @p vaddr is currently mapped (no update). */
     bool probe(Addr vaddr) const;
 
+    /** Index of the entry mapping @p vaddr's page (no update), or
+     *  entries() when it is not mapped. */
+    size_t indexOf(Addr vaddr) const { return find(vaddr); }
+
+    size_t entries() const { return _entries.size(); }
+
+    /**
+     * translate() of @p vaddr when entry @p idx maps its page: the same
+     * hit, access count and LRU stamp, without the search.
+     * @retval false when the entry maps another page or none; nothing
+     *         changed.
+     */
+    bool
+    translateAt(size_t idx, Addr vaddr)
+    {
+        Entry &e = _entries[idx];
+        if (!e.valid || e.vpn != vpnOf(vaddr))
+            return false;
+        ++_accesses;
+        e.lastUse = ++_useStamp;
+        _hints[hintSlot(e.vpn)] = uint32_t(idx);
+        return true;
+    }
+
     /**
      * Apply what @p cycles rounds of translating @p vaddrs in order
      * would do, every page resident throughout: the accesses and, in

@@ -161,7 +161,6 @@ MarkovPrefetcher::tick(Cycle now)
         return;
     PrefetchOutcome outcome = _hierarchy.prefetch(oldest->block, now);
     oldest->prefetched = true;
-    ++_hitEpoch; // psb-analyze: allow(R2)
     oldest->ready = outcome.ready;
     PrefetchOrigin origin;
     origin.source = PredictionSource::Markov;

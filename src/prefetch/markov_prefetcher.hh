@@ -44,9 +44,10 @@ class MarkovPrefetcher : public Prefetcher
     void demandMiss(Addr pc, Addr addr, Cycle now) override;
     void tick(Cycle now) override;
     bool fastForwardTicks(Cycle from, uint64_t n) override;
-    /** Advances whenever a queued entry is issued (tick()), the
-     *  only change that turns a missing lookup into a hit. */
-    uint64_t hitEpoch() const override { return _hitEpoch; }
+    /** A queued entry becomes prefetched, the only change that
+     *  turns a missing lookup into a hit, through
+     *  MemoryHierarchy::prefetch() (tick()). */
+    uint64_t hitEpoch() const override { return 1; }
     void replayMissedLookups(uint64_t n) override { _stats.lookups += n; }
     const PrefetcherStats &stats() const override { return _stats; }
 
@@ -91,7 +92,6 @@ class MarkovPrefetcher : public Prefetcher
     std::vector<uint8_t> _badness;
     uint64_t _disabledSuppressed = 0;
     uint64_t _stamp = 0;
-    uint64_t _hitEpoch = 1;
     PrefetcherStats _stats;
 
   public:

@@ -105,7 +105,6 @@ NextLinePrefetcher::tick(Cycle now)
         return;
     PrefetchOutcome outcome = _hierarchy.prefetch(oldest->block, now);
     oldest->prefetched = true;
-    ++_hitEpoch; // psb-analyze: allow(R2)
     oldest->ready = outcome.ready;
     PrefetchOrigin origin;
     origin.source = PredictionSource::NextLine;

@@ -101,8 +101,8 @@ class Prefetcher
      * The contract holds because the core is quiescent over a skipped
      * span: no training or demand misses arrive, and the only lookups
      * are MSHR-stalled accesses re-attempted every cycle. Those are
-     * skipped only while an unchanged hitEpoch() proves they miss,
-     * and arrive afterwards as counted replays
+     * skipped only while no prefetch of their blocks has woken them
+     * (hitEpoch()), and arrive afterwards as counted replays
      * (replayMissedLookups()). So the
      * only inputs that change are the cycle number and bus occupancy,
      * and no replayed tick may change what a lookup would find.
@@ -115,21 +115,23 @@ class Prefetcher
     }
 
     /**
-     * Advances whenever a lookup() that missed could start to hit: for
-     * a stream-buffer file, whenever an entry becomes prefetched. An
-     * unchanged nonzero value between two lookups of the same address
-     * proves the second misses as the first did, so a caller may
-     * account it with replayMissedLookups(1) instead. The default 0
-     * means "not tracked": every lookup must run, and spans that
-     * would repeat one are never skipped.
+     * Nonzero when every change that can turn a missing lookup() into
+     * a hit (an entry becoming prefetched) comes with a
+     * MemoryHierarchy::prefetch() of that block. That call wakes the
+     * MSHR-stalled accesses parked on the block (DESIGN.md §11, rule
+     * 6), so until one wakes, its lookups are known to miss and may be
+     * accounted with replayMissedLookups(). The default 0 means "not
+     * tracked": the core parks no access, every lookup runs, and
+     * spans that would repeat one are never skipped. (The name is the
+     * per-prefetcher epoch this replaced; every in-tree prefetcher
+     * returns 1.)
      */
     virtual uint64_t hitEpoch() const { return 0; }
 
     /**
-     * Account @p n lookups known to miss (proven by an unchanged
-     * hitEpoch()), made by skipped cycles or memoized retries. A
-     * missed lookup only counts itself. Never called on an
-     * implementation whose hit epoch is 0.
+     * Account @p n lookups known to miss (see hitEpoch()), made by
+     * skipped cycles or parked retries. A missed lookup only counts
+     * itself. Never called on an implementation whose hit epoch is 0.
      */
     virtual void
     replayMissedLookups(uint64_t n)
@@ -231,7 +233,7 @@ class NullPrefetcher : public Prefetcher
     void demandMiss(Addr, Addr, Cycle) override {}
     void tick(Cycle) override {}
     bool fastForwardTicks(Cycle, uint64_t) override { return true; }
-    /** Nothing ever hits: one epoch forever. */
+    /** Nothing ever hits. */
     uint64_t hitEpoch() const override { return 1; }
     void replayMissedLookups(uint64_t n) override { _stats.lookups += n; }
     const PrefetcherStats &stats() const override { return _stats; }

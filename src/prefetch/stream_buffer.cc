@@ -157,7 +157,6 @@ StreamBufferFile::markPrefetched(unsigned b, int idx, Cycle ready,
                                  uint64_t lineage)
 {
     _buffers[b].markPrefetched(idx, ready, lineage);
-    ++_hitEpoch; // psb-analyze: allow(R2)
     sync(b);
 }
 

@@ -208,7 +208,8 @@ class StreamBufferFile
     /**
      * Record that entry @p idx of buffer @p b was prefetched, arriving
      * @p ready, carrying attribution @p lineage (0 when untracked).
-     * Advances hitEpoch().
+     * The caller issued it with MemoryHierarchy::prefetch(), which
+     * wakes the accesses parked on the block.
      */
     void markPrefetched(unsigned b, int idx, Cycle ready,
                         uint64_t lineage = 0);
@@ -226,13 +227,6 @@ class StreamBufferFile
 
     /** Buffer @p b's blockSignature(), or 0 while unallocated. */
     uint64_t signature(unsigned b) const { return _signatures[b]; }
-
-    /**
-     * Advances every time an entry becomes prefetched, the only change
-     * that can turn a missing findBlock() into a prefetched hit
-     * (Prefetcher::hitEpoch()). Starts at 1.
-     */
-    uint64_t hitEpoch() const { return _hitEpoch; }
 
     /** Location of a tag match. */
     struct TagHit
@@ -309,7 +303,6 @@ class StreamBufferFile
     std::vector<uint64_t> _signatures; ///< see signature()
     uint64_t _portCandidates = 0;
     uint64_t _pendingCandidates = 0;
-    uint64_t _hitEpoch = 1;
     uint64_t _stamp = 0;
 };
 

@@ -87,7 +87,7 @@ class Simulator
      * closed form (OoOCore::skipIdleCycles(1)) because nextWake()
      * proved the core idle but the prefetcher's tick could not be
      * skipped. A work count, like steppedCycles(); the core's retry
-     * counts are OoOCore::memoRetries() and fullRetries().
+     * counts are OoOCore::parkedRetries() and fullRetries().
      */
     uint64_t replayedCycles() const { return _replayedCycles; }
 

@@ -89,6 +89,18 @@ class FixedRing
         ++_count;
     }
 
+    /** Append a value-initialized element and return it, to be filled
+     *  in place. */
+    T &
+    emplace_back()
+    {
+        psb_assert(_count < _slots.size(), "FixedRing overflow");
+        T &slot = _slots[physical(_count)];
+        slot = T{};
+        ++_count;
+        return slot;
+    }
+
     void
     pop_front()
     {

@@ -674,7 +674,7 @@ expectStalledLoadServedByPrefetch(MemoryHierarchy &hier, Prefetcher &pf)
     EXPECT_EQ(core.stats().sbServiced, 1u);
     EXPECT_EQ(pf.stats().hits, 1u);
     EXPECT_LT(served, fill_ready);
-    EXPECT_GT(core.memoRetries(), 0u);
+    EXPECT_GT(core.parkedRetries(), 0u);
     EXPECT_GE(core.fullRetries(), 1u);
     // Every attempt counted one lookup, served from the memo or not.
     EXPECT_EQ(pf.stats().lookups, 2 + core.stats().mshrStallRetries);
@@ -716,7 +716,7 @@ TEST(CoreTest, MshrRetryMemoSeesStreamBufferFillInL1d)
                        loadOp(Addr{0x1004}, 2, loadB)});
     OoOCore core(CoreConfig{}, hier, pf, trace);
     Cycle now = stallB(core, pf, 3);
-    EXPECT_GE(core.memoRetries(), 1u);
+    EXPECT_GE(core.parkedRetries(), 1u);
     ASSERT_TRUE(hier.dataMshrsFull(now));
     hier.fillFromStreamBuffer(hier.blockOf(loadB), now);
     core.tick(now);

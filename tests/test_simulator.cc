@@ -289,7 +289,7 @@ TEST(SimulatorTest, MshrRetryWorkCountsCalibrated)
         cfg.maxInstructions = 60000;
         Simulator sim(cfg, *trace);
         sim.run();
-        EXPECT_GE(sim.core().memoRetries(), cell.minMemo);
+        EXPECT_GE(sim.core().parkedRetries(), cell.minMemo);
         EXPECT_LE(sim.core().fullRetries(), cell.maxFull);
         EXPECT_GE(sim.replayedCycles(), cell.minReplayed);
     }
