@@ -111,7 +111,7 @@ OoOCore::noteStall(Addr addr, bool tlb_miss, Cycle now)
         return;
     }
     psb_assert(_stalledCount < _stalled.size(), "stall list overflow");
-    _stalled[_stalledCount++] = addr;
+    _stalled[_stalledCount++] = _hierarchy.dtlb().resident(addr);
     clampWake(_hierarchy.dataMshrs().nextRetire());
 }
 
@@ -130,7 +130,7 @@ OoOCore::recordMshrStall(RobEntry &entry, bool tlb_miss, Cycle now)
         return;
     const BlockAddr block = _hierarchy.blockOf(addr);
     _parked[entry.slot] =
-        Parked{block, addr, uint32_t(_hierarchy.dtlb().indexOf(addr))};
+        Parked{block, _hierarchy.dtlb().resident(addr)};
     _hierarchy.watchBlock(block);
     if (entry.op.isStore()) {
         _storeParked = true;
@@ -141,7 +141,7 @@ OoOCore::recordMshrStall(RobEntry &entry, bool tlb_miss, Cycle now)
     _parkedSlots[entry.slot / 64] |= bit;
 }
 
-bool
+inline bool
 OoOCore::parkedRepeats(const Parked &parked)
 {
     // The full attempt reads the DTLB, the data MSHRs, the L1D tags
@@ -149,10 +149,10 @@ OoOCore::parkedRepeats(const Parked &parked)
     // insertion or prefetch of its block happened (wakeParked()), so
     // only the DTLB and the MSHRs can have changed; the caller checked
     // the MSHRs.
-    if (!_hierarchy.translateDataAt(parked.tlbIndex, parked.addr))
+    if (!_hierarchy.translateDataAt(parked.page))
         return false;
     psb_assert(_stalledCount < _stalled.size(), "stall list overflow");
-    _stalled[_stalledCount++] = parked.addr;
+    _stalled[_stalledCount++] = parked.page;
     return true;
 }
 
@@ -213,9 +213,9 @@ OoOCore::stallsRepeat() const
     if (!woken && resident)
         return true;
     for (std::size_t i = 0; i < _stalledCount; ++i) {
-        const Addr addr = _stalled[i];
-        if ((woken && _hierarchy.woke(_hierarchy.blockOf(addr))) ||
-            (!resident && !dtlb.probe(addr)))
+        const TlbHit &page = _stalled[i];
+        if ((woken && _hierarchy.woke(_hierarchy.blockOf(page.vaddr))) ||
+            (!resident && !dtlb.stillMaps(page)))
             return false;
     }
     return true;
@@ -751,48 +751,43 @@ OoOCore::issueStage(Cycle now)
     };
     reread();
     uint64_t charged = 0;
-    for (uint32_t pass = 0; pass < 2; ++pass) {
-        const uint32_t lo = pass == 0 ? head : 0;
-        const uint32_t hi = pass == 0 ? cap : head;
-        for (uint32_t w = lo / 64; w * 64 < hi; ++w) {
-            uint64_t mask = ~uint64_t(0);
-            if (w == lo / 64)
-                mask <<= lo % 64;
-            if ((w + 1) * 64 > hi)
-                mask &= (uint64_t(1) << (hi % 64)) - 1;
-            for (uint64_t bits;
-                 (bits = (_readySlots[w] | _parkedSlots[w]) & mask) != 0;) {
-                if (issued >= _cfg.issueWidth) {
-                    pass = 2; // the cut: nothing younger is attempted
-                    break;
+    // Words from the head's on, wrapping; the head's word twice: its
+    // slots from the head's up first, those below it last.
+    const uint32_t words = uint32_t(_readySlots.size());
+    const uint64_t from_head = ~uint64_t(0) << (head % 64);
+    for (uint32_t k = 0; k <= words && issued < _cfg.issueWidth; ++k) {
+        const uint32_t w = (head / 64 + k) % words;
+        uint64_t mask = k == 0 ? from_head
+                      : k == words ? ~from_head
+                                   : ~uint64_t(0);
+        for (uint64_t bits;
+             (bits = (_readySlots[w] | _parkedSlots[w]) & mask) != 0;) {
+            if (issued >= _cfg.issueWidth)
+                break; // the cut: nothing younger is attempted
+            const uint32_t bit = uint32_t(std::countr_zero(bits));
+            const uint64_t one = uint64_t(1) << bit;
+            mask &= ~uint64_t(0) << bit << 1;
+            const uint32_t slot = w * 64 + bit;
+            if (_parkedSlots[w] & one) {
+                if (!ldst_free) {
+                    clampWake(fuFreeAt(OpClass::Load, now));
+                    continue;
                 }
-                const uint32_t bit = uint32_t(std::countr_zero(bits));
-                const uint64_t one = uint64_t(1) << bit;
-                mask &= ~uint64_t(0) << bit << 1;
-                const uint32_t slot = w * 64 + bit;
-                if (_parkedSlots[w] & one) {
-                    if (!ldst_free) {
-                        clampWake(fuFreeAt(OpClass::Load, now));
-                        continue;
-                    }
-                    if (repeat && parkedRepeats(_parked[slot])) {
-                        ++charged;
-                        continue;
-                    }
-                    _parkedSlots[w] &= ~one;
-                    _readySlots[w] |= one;
+                if (repeat && parkedRepeats(_parked[slot])) {
+                    ++charged;
+                    continue;
                 }
-                if (tryIssue(_rob[slot >= head ? slot - head
-                                               : slot + cap - head],
-                             now)) {
-                    _readySlots[w] &= ~one;
-                    ++issued;
-                }
-                takeWakes();
-                reread();
+                _parkedSlots[w] &= ~one;
+                _readySlots[w] |= one;
             }
-            if (pass == 2)
-                break;
+            if (tryIssue(_rob[slot >= head ? slot - head
+                                           : slot + cap - head],
+                         now)) {
+                _readySlots[w] &= ~one;
+                ++issued;
+            }
+            takeWakes();
+            reread();
         }
     }
     if (charged)

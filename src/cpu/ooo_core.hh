@@ -201,9 +201,8 @@ class OoOCore
     /** What a parked access's retry reads (DESIGN.md §11, rule 6). */
     struct Parked
     {
-        BlockAddr block{};     ///< watched in the hierarchy
-        Addr addr{};
-        uint32_t tlbIndex = 0; ///< DTLB entry that held its page
+        BlockAddr block{}; ///< watched in the hierarchy
+        TlbHit page;       ///< where the DTLB held its page
     };
 
     /** A dispatched, uncommitted store: the store queue's entry. */
@@ -375,11 +374,11 @@ class OoOCore
     bool _progress = false;
     Cycle _lastTick{};
 
-    /** Addresses of the last tick's MSHR-stalled accesses in attempt
+    /** DTLB pages of the last tick's MSHR-stalled accesses in attempt
      *  order (the commit-stage store, then loads oldest first), kept
      *  only when that tick wakes later than the next cycle. Sized
      *  robEntries + 1 at construction (rule R10). */
-    std::vector<Addr> _stalled;
+    std::vector<TlbHit> _stalled;
     std::size_t _stalledCount = 0;
     /** DTLB use stamp after the last recorded stalled access. */
     uint64_t _stalledTlbStamp = 0;

@@ -138,16 +138,12 @@ class MemoryHierarchy
     bool dataMshrsFull(Cycle now) { return _dataMshrs.full(now); }
 
     /**
-     * translateData() for an access whose page sat in DTLB entry
-     * @p idx (Tlb::indexOf): a hit, counted and stamped alike.
-     * @retval false when the entry no longer maps that page; nothing
+     * translateData() for an access whose page @p hit found mapped: a
+     * hit, counted and stamped alike (Tlb::translateAt()).
+     * @retval false when it is no longer mapped there; nothing
      *         changed, and the full access must translate instead.
      */
-    bool
-    translateDataAt(size_t idx, Addr addr)
-    {
-        return _dtlb.translateAt(idx, addr);
-    }
+    bool translateDataAt(const TlbHit &hit) { return _dtlb.translateAt(hit); }
 
     /**
      * Wakes for accesses parked on a full data MSHR file (OoOCore,
@@ -197,13 +193,13 @@ class MemoryHierarchy
 
     /**
      * Replay @p cycles rounds of the DTLB hits probeData() would make
-     * for @p addrs, in order (Tlb::replayHits): the fast-forward of
+     * for @p hits, in order (Tlb::replayHits): the fast-forward of
      * MSHR-stalled accesses.
      */
     void
-    replayDataTranslations(std::span<const Addr> addrs, CycleDelta cycles)
+    replayDataTranslations(std::span<const TlbHit> hits, CycleDelta cycles)
     {
-        _dtlb.replayHits(addrs, cycles);
+        _dtlb.replayHits(hits, cycles);
     }
 
     /** Record an L1D hit (LRU update; dirty bit for writes). */

@@ -67,16 +67,23 @@ Tlb::probe(Addr vaddr) const
     return find(vaddr) < _entries.size();
 }
 
-void
-Tlb::replayHits(std::span<const Addr> vaddrs, CycleDelta cycles)
+TlbHit
+Tlb::resident(Addr vaddr) const
 {
-    _accesses += cycles.raw() * vaddrs.size();
-    uint64_t stamp = _useStamp + (cycles.raw() - 1) * vaddrs.size();
-    for (Addr vaddr : vaddrs) {
-        const size_t idx = find(vaddr);
-        psb_assert(idx < _entries.size(), "replayed page not resident");
-        _entries[idx].lastUse = ++stamp;
-        _hints[hintSlot(_entries[idx].vpn)] = uint32_t(idx);
+    const size_t idx = find(vaddr);
+    psb_assert(idx < _entries.size(), "page not resident");
+    return TlbHit{vaddr, uint32_t(idx)};
+}
+
+void
+Tlb::replayHits(std::span<const TlbHit> hits, CycleDelta cycles)
+{
+    _accesses += cycles.raw() * hits.size();
+    uint64_t stamp = _useStamp + (cycles.raw() - 1) * hits.size();
+    for (const TlbHit &hit : hits) {
+        psb_assert(stillMaps(hit), "replayed page not resident");
+        _entries[hit.index].lastUse = ++stamp;
+        _hints[hintSlot(_entries[hit.index].vpn)] = hit.index;
     }
     _useStamp = stamp;
 }

@@ -23,6 +23,14 @@ namespace psb
 
 class StatsRegistry;
 
+/** A page known to be mapped: @p vaddr's page sat in DTLB entry
+ *  @p index when this was taken (Tlb::resident()). */
+struct TlbHit
+{
+    Addr vaddr{};
+    uint32_t index = 0;
+};
+
 /** Fully-associative, LRU-replaced translation buffer. */
 class Tlb
 {
@@ -43,36 +51,41 @@ class Tlb
     /** True iff the page of @p vaddr is currently mapped (no update). */
     bool probe(Addr vaddr) const;
 
-    /** Index of the entry mapping @p vaddr's page (no update), or
-     *  entries() when it is not mapped. */
-    size_t indexOf(Addr vaddr) const { return find(vaddr); }
+    /** Where @p vaddr's page is mapped now; it must be (no update). */
+    TlbHit resident(Addr vaddr) const;
 
-    size_t entries() const { return _entries.size(); }
+    /** Does @p hit's entry still map its page? (no update) */
+    bool
+    stillMaps(const TlbHit &hit) const
+    {
+        const Entry &e = _entries[hit.index];
+        return e.valid && e.vpn == vpnOf(hit.vaddr);
+    }
 
     /**
-     * translate() of @p vaddr when entry @p idx maps its page: the same
-     * hit, access count and LRU stamp, without the search.
-     * @retval false when the entry maps another page or none; nothing
-     *         changed.
+     * translate() of @p hit's address while stillMaps(@p hit): the
+     * same hit, access count and LRU stamp, without the search.
+     * @retval false when it no longer maps; nothing changed.
      */
     bool
-    translateAt(size_t idx, Addr vaddr)
+    translateAt(const TlbHit &hit)
     {
-        Entry &e = _entries[idx];
-        if (!e.valid || e.vpn != vpnOf(vaddr))
+        if (!stillMaps(hit))
             return false;
+        Entry &e = _entries[hit.index];
         ++_accesses;
         e.lastUse = ++_useStamp;
-        _hints[hintSlot(e.vpn)] = uint32_t(idx);
+        _hints[hintSlot(e.vpn)] = hit.index;
         return true;
     }
 
     /**
-     * Apply what @p cycles rounds of translating @p vaddrs in order
-     * would do, every page resident throughout: the accesses and, in
-     * closed form, the LRU stamps (only the last round's survive).
+     * Apply what @p cycles rounds of translating @p hits in order
+     * would do, every page still mapped where it was (stillMaps())
+     * throughout: the accesses and, in closed form, the LRU stamps
+     * (only the last round's survive).
      */
-    void replayHits(std::span<const Addr> vaddrs, CycleDelta cycles);
+    void replayHits(std::span<const TlbHit> hits, CycleDelta cycles);
 
     /** Advances on every translation: an unchanged value means no
      *  entry was filled, evicted or re-stamped in between. */

@@ -89,7 +89,10 @@ TEST(TlbTest, ReplayMatchesRepeatedTranslate)
         for (Addr a : seq)
             stepped.translate(a);
     }
-    replayed.replayHits(seq, CycleDelta(rounds));
+    std::vector<TlbHit> hits;
+    for (Addr a : seq)
+        hits.push_back(replayed.resident(a));
+    replayed.replayHits(hits, CycleDelta(rounds));
     EXPECT_EQ(replayed.accesses(), stepped.accesses());
     EXPECT_EQ(replayed.misses(), stepped.misses());
 
