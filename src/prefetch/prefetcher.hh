@@ -122,9 +122,7 @@ class Prefetcher
      * 6), so until one wakes, its lookups are known to miss and may be
      * accounted with replayMissedLookups(). The default 0 means "not
      * tracked": the core parks no access, every lookup runs, and
-     * spans that would repeat one are never skipped. (The name is the
-     * per-prefetcher epoch this replaced; every in-tree prefetcher
-     * returns 1.)
+     * spans that would repeat one are never skipped.
      */
     virtual uint64_t hitEpoch() const { return 0; }
 

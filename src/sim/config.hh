@@ -65,8 +65,8 @@ struct SimConfig
      * with the flag on or off (tested in tests/test_properties.cc);
      * the off switch exists for A/B timing and for that test. Off
      * also turns off every other shortcut of DESIGN.md §11 (the
-     * core's idle replay and its MSHR-full retry shortcut), so it
-     * selects a naive stepper that the shortcuts are compared with.
+     * idle-core replay, parked MSHR-full retries), so it selects a
+     * naive stepper that the shortcuts are compared with.
      */
     bool fastForward = true;
 

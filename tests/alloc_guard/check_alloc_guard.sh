@@ -11,7 +11,10 @@
 # of psb_analyze's static R10 call-graph proof (DESIGN.md §14). Two
 # workloads also run under the None and Learned disambiguation modes,
 # whose waits (the store queue's issued-store scan, the store-set
-# predictor) Perfect never takes. Only
+# predictor) Perfect never takes. The server workloads, where most
+# MSHR-full accesses park (DESIGN.md §11, rule 6), run under Base and
+# ConfAlloc-Priority, and logscan under NextLine and Markov, whose
+# prefetches wake parked loads. Only
 # meaningful under the alloc-guard preset; psb-sim itself rejects
 # --assert-no-alloc in builds without the interposers.
 set -eu
@@ -50,5 +53,14 @@ for wl in gs turb3d; do
     done
 done
 
+for wl in graph hashjoin logscan fuzz; do
+    run "$wl" --prefetcher none                          # Base
+    run "$wl" --prefetcher psb --alloc conf --sched priority
+done
+
+for pf in nextline markov; do
+    run logscan --prefetcher "$pf"
+done
+
 echo "check_alloc_guard.sh: zero steady-state allocations across" \
-     "all fig5 cells and every disambiguation mode"
+     "all fig5 cells, every disambiguation mode and the server cells"

@@ -603,10 +603,11 @@ TEST(CoreTest, ResetStatsMidRun)
 }
 
 // ---------------------------------------------------------------------
-// The MSHR-full retry memo (DESIGN.md §11): with every data MSHR busy,
-// a stalled access retries from its memo only while nothing it reads
-// has changed. Each test below changes one input between two retries
-// and checks that the next retry runs in full and sees the change.
+// Parked MSHR-full retries (DESIGN.md §11, rule 6): with every data
+// MSHR busy, a stalled access stays parked, charged only its DTLB
+// touch and books, while nothing it reads has changed. Each test below changes
+// one input between two retries and checks that the next retry runs
+// in full and sees the change.
 // ---------------------------------------------------------------------
 
 /** NullPrefetcher whose tick runs a test hook. */
@@ -650,9 +651,9 @@ stallB(OoOCore &core, Prefetcher &pf, uint64_t n)
 
 /**
  * A's miss makes @p pf prefetch B's block (A's successor) while A's
- * fill holds the only MSHR. Issuing that prefetch moves the hit epoch,
- * so B's next retry looks @p pf up again and is served from it long
- * before the MSHR frees.
+ * fill holds the only MSHR. Issuing that prefetch wakes B, so B's next
+ * retry looks @p pf up again and is served from it long before the
+ * MSHR frees.
  */
 void
 expectStalledLoadServedByPrefetch(MemoryHierarchy &hier, Prefetcher &pf)
@@ -676,7 +677,7 @@ expectStalledLoadServedByPrefetch(MemoryHierarchy &hier, Prefetcher &pf)
     EXPECT_LT(served, fill_ready);
     EXPECT_GT(core.parkedRetries(), 0u);
     EXPECT_GE(core.fullRetries(), 1u);
-    // Every attempt counted one lookup, served from the memo or not.
+    // Every attempt counted one lookup, parked or not.
     EXPECT_EQ(pf.stats().lookups, 2 + core.stats().mshrStallRetries);
 }
 

@@ -588,6 +588,8 @@ struct FastForwardParam
     /** One config key applied on top of the paper machine, or none. */
     const char *key = nullptr;
     const char *value = nullptr;
+    /** DTLB entries, when not the paper's 128 (no config key sets it). */
+    unsigned tlbEntries = 0;
 };
 
 std::string
@@ -597,6 +599,8 @@ fastForwardLabel(const FastForwardParam &p)
         std::string(p.workload) + "/" + paperConfigName(p.config);
     if (p.key)
         label += std::string(" ") + p.key + "=" + p.value;
+    if (p.tlbEntries)
+        label += " tlb=" + std::to_string(p.tlbEntries);
     return label;
 }
 
@@ -624,6 +628,8 @@ TEST_P(FastForwardEquivalenceTest, StatsJsonByteIdenticalOnOff)
             EXPECT_TRUE(applyConfigKey(cfg, param.key, param.value, error))
                 << error;
         }
+        if (param.tlbEntries)
+            cfg.memory.tlbEntries = param.tlbEntries;
         cfg.warmupInstructions = param.warmup;
         cfg.maxInstructions = 25000;
         cfg.fastForward = fast_forward;
@@ -643,11 +649,14 @@ TEST_P(FastForwardEquivalenceTest, StatsJsonByteIdenticalOnOff)
 // backends reach only the retry capped at the next free L1-L2 bus
 // cycle. The gs/PCStride and logscan/ConfAlloc-Priority rows skip
 // MSHR-full spans in which a prefetch lands on a stalled block, where
-// the skip guard must stand down. The last four are the cells with the
+// the skip guard must stand down. The next four are the cells with the
 // most MSHR-full retries: with fast-forward on they replay idle core
-// cycles whose prefetcher tick cannot be skipped, and answer
-// stallsRepeat() from the hit epoch (the goldens pin the retry memo,
-// which runs with fast-forward off too).
+// cycles whose prefetcher tick cannot be skipped, and park their
+// stalled accesses (fast-forward off parks nothing). The last five are
+// parking's hard cases: Markov prefetches waking parked logscan loads
+// (NextLine's row is above), the None and Learned disambiguation
+// waits in front of a parked load, and graph under PCStride with an
+// 8-entry DTLB, where prefetch translations evict parked pages.
 INSTANTIATE_TEST_SUITE_P(
     WorkloadsAndConfigs, FastForwardEquivalenceTest,
     ::testing::Values(
@@ -677,7 +686,15 @@ INSTANTIATE_TEST_SUITE_P(
         FastForwardParam{"gs", PaperConfig::ConfAllocPriority},
         FastForwardParam{"gs", PaperConfig::TwoMissRR},
         FastForwardParam{"logscan", PaperConfig::Base},
-        FastForwardParam{"fuzz", PaperConfig::ConfAllocPriority}),
+        FastForwardParam{"fuzz", PaperConfig::ConfAllocPriority},
+        FastForwardParam{"logscan", PaperConfig::Base, 5000, "prefetcher",
+                         "markov"},
+        FastForwardParam{"logscan", PaperConfig::ConfAllocPriority, 5000,
+                         "disambig", "none"},
+        FastForwardParam{"logscan", PaperConfig::ConfAllocPriority, 5000,
+                         "disambig", "learned"},
+        FastForwardParam{"graph", PaperConfig::PcStride, 5000, nullptr,
+                         nullptr, 8}),
     [](const auto &pinfo) {
         // gtest names must be alphanumeric; drop the '-' from labels
         // like "ConfAlloc-Priority".
@@ -686,6 +703,8 @@ INSTANTIATE_TEST_SUITE_P(
             std::string(p.workload) + "_" + paperConfigName(p.config);
         if (p.key)
             name += std::string("_") + p.key + "_" + p.value;
+        if (p.tlbEntries)
+            name += "_tlb" + std::to_string(p.tlbEntries);
         name.erase(std::remove(name.begin(), name.end(), '-'),
                    name.end());
         return name;

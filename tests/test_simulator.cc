@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 
 #include "sim/simulator.hh"
 #include "workloads/workload.hh"
@@ -263,25 +264,25 @@ TEST(SimulatorTest, MshrStallSpansFastForward)
 
 TEST(SimulatorTest, MshrRetryWorkCountsCalibrated)
 {
-    // Work-count guard for the retry memo and the idle-core replay
-    // (DESIGN.md §11). gs and logscan under ConfAlloc-Priority spend
-    // long spans with every data MSHR busy while the PSB keeps
-    // prefetching, so most stepped retries should come from the memo,
-    // and many stepped cycles should replay an idle core. A change
-    // that silently defeats either (an epoch moved every cycle, a
-    // replay never taken) breaks these bounds while every stat stays
-    // the same. Calibrated at these region lengths: gs serves 159,293
-    // retries from the memo, runs 35,477 in full and replays 3,993
-    // cycles; logscan 248,414, 126,939 and 21,993.
+    // Work-count guard for parking and the idle-core replay (DESIGN.md
+    // §11). gs and logscan under ConfAlloc-Priority spend long spans
+    // with every data MSHR busy while the PSB keeps prefetching, so
+    // most stepped retries should be charged to parked accesses, and
+    // many stepped cycles should replay an idle core. A change that
+    // silently defeats either (a wake on every insertion, a replay
+    // never taken) breaks these bounds while every stat stays the
+    // same. Calibrated at these region lengths: gs charges 192,349
+    // retries to parked accesses, runs 2,318 in full and replays 3,993
+    // cycles; logscan 355,321, 11,392 and 22,035.
     struct Cell
     {
         const char *workload;
-        uint64_t minMemo;
+        uint64_t minParked;
         uint64_t maxFull;
         uint64_t minReplayed;
     };
-    for (const Cell &cell : {Cell{"gs", 135000, 41000, 3400},
-                             Cell{"logscan", 210000, 146000, 18500}}) {
+    for (const Cell &cell : {Cell{"gs", 163500, 2650, 3400},
+                             Cell{"logscan", 302000, 13100, 18700}}) {
         SCOPED_TRACE(cell.workload);
         auto trace = makeWorkload(cell.workload);
         SimConfig cfg = makePaperConfig(PaperConfig::ConfAllocPriority);
@@ -289,9 +290,49 @@ TEST(SimulatorTest, MshrRetryWorkCountsCalibrated)
         cfg.maxInstructions = 60000;
         Simulator sim(cfg, *trace);
         sim.run();
-        EXPECT_GE(sim.core().parkedRetries(), cell.minMemo);
+        EXPECT_GE(sim.core().parkedRetries(), cell.minParked);
         EXPECT_LE(sim.core().fullRetries(), cell.maxFull);
         EXPECT_GE(sim.replayedCycles(), cell.minReplayed);
+    }
+}
+
+TEST(SimulatorTest, NextLineStallSkipWakesPerBlock)
+{
+    // The skip of an MSHR-stall span stands down only when a prefetch
+    // lands on a stalled block, not on every prefetch: logscan under
+    // NextLine steps 93,983 cycles; waking on every prefetch steps
+    // 97,088.
+    auto trace = makeWorkload("logscan");
+    SimConfig cfg = makePaperConfig(PaperConfig::Base);
+    cfg.prefetcher = PrefetcherKind::NextLine;
+    cfg.warmupInstructions = 20000;
+    cfg.maxInstructions = 60000;
+    Simulator sim(cfg, *trace);
+    sim.run();
+    EXPECT_LE(sim.steppedCycles(), 93983u);
+}
+
+TEST(SimulatorTest, UntrackedInFlightFillsCounted)
+{
+    // MemoryHierarchy::untrackedInFlightFills() counts the stream-buffer
+    // fills honoured without an MSHR, warm-up included. gs under
+    // ConfAlloc-Priority hits in-flight stream-buffer data while every
+    // data MSHR is busy; Base has no stream buffers. A model count, so
+    // fast-forward leaves it alone.
+    for (bool fast_forward : {true, false}) {
+        for (auto [config, expected] :
+             {std::pair{PaperConfig::ConfAllocPriority, uint64_t(405)},
+              std::pair{PaperConfig::Base, uint64_t(0)}}) {
+            SCOPED_TRACE(paperConfigName(config));
+            auto trace = makeWorkload("gs");
+            SimConfig cfg = makePaperConfig(config);
+            cfg.warmupInstructions = 20000;
+            cfg.maxInstructions = 60000;
+            cfg.fastForward = fast_forward;
+            Simulator sim(cfg, *trace);
+            sim.run();
+            EXPECT_EQ(sim.hierarchy().untrackedInFlightFills(), expected);
+        }
     }
 }
 
