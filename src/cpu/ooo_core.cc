@@ -46,6 +46,8 @@ OoOCore::tick(Cycle now)
 {
     if (done())
         return false;
+    if (now >= _progressCheckAt)
+        checkProgress(now);
     ++_stats.cycles;
     _lastTick = now;
     _nextWake = Cycle::max();
@@ -70,6 +72,29 @@ OoOCore::tick(Cycle now)
     if (_nextWake == now + CycleDelta(1))
         _stalledCount = 0;
     return true;
+}
+
+void
+OoOCore::checkProgress(Cycle now)
+{
+    // A commit pops the head, and sequence numbers only grow, so an
+    // unchanged head means nothing committed for progressBound cycles
+    // or more: a hang (an access no event wakes, a lost fill). Stop
+    // with the state that names it instead of spinning.
+    const uint64_t head = _rob.empty() ? 0 : _rob.front().seq;
+    if (head != 0 && head == _progressHeadSeq) {
+        const RobEntry &e = _rob.front();
+        panic("no forward progress by cycle %llu: the ROB head has "
+              "not committed for %llu cycles or more; head seq %llu, "
+              "%s at pc %#llx, issued %d, done at %llu, MSHR-stalled %d",
+              (unsigned long long)now.raw(),
+              (unsigned long long)progressBound, (unsigned long long)e.seq,
+              opClassName(e.op.op), (unsigned long long)e.op.pc.raw(),
+              int(e.issued), (unsigned long long)e.doneAt.raw(),
+              int(e.mshrStalled));
+    }
+    _progressHeadSeq = head;
+    _progressCheckAt = now + CycleDelta(progressBound);
 }
 
 Cycle

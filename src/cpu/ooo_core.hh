@@ -312,6 +312,9 @@ class OoOCore
     void wakeParked();
     /** Would every recorded MSHR-stalled access repeat exactly? */
     bool stallsRepeat() const;
+    /** Panic if the ROB head has not committed since the last check
+     *  (see _progressCheckAt); otherwise re-arm. */
+    void checkProgress(Cycle now);
 
     bool fuAvailable(OpClass cls, Cycle now);
     /** First cycle after @p now that fuAvailable(@p cls) can change
@@ -385,6 +388,15 @@ class OoOCore
 
     uint64_t _parkedRetries = 0; ///< see parkedRetries()
     uint64_t _fullRetries = 0;
+
+    /** A non-empty ROB whose head commits nothing for this many
+     *  cycles is hung, never slow: a miss takes hundreds. */
+    static constexpr uint64_t progressBound = 1'000'000;
+    /** tick() calls checkProgress() once it reaches this cycle. */
+    Cycle _progressCheckAt{progressBound};
+    /** ROB head at the last check; 0 = none (sequence numbers start
+     *  at 1). */
+    uint64_t _progressHeadSeq = 0;
 
     bool _traceDone = false;
     MicroOp _pendingOp;

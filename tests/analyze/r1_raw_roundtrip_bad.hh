@@ -1,14 +1,14 @@
 /**
  * @file
- * psb_analyze fixture: R9 interprocedural strong-type escape (bad).
- * Two round trips must be reported: two .raw() escapes recombined
- * with arithmetic in a later statement, and an escaped value that
- * drifts through a local, picks up arithmetic, and re-enters the
- * strong type via its constructor. Every statement keeps at most one
- * direct .raw() call, so the intra-statement rule R1 stays silent —
- * R9 exists for exactly the chains R1 cannot see. The self-test
- * requires exactly {R9}, with two findings so the suppression round
- * trip asserts 2 -> 1.
+ * psb_analyze fixture: R1 round trips through locals (bad). Two must
+ * be reported: two .raw() escapes parked in locals and recombined
+ * with arithmetic in a later statement (R1b), and an escaped value
+ * that drifts through a local, picks up arithmetic, and re-enters
+ * the strong type via its constructor (R1c). Every statement keeps
+ * at most one direct .raw() call, so only R1's raw carriers (a local
+ * initialised or assigned from .raw() counts like the call) see
+ * them. The self-test requires exactly {R1}, with two findings so the
+ * suppression round trip asserts 2 -> 1.
  */
 
 #pragma once

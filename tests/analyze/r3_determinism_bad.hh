@@ -1,10 +1,10 @@
 /**
  * @file
  * psb_analyze fixture: R3 determinism (bad). Exercises both R3
- * detectors: iteration over an unordered container whose body writes
- * observable state, and a pointer-keyed container hidden behind a
+ * detectors: the banned unordered container (here iterated into
+ * observable state), and a pointer-keyed container hidden behind a
  * type alias. The self-test requires this file to report exactly
- * {R3}.
+ * {R3}, two findings.
  */
 
 #pragma once

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 
 namespace fixture
 {
@@ -27,16 +26,8 @@ class OrderedTable
         }
     }
 
-    /** Unordered lookup without iteration is fine. */
-    bool
-    contains(uint64_t key) const
-    {
-        return _index.find(key) != _index.end();
-    }
-
   private:
     std::map<uint64_t, uint64_t> _table;
-    std::unordered_map<uint64_t, uint64_t> _index;
     uint64_t _exported = 0;
 };
 

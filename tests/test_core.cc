@@ -259,6 +259,28 @@ TEST(CoreTest, MshrFullLoadRetriesEveryBlockedCycle)
     EXPECT_EQ(hier.dtlb().accesses(), 2 + blocked);
 }
 
+TEST(CoreDeathTest, RobHeadWithoutCommitPanics)
+{
+    // A fill slower than the forward-progress bound (10^6 cycles)
+    // stands in for a hang: the head load does not commit in time, so
+    // tick() stops the run and names the cycle and the head. (The
+    // instruction fetch waits on memory too, with the ROB empty.)
+    MemoryConfig mem = quietMemory();
+    mem.memLatency = CycleDelta{3'000'000};
+    MemoryHierarchy hier(mem);
+    SpyPrefetcher spy;
+    VectorTrace trace({loadOp(Addr{0x1000}, 1, Addr{0x400000})});
+    OoOCore core(CoreConfig{}, hier, spy, trace);
+    EXPECT_DEATH(
+        {
+            Cycle now{};
+            while (core.tick(now))
+                ++now;
+        },
+        "no forward progress by cycle [0-9]+: .*head seq 1, Load at pc "
+        "0x1000, issued 1");
+}
+
 TEST(CoreTest, LoadMissesAreSlowerThanHits)
 {
     // Loads that revisit one block (hits after the first fill) vs

@@ -17,6 +17,11 @@ compiler bindings, no third-party packages.
      (c) a strong-type constructor or strong-typed member initializer
          whose argument does `.raw()` arithmetic — the classic
          escape-and-re-enter round trip.
+     In (b) and (c) a scalar local initialised or assigned from
+     `.raw()` (a raw carrier) counts like the `.raw()` call itself,
+     so a round trip through locals inside one function is caught;
+     a carrier that took part in arithmetic re-entering a strong
+     type is (c) on its own.
 
   R2 stats-completeness
      Cross-TU pass: every uint64_t counter member that component code
@@ -28,36 +33,16 @@ compiler bindings, no third-party packages.
      the golden-stats JSON.
 
   R3 determinism
-     Range-for iteration over unordered_map/unordered_set (resolved
-     through members, locals, and using-aliases) whose loop body feeds
-     stats, trace events, or ordered output; pointer-keyed
-     associative containers, including ones hidden behind aliases.
+     The hash containers and pointer-value types are banned outright
+     (R3_BANNED_TOKENS: their visit order or value is hash-seed and
+     allocator noise); pointer-keyed associative containers are
+     flagged too, including ones hidden behind aliases.
 
   R4 trace-purity
      PSB_TRACE* argument expressions containing assignments or
      increments/decrements. Trace arguments are not evaluated when the
      flag is off, so a side effect there makes behavior differ with
      tracing on/off.
-
-  R3's banned calls (clocks, rand, time, random_device), R5 output
-  discipline and R6 sweep shared state are checked on the built
-  objects, not here: the symbol_bans ctest (tests/symbol_bans/) reads
-  the symbol tables of the libpsb_* archives with nm.
-
-On top of the token/scope model sits a dataflow layer: per-function
-def-use chains (locals, parameters, members) plus a cross-TU call
-summary (does f() return nondeterministic data? raw .raw() values?
-does it pass a parameter through to a sink?), iterated to a fixpoint.
-It powers three rules the per-statement passes cannot express:
-
-  R7 nondeterminism-taint
-     Sources: unordered_map/unordered_set iteration order (including
-     containers typed only through a *parameter*, which R3 cannot
-     resolve), pointer-value casts (reinterpret_cast/uintptr_t),
-     wall-clock reads, uninitialized locals. Sinks: StatsRegistry
-     registration calls, JSON/golden/merge emitters. Taint must pass
-     a recognized barrier (std::sort / a normalize*() helper) before
-     reaching a sink, even across function boundaries.
 
   R8 lock-discipline
      Raw std::mutex/lock_guard/condition_variable/... in src/ outside
@@ -68,10 +53,10 @@ It powers three rules the per-statement passes cannot express:
      (enabled under PSB_WERROR) then proves the annotations; this
      rule audits that the annotations exist.
 
-  R9 interprocedural strong-type escape
-     A .raw() value that round-trips through locals or helper returns
-     back into address/cycle arithmetic or a strong-type constructor —
-     the escape R1 sees only when it happens inside one statement.
+  R3's banned calls (clocks, rand, time, random_device), R5 output
+  discipline and R6 sweep shared state are checked on the built
+  objects, not here: the symbol_bans ctest (tests/symbol_bans/) reads
+  the symbol tables of the libpsb_* archives with nm.
 
 The hot-path layer builds a call graph from the PSB_HOT_PATH roots
 (util/hot_path.hh) and enforces R10 (no allocation), R11 (no throw or
@@ -92,7 +77,7 @@ marker only. Files are scanned in sorted path order into one model,
 so the findings are deterministic.
 
 Usage:
-    psb_analyze.py [root] [--json findings.json] [--list-rules]
+    psb_analyze.py [root]
     psb_analyze.py --self-test [fixture-dir]
 
 Every finding prints as `path:line: [Rn] message`.
@@ -106,55 +91,8 @@ import re
 import sys
 
 # --------------------------------------------------------------------
-# Rule catalog and vocabulary
+# Vocabulary
 # --------------------------------------------------------------------
-
-#: rule id -> (slug, one-line rationale)
-RULES = {
-    "R1": ("strong-type-escape",
-           "address/cycle arithmetic must stay inside the strong "
-           "domain types (util/strong_types.hh)"),
-    "R2": ("stats-completeness",
-           "every counter a component bumps must be registered with "
-           "the StatsRegistry or it silently drops out of the stats "
-           "export"),
-    "R3": ("determinism",
-           "results must be a pure function of config + seed; no "
-           "pointer-keyed containers or unordered iteration feeding "
-           "observable output"),
-    "R4": ("trace-purity",
-           "PSB_TRACE arguments are not evaluated when tracing is "
-           "off, so they must be side-effect free"),
-    "R7": ("nondeterminism-taint",
-           "values derived from unordered iteration order, pointer "
-           "casts, clocks, or uninitialized reads must pass a "
-           "sort/normalize barrier before reaching stats, JSON, or "
-           "golden output"),
-    "R8": ("lock-discipline",
-           "shared mutable state uses the annotated psb::Mutex "
-           "wrappers and is PSB_GUARDED_BY a named mutex "
-           "(util/thread_annotations.hh) so clang -Wthread-safety "
-           "can prove the locking"),
-    "R9": ("interproc-escape",
-           "a .raw() value must not round-trip through helpers or "
-           "locals back into address/cycle arithmetic; keep the math "
-           "inside the strong types"),
-    "R10": ("hot-path-alloc",
-            "the per-cycle hot path (every function reachable from a "
-            "PSB_HOT_PATH root) must not allocate: no operator new, "
-            "malloc, growing std containers, or string construction "
-            "— preallocate at construction instead"),
-    "R11": ("hot-path-throw",
-            "the per-cycle hot path must not throw: no throw "
-            "statements, throwing stdlib calls (.at(), stoi, "
-            "optional::value), or recursion cycles reachable from a "
-            "PSB_HOT_PATH root"),
-    "R12": ("hot-path-dispatch",
-            "dispatch inside hot-path code must be devirtualizable: "
-            "virtual calls need a complete in-tree override set and "
-            "std::function/function-pointer calls are flagged unless "
-            "explicitly allowed"),
-}
 
 EXIT_CLEAN = 0     #: no findings
 EXIT_FINDINGS = 1  #: at least one finding
@@ -171,44 +109,19 @@ DOMAIN_PARAM_NAMES = (
 STRONG_TYPES = ("ByteAddr", "Addr", "BlockAddr", "BlockDelta", "Cycle",
                 "CycleDelta")
 
+#: R3: identifiers banned outright in the analyzed tree. A hash
+#: container's visit order is hash-seed noise and a pointer's numeric
+#: value is allocator noise; either reaching stats or ordered output
+#: breaks the config+seed determinism contract.
+R3_BANNED_TOKENS = ("unordered_map", "unordered_set", "reinterpret_cast",
+                    "uintptr_t", "intptr_t")
+
 #: R8: raw std synchronization primitives, banned in src/ outside the
 #: annotated wrappers of util/thread_annotations.hh.
 R8_RAW_PRIMITIVES = (
     "mutex", "shared_mutex", "recursive_mutex", "timed_mutex",
     "condition_variable", "condition_variable_any", "lock_guard",
     "unique_lock", "scoped_lock", "shared_lock")
-
-# R7 nondeterminism-taint vocabulary (DESIGN.md §12).
-
-#: Identifiers whose appearance in an expression marks the result as
-#: wall-clock derived (nondeterministic across runs).
-R7_CLOCK_SOURCES = (
-    "steady_clock", "system_clock", "high_resolution_clock",
-    "gettimeofday", "clock_gettime", "time_since_epoch",
-    "random_device",
-)
-
-#: Identifiers that turn a pointer's numeric value into data —
-#: allocator noise if it ever reaches observable output.
-R7_POINTER_SOURCES = ("reinterpret_cast", "uintptr_t", "intptr_t")
-
-#: Registration/sampling calls of the StatsRegistry: a tainted
-#: argument here lands in the golden stats JSON.
-R7_SINK_CALLS = ("addScalar", "addReal", "addAverage", "addHistogram",
-                 "sample", "sampleN")
-
-#: Function-name pattern for ordered-output producers (JSON emitters,
-#: golden writers, sweep mergers): appending tainted data inside one
-#: of these is a sink.
-R7_SINK_FN_PATTERN = r"(?i)(json|golden|merge)"
-
-#: Calls that launder taint: sorting or canonicalizing establishes a
-#: deterministic order, so their arguments come out clean.
-R7_BARRIER_CALLS = ("sort", "stable_sort")
-
-#: Function-name pattern treated as a barrier when its result is
-#: assigned (normalizeX(), canonicalKeys(), sortedCopy(), ...).
-R7_BARRIER_FN_PATTERN = r"(?i)(normal|canonic|sorted)"
 
 # R8 lock-discipline vocabulary.
 
@@ -399,9 +312,6 @@ class Model:
         self.hot_roots = set()
         # methods declared `virtual`: set of (class, name)
         self.virtuals = set()
-        # allow() on a declaration: (class-or-"", name) -> rule set,
-        # also suppressing the matching out-of-line definition
-        self.decl_allows = {}
 
     def cls(self, name):
         if name not in self.classes:
@@ -456,11 +366,11 @@ class Func:
 class FileScan:
     """Single-file scan: builds scope structure over the token list."""
 
-    def __init__(self, rel, toks, sup=None):
+    def __init__(self, rel, toks, sup):
         self.rel = rel
         self.toks = toks
-        #: line -> suppressed rule set (for declaration-site allow())
-        self.sup = sup or {}
+        #: line -> suppressed rule set
+        self.sup = sup
         self.functions = []  # list of Func
         # class name -> (body_lo, body_hi) spans at class scope
         self.class_spans = []
@@ -490,9 +400,7 @@ class FileScan:
         return " ".join(words)
 
     def _scan_hot_facts(self, model):
-        """PSB_HOT_PATH roots, virtual-method decls, and allow() on
-        declarations (which must also suppress the out-of-line
-        definition — see Model.decl_allows)."""
+        """PSB_HOT_PATH roots and virtual-method declarations."""
         toks = self.toks
         n = len(toks)
 
@@ -514,8 +422,8 @@ class FileScan:
                 if k + 1 < n:
                     model.hot_roots.add((owner(k), toks[k].text))
 
-        # Class-depth walk: virtual markers and declaration-site
-        # suppressions for every method of every class.
+        # Class-depth walk: virtual markers for every method of every
+        # class.
         for cname, lo, hi in self.class_spans:
             i = lo
             while i < hi:
@@ -533,12 +441,6 @@ class FileScan:
                             model.virtuals.add((cname, t.text))
                             break
                         j -= 1
-                    rules = set()
-                    for ln in (t.line, t.line - 1):
-                        rules |= self.sup.get(ln, set())
-                    if rules:
-                        model.decl_allows.setdefault(
-                            (cname, t.text), set()).update(rules)
                     i = _find_matching(toks, i + 1, "(", ")") + 1
                     continue
                 i += 1
@@ -704,9 +606,8 @@ class FileScan:
         The class and out-of-line scanners above have already claimed
         their body spans; what remains at namespace scope matching
         `type name ( params ) [const noexcept] { ... }` is a free (or
-        file-static/inline) function — exactly where helper routines
-        like JSON emitters and merge-key builders live, which the
-        dataflow rules (R7/R9) must see.
+        file-static/inline) function, which R1's raw carriers and the
+        hot-path call graph must see.
         """
         toks = self.toks
         n = len(toks)
@@ -784,10 +685,6 @@ CONTROL_KEYWORDS = {"if", "for", "while", "switch", "return", "sizeof",
 TRACE_MACROS = {"PSB_TRACE", "PSB_TRACE_BEGIN", "PSB_TRACE_END",
                 "PSB_TRACE_SET_NOW"}
 
-OBSERVABLE_IN_LOOP = {"PSB_TRACE", "PSB_TRACE_BEGIN", "PSB_TRACE_END",
-                      "addScalar", "addReal", "addAverage",
-                      "addHistogram", "sample", "sampleN", "<<"}
-
 EXEMPT_FILES = ("util/strong_types.hh", "util/thread_annotations.hh")
 
 STATS_SCOPE_DIRS = ("core/", "cpu/", "memory/", "predictors/",
@@ -864,25 +761,119 @@ def _statements(toks, lo=0, hi=None):
         yield start, hi
 
 
-def _raw_call_positions(toks, lo, hi):
+#: Builtin scalar types a raw carrier may be declared with (plus
+#: `auto`): a strong-typed or class-typed local cannot hold a raw
+#: escape.
+SCALAR_TYPES = {"int", "unsigned", "long", "short", "uint64_t",
+                "uint32_t", "uint16_t", "uint8_t", "int64_t", "int32_t",
+                "size_t", "ssize_t", "double", "float", "bool", "char",
+                "auto"}
+
+
+def _raw_sources(toks, lo, hi, carriers):
+    """Token indices in [lo, hi) that read a raw value: each `.raw()`
+    call (at its `.`) and each read of a raw carrier. A carrier that
+    is the target of an assignment is written, not read."""
     out = []
-    for i in range(lo, hi - 2):
-        if toks[i].text == "." and toks[i + 1].text == "raw" \
+    for i in range(lo, hi):
+        t = toks[i]
+        if t.text == "." and i + 2 < hi and toks[i + 1].text == "raw" \
                 and toks[i + 2].text == "(":
+            out.append(i)
+        elif t.kind == "id" and t.text in carriers \
+                and (i == lo or toks[i - 1].text not in (".", "->", "::")) \
+                and (i + 1 >= hi or toks[i + 1].text != "(") \
+                and (i + 1 >= hi or toks[i + 1].text not in ASSIGN_OPS):
             out.append(i)
     return out
 
 
-def pass_r1_raw_arith(scan, suppressed, findings):
-    """R1b: two .raw() results combined by +,-,*,/,%."""
+def _raw_arith(toks, lo, hi, srcs, carriers):
+    """True when a raw source in [lo, hi) is an operand of + - * / %:
+    an arithmetic operator at the paren depth of one of them, or a
+    source that is itself an arithmetic carrier."""
+    if any(carriers.get(toks[k].text) for k in srcs):
+        return True
+    depth = 0
+    src_depths = set()
+    arith_depths = set()
+    for k in range(lo, hi):
+        tt = toks[k].text
+        if tt in ("(", "["):
+            depth += 1
+        elif tt in (")", "]"):
+            depth -= 1
+        elif tt in ARITH_OPS:
+            arith_depths.add(depth)
+        if k in srcs:
+            src_depths.add(depth)
+    return bool(src_depths & arith_depths)
+
+
+def _raw_carriers(scan):
+    """R1's raw carriers, walked statement by statement through every
+    function body: {statement start: {local: arith}} for the
+    statements that run with at least one carrier live. A carrier is
+    a scalar local (or an undeclared name, such as a parameter)
+    initialised or assigned from a raw value; `arith` records that
+    the value took part in + - * / % at the depth it was read, so the
+    sanctioned `(hi - lo).raw()` extraction starts a plain carrier."""
+    toks = scan.toks
+    out = {}
+    for fn in scan.functions:
+        carriers = {}
+        types = {}
+        for s, e in _statements(toks, fn.body_lo, fn.body_hi):
+            if carriers:
+                out[s] = dict(carriers)
+            depth = 0
+            op_k = None
+            for k in range(s, e):
+                tt = toks[k].text
+                if tt in ("(", "[", "{"):
+                    depth += 1
+                elif tt in (")", "]", "}"):
+                    depth -= 1
+                elif depth == 0 and tt in ASSIGN_OPS:
+                    op_k = k
+                    break
+            if op_k is None or any(toks[k].text in (".", "->", "[", "(")
+                                   for k in range(s, op_k)):
+                continue
+            ids = [toks[k].text for k in range(s, op_k)
+                   if toks[k].kind == "id"]
+            if not ids:
+                continue
+            target = ids[-1]
+            if len(ids) >= 2:
+                types[target] = ids[:-1]
+            if target in types and not SCALAR_TYPES.intersection(
+                    types[target]):
+                continue
+            srcs = _raw_sources(toks, op_k + 1, e, carriers)
+            if toks[op_k].text != "=":
+                if srcs or target in carriers:
+                    carriers[target] = True
+            elif srcs:
+                carriers[target] = _raw_arith(toks, op_k + 1, e, srcs,
+                                              carriers)
+            else:
+                carriers.pop(target, None)
+    return out
+
+
+def pass_r1_raw_arith(scan, carriers_at, suppressed, findings):
+    """R1b: two raw values (.raw() results or distinct carriers)
+    combined by +,-,*,/,%."""
     if _exempt(scan.rel):
         return
     toks = scan.toks
     for lo, hi in _statements(toks):
-        raws = _raw_call_positions(toks, lo, hi)
-        if len(raws) < 2:
+        raws = _raw_sources(toks, lo, hi, carriers_at.get(lo, {}))
+        if len({k if toks[k].text == "." else toks[k].text
+                for k in raws}) < 2:
             continue
-        between = toks[raws[0] + 3:raws[-1]]
+        between = toks[raws[0] + 1:raws[-1]]
         if any(t.text in ARITH_OPS for t in between):
             findings.add(
                 scan, toks[raws[0]].line, "R1",
@@ -900,36 +891,39 @@ def _strong_members(model):
                for st in STRONG_TYPES)}
 
 
-def pass_r1_reentry(scan, strong_members, suppressed, findings):
-    """R1c: strong-type ctor / strong member init fed raw arithmetic."""
+def pass_r1_reentry(scan, strong_members, carriers_at, suppressed,
+                    findings):
+    """R1c: strong-type ctor / strong member init fed raw arithmetic,
+    inline or through a carrier that already took part in it."""
     if _exempt(scan.rel):
         return
     toks = scan.toks
-    n = len(toks)
-    for i in range(n - 1):
-        t = toks[i]
-        if toks[i + 1].text != "(" or t.kind != "id":
-            continue
-        is_strong_ctor = t.text in STRONG_TYPES and (
-            i == 0 or toks[i - 1].text not in ("class", "struct",
-                                               "::", "new"))
-        is_member_init = t.text in strong_members
-        if not (is_strong_ctor or is_member_init):
-            continue
-        close = _find_matching(toks, i + 1, "(", ")")
-        args = toks[i + 2:close]
-        has_raw = any(
-            args[k].text == "." and k + 1 < len(args)
-            and args[k + 1].text == "raw" for k in range(len(args)))
-        if has_raw and any(a.text in ARITH_OPS for a in args):
-            what = ("constructor" if is_strong_ctor
-                    else "member initializer")
-            findings.add(
-                scan, t.line, "R1",
-                f"strong-type {what} '{t.text}(...)' is fed .raw() "
-                f"arithmetic — the value escaped the domain and "
-                f"re-enters unchecked; use the strong-type operators "
-                f"instead", suppressed)
+    for lo, hi in _statements(toks):
+        carriers = carriers_at.get(lo, {})
+        for i in range(lo, hi):
+            t = toks[i]
+            if i + 1 >= len(toks) or toks[i + 1].text != "(" \
+                    or t.kind != "id":
+                continue
+            is_strong_ctor = t.text in STRONG_TYPES and (
+                i == 0 or toks[i - 1].text not in ("class", "struct",
+                                                   "::", "new"))
+            is_member_init = t.text in strong_members
+            if not (is_strong_ctor or is_member_init):
+                continue
+            close = _find_matching(toks, i + 1, "(", ")")
+            srcs = _raw_sources(toks, i + 2, close, carriers)
+            if srcs and (
+                    any(a.text in ARITH_OPS for a in toks[i + 2:close])
+                    or any(carriers.get(toks[k].text) for k in srcs)):
+                what = ("constructor" if is_strong_ctor
+                        else "member initializer")
+                findings.add(
+                    scan, t.line, "R1",
+                    f"strong-type {what} '{t.text}(...)' is fed .raw() "
+                    f"arithmetic — the value escaped the domain and "
+                    f"re-enters unchecked; use the strong-type operators "
+                    f"instead", suppressed)
 
 
 def pass_r4_trace_purity(scan, suppressed, findings):
@@ -1003,116 +997,34 @@ def pass_r10_marker(rel, toks, suppressed, findings):
                 "(it roots the hot-path call graph)", suppressed)
 
 
-def _resolve_type(name, scan_locals, cls_info, model, depth=0):
-    """Resolve an identifier to a declared type string, via aliases."""
-    if depth > 4:
-        return ""
-    ty = scan_locals.get(name, "")
-    if not ty and cls_info is not None:
-        ty = cls_info.members.get(name, "")
-    if not ty:
-        ty = ""
-    out = []
-    for w in ty.split():
-        if w in model.aliases:
-            out.append(model.aliases[w])
-        else:
-            out.append(w)
-    resolved = " ".join(out)
-    if resolved in model.aliases:
-        return model.aliases[resolved]
-    return resolved
-
-
-def _collect_locals(toks, lo, hi):
-    """Very light local-decl harvest: `Type [&|*] name =|{|;` inside a
-    body (the `:` alternative catches range-for bindings)."""
-    out = {}
-    for s, e in _statements(toks, lo, hi):
-        span = toks[s:e]
-        for k in range(1, len(span)):
-            prev_is_type = span[k - 1].kind == "id" or (
-                span[k - 1].text in ("&", "*") and k >= 2
-                and span[k - 2].kind == "id")
-            if span[k].kind == "id" and k + 1 < len(span) \
-                    and span[k + 1].text in ("=", "{", ";", ":") \
-                    and prev_is_type:
-                out.setdefault(span[k].text,
-                               _type_str(span[:k]))
-                break
-    return out
-
-
 def pass_r3_determinism(scan, model, suppressed, findings):
-    """R3: unordered iteration into observable state; pointer keys."""
+    """R3: banned hash-container and pointer-value tokens (one finding
+    per line); pointer-keyed associative containers, aliases
+    resolved."""
     toks = scan.toks
-    n = len(toks)
+    hits = {}
+    for t in toks:
+        if t.kind == "id" and t.text in R3_BANNED_TOKENS:
+            hits.setdefault(t.line, t.text)
+    for line, what in sorted(hits.items()):
+        findings.add(scan, line, "R3",
+                     f"'{what}' is banned: a hash container's visit "
+                     f"order and a pointer's value are hash-seed and "
+                     f"allocator noise that can leak into stats or "
+                     f"ordered output; use an ordered container or a "
+                     f"stable id", suppressed)
 
-    # Pointer-keyed associative containers, aliases resolved.
     for s, e in _statements(toks):
         ty = _type_str(toks[s:e])
         expanded = " ".join(
             model.aliases.get(w, w) for w in ty.split())
-        if re.search(r"\b(?:unordered_)?(?:map|set)\s*<[^,>]*\*",
+        if re.search(r"\b(?:map|set)\s*<[^,>]*\*",
                      expanded):
             findings.add(
                 scan, toks[s].line, "R3",
                 "pointer-keyed associative container (possibly via "
                 "an alias); iteration order is allocator-dependent "
                 "and can leak into stats", suppressed)
-
-    # Range-for over unordered containers writing observable state.
-    for fn in scan.functions:
-        lo, hi = fn.body_lo, fn.body_hi
-        cls_info = model.classes.get(fn.cls)
-        locals_ = _collect_locals(toks, lo, hi)
-        i = lo
-        while i < hi:
-            if toks[i].text == "for" and i + 1 < hi \
-                    and toks[i + 1].text == "(":
-                close = _find_matching(toks, i + 1, "(", ")")
-                head = toks[i + 2:close]
-                colon = next((k for k, t in enumerate(head)
-                              if t.text == ":"), None)
-                if colon is not None:
-                    cont = [t for t in head[colon + 1:]
-                            if t.kind == "id"]
-                    ty = ""
-                    for c in cont:
-                        ty = _resolve_type(c.text, locals_, cls_info,
-                                           model)
-                        if ty:
-                            break
-                        if c.text in ("unordered_map",
-                                      "unordered_set"):
-                            ty = c.text
-                            break
-                    if "unordered_map" in ty or "unordered_set" in ty:
-                        body_lo = close + 1
-                        if body_lo < hi and toks[body_lo].text == "{":
-                            body_hi = _find_matching(
-                                toks, body_lo, "{", "}")
-                        else:
-                            body_hi = next(
-                                (k for k in range(body_lo, hi)
-                                 if toks[k].text == ";"), hi)
-                        body = toks[body_lo:body_hi]
-                        writes = any(
-                            t.text in OBSERVABLE_IN_LOOP
-                            or t.text in ("++", "--")
-                            or t.text in ASSIGN_OPS
-                            for t in body)
-                        if writes:
-                            findings.add(
-                                scan, toks[i].line, "R3",
-                                "iteration over an unordered "
-                                "container writes stats/trace/"
-                                "output; the visit order is hash-"
-                                "seed and allocator noise — use an "
-                                "ordered container or sort first", suppressed)
-                i = close + 1
-                continue
-            i += 1
 
 
 # ------------------------- R2: stats completeness -------------------
@@ -1289,545 +1201,6 @@ def pass_r2_completeness(model, suppressions_by_file, findings):
             f"so it is missing from the stats JSON", sup)
 
 
-# --------------------------------------------------------------------
-# Dataflow layer: def-use chains + cross-TU call summaries (R7, R9)
-# --------------------------------------------------------------------
-
-#: Builtin scalar types whose uninitialized locals R7 tracks. Class
-#: types default-construct, so only these can hold garbage.
-SCALAR_TYPES = {"int", "unsigned", "long", "short", "uint64_t",
-                "uint32_t", "uint16_t", "uint8_t", "int64_t", "int32_t",
-                "size_t", "ssize_t", "double", "float", "bool", "char"}
-
-_SINK_FN_RE = re.compile(R7_SINK_FN_PATTERN)
-_BARRIER_FN_RE = re.compile(R7_BARRIER_FN_PATTERN)
-
-
-def _parse_params(toks, sig_lo, sig_hi):
-    """[(name, type-ish text), ...] for a parameter-list token span."""
-    params = []
-    chunks = []
-    depth = 0
-    start = sig_lo
-    for i in range(sig_lo, sig_hi):
-        t = toks[i].text
-        if t in ("(", "<", "[", "{"):
-            depth += 1
-        elif t in (")", ">", "]", "}"):
-            depth = max(0, depth - 1)
-        elif t == ">>":
-            depth = max(0, depth - 2)
-        elif t == "," and depth == 0:
-            chunks.append((start, i))
-            start = i + 1
-    if sig_hi > start:
-        chunks.append((start, sig_hi))
-    for lo, hi in chunks:
-        span = toks[lo:hi]
-        eq = next((k for k, t in enumerate(span) if t.text == "="),
-                  len(span))
-        span = span[:eq]
-        ids = [t for t in span if t.kind == "id"]
-        if not ids:
-            continue
-        name = ids[-1].text if len(ids) >= 2 else ""
-        params.append((name, _type_str(span)))
-    return params
-
-
-class FuncSummary:
-    """What a callee does with taint, keyed by bare function name.
-    Overloads and same-named methods are merged (conservative)."""
-
-    __slots__ = ("returns_taint", "returns_raw", "param_sinks")
-
-    def __init__(self):
-        self.returns_taint = None  # reason string, or None
-        self.returns_raw = False   # returns a .raw()-derived value
-        self.param_sinks = {}      # param index -> sink description
-
-
-class Dataflow:
-    """Per-function def-use walk with cross-TU summaries.
-
-    Two summary rounds propagate facts through call chains and member
-    assignments (round one records leaf facts, round two folds them
-    into callers — enough for the helper-into-member-into-sink chains
-    this codebase actually has), then an emission round reports:
-
-      R7: a nondeterministic value (unordered iteration order, clock,
-          pointer cast, uninitialized read — possibly via a callee's
-          return value or a struct member) reaching a stats
-          registration call or a JSON/golden/merge emitter, with no
-          sort/normalize barrier in between.
-      R9: a .raw() value round-tripping through locals/returns into
-          arithmetic or a strong-type constructor — the multi-
-          statement, cross-function version of R1.
-    """
-
-    def __init__(self, scans, model):
-        self.scans = scans      # [(FileScan, suppressions), ...]
-        self.model = model
-        self.summaries = {}     # fname -> FuncSummary
-        self.member_taint = {}  # (class, member) -> reason
-
-    def run(self, findings):
-        for _round in range(2):
-            for scan, sup in self.scans:
-                for fn in scan.functions:
-                    self._walk(scan, fn, None, sup)
-        for scan, sup in self.scans:
-            if _exempt(scan.rel):
-                continue
-            for fn in scan.functions:
-                self._walk(scan, fn, findings, sup)
-
-    # -- helpers ----------------------------------------------------
-
-    def _type_of(self, name, locals_ty, cls_info):
-        ty = locals_ty.get(name, "")
-        if not ty and cls_info is not None:
-            ty = cls_info.members.get(name, "")
-        out = []
-        for w in ty.split():
-            out.append(self.model.aliases.get(w, w))
-        return " ".join(out)
-
-    def _member_reason(self, base, field, locals_ty, cls_info):
-        """Taint of `base.field` via the declared type of `base`."""
-        ty = self._type_of(base, locals_ty, cls_info)
-        for w in ty.split():
-            reason = self.member_taint.get((w, field))
-            if reason:
-                return reason
-        return None
-
-    def _is_barrier(self, name):
-        return name in R7_BARRIER_CALLS or \
-            _BARRIER_FN_RE.search(name) is not None
-
-    #: Operators that end an arithmetic chain: a raw value merely
-    #: *compared* (or selected, or passed alongside) is not escaping.
-    _RESET_OPS = {"==", "!=", "<", ">", "<=", ">=", "&&", "||", "?",
-                  ":", ",", ";", "=", "<<", ">>", "&", "|", "^", "!"}
-
-    def _eval(self, toks, lo, hi, env):
-        """Evaluate an expression span.
-
-        Returns (reason, raw_ids, raw_combo, direct_raw): the first
-        nondeterminism reason found (or None), the set of raw-value
-        carriers read by the span, whether a raw value is an
-        *operand* of +,-,*,/,% here (or already was one, for "arith"
-        carriers) — adjacency matters: `a == b` or arithmetic on
-        unrelated operands in the same statement does not count —
-        and the number of direct .raw() calls.
-        """
-        taint, rawv, uninit, locals_ty, cls_info, own_cls = env
-        reason = None
-        raw_ids = set()
-        raw_combo = False
-        direct_raw = 0
-        last_raw = False      # most recent operand was raw-derived
-        pending_arith = False  # an ARITH op awaits its right operand
-
-        def operand(is_raw):
-            nonlocal last_raw, pending_arith, raw_combo
-            if pending_arith and (is_raw or last_raw):
-                raw_combo = True
-            pending_arith = False
-            last_raw = is_raw
-
-        k = lo
-        while k < hi:
-            t = toks[k]
-            if t.text in ARITH_OPS:
-                if last_raw:
-                    raw_combo = True
-                pending_arith = True
-                k += 1
-                continue
-            if t.text in self._RESET_OPS:
-                last_raw = False
-                pending_arith = False
-                k += 1
-                continue
-            if t.text == "." and k + 2 < hi \
-                    and toks[k + 1].text == "raw" \
-                    and toks[k + 2].text == "(":
-                direct_raw += 1
-                operand(True)
-                k += 3
-                continue
-            if t.kind == "num":
-                operand(False)
-                k += 1
-                continue
-            if t.kind != "id":
-                k += 1
-                continue
-            nxt = toks[k + 1].text if k + 1 < hi else ""
-            if t.text in R7_POINTER_SOURCES:
-                reason = reason or "pointer-value cast " \
-                    f"('{t.text}')"
-            elif t.text in R7_CLOCK_SOURCES:
-                reason = reason or f"wall-clock/time source " \
-                    f"('{t.text}')"
-            elif nxt == "(" and t.text not in CONTROL_KEYWORDS:
-                sm = self.summaries.get(t.text)
-                is_raw_call = False
-                if sm is not None and not self._is_barrier(t.text):
-                    if sm.returns_taint and reason is None:
-                        reason = f"{sm.returns_taint}, via " \
-                            f"{t.text}()"
-                    if sm.returns_raw:
-                        raw_ids.add(t.text + "()")
-                        is_raw_call = True
-                operand(is_raw_call)
-            else:
-                if reason is None and t.text in taint:
-                    reason = taint[t.text]
-                if reason is None and t.text in uninit:
-                    reason = f"read of uninitialized '{t.text}'"
-                if reason is None and own_cls is not None:
-                    reason = self.member_taint.get(
-                        (own_cls, t.text))
-                if reason is None and nxt == "." and k + 2 < hi \
-                        and toks[k + 2].kind == "id":
-                    reason = self._member_reason(
-                        t.text, toks[k + 2].text, locals_ty,
-                        cls_info)
-                is_carrier = t.text in rawv
-                if is_carrier:
-                    raw_ids.add(t.text)
-                    if rawv[t.text] == "arith":
-                        raw_combo = True
-                operand(is_carrier)
-            k += 1
-        return reason, raw_ids, raw_combo, direct_raw
-
-    # -- the walk ---------------------------------------------------
-
-    def _walk(self, scan, fn, findings, sup):
-        toks = scan.toks
-        model = self.model
-        cls_info = model.classes.get(fn.cls) if fn.cls else None
-        params = _parse_params(toks, fn.sig_lo, fn.sig_hi)
-        summary = self.summaries.setdefault(fn.name, FuncSummary())
-        sink_fn = _SINK_FN_RE.search(fn.name) is not None
-
-        taint = {}      # local/loop var -> reason
-        rawv = {}       # var -> "plain" | "arith"
-        uninit = set()  # declared scalars with no initializer yet
-        locals_ty = {}  # name -> declared type text
-        param_names = []
-        for pname, pty in params:
-            if pname:
-                locals_ty[pname] = pty
-                param_names.append(pname)
-        env = (taint, rawv, uninit, locals_ty, cls_info, fn.cls)
-
-        for s, e in _statements(toks, fn.body_lo, fn.body_hi):
-            if s >= e:
-                continue
-
-            # `using clock = std::chrono::steady_clock;` — taint the
-            # alias name so `clock::now()` reads as a clock source.
-            if toks[s].text == "using" and s + 2 < e \
-                    and toks[s + 2].text == "=":
-                if any(toks[k].kind == "id"
-                       and toks[k].text in R7_CLOCK_SOURCES
-                       for k in range(s + 3, e)):
-                    taint[toks[s + 1].text] = \
-                        "wall-clock/time source (aliased)"
-                continue
-
-            # for-heads: bind the loop variable, then process any
-            # trailing single-statement body as part of this span.
-            if toks[s].text == "for" and s + 1 < e \
-                    and toks[s + 1].text == "(":
-                close = _find_matching(toks, s + 1, "(", ")")
-                if close < e:
-                    colon = next(
-                        (k for k in range(s + 2, close)
-                         if toks[k].text == ":"), None)
-                    if colon is not None:
-                        before = [toks[k] for k in range(s + 2, colon)
-                                  if toks[k].kind == "id"]
-                        loopvar = before[-1].text if before else None
-                        creason = None
-                        for k in range(colon + 1, close):
-                            t = toks[k]
-                            if t.kind != "id":
-                                continue
-                            if k + 1 < close \
-                                    and toks[k + 1].text == "(" \
-                                    and self._is_barrier(t.text):
-                                # iterating a barrier call's result:
-                                # the order is normalized by name
-                                break
-                            if t.text in ("unordered_map",
-                                          "unordered_set"):
-                                creason = ("unordered-container "
-                                           "iteration order")
-                                break
-                            ty = self._type_of(t.text, locals_ty,
-                                               cls_info)
-                            if "unordered_map" in ty \
-                                    or "unordered_set" in ty:
-                                creason = (
-                                    f"iteration order of unordered "
-                                    f"container '{t.text}'")
-                                break
-                            if t.text in taint:
-                                creason = taint[t.text]
-                                break
-                        if loopvar and creason:
-                            taint[loopvar] = creason
-                    s = close + 1
-                else:
-                    s = s + 2  # classic for: skip `for (`, keep init
-                if s >= e:
-                    continue
-
-            # Pre-scan: barriers clear their arguments; a scalar
-            # passed to any call (or address-taken) may be written,
-            # so it stops counting as uninitialized.
-            k = s
-            while k < e - 1:
-                t = toks[k]
-                if t.text == "&" and toks[k + 1].kind == "id":
-                    uninit.discard(toks[k + 1].text)
-                if t.kind == "id" and toks[k + 1].text == "(" \
-                        and t.text not in CONTROL_KEYWORDS:
-                    close = _find_matching(toks, k + 1, "(", ")")
-                    for a in range(k + 2, min(close, e)):
-                        if toks[a].kind == "id":
-                            uninit.discard(toks[a].text)
-                    if self._is_barrier(t.text):
-                        for a in range(k + 2, min(close, e)):
-                            if toks[a].kind == "id":
-                                taint.pop(toks[a].text, None)
-                k += 1
-
-            # return: feed the summary.
-            if toks[s].text == "return":
-                reason, raw_ids, _rc, direct = self._eval(
-                    toks, s + 1, e, env)
-                if reason and summary.returns_taint is None:
-                    summary.returns_taint = reason
-                if direct or raw_ids:
-                    summary.returns_raw = True
-
-            # Sink scan. In summary rounds this records param->sink
-            # facts; in the emit round it reports tainted arguments.
-            k = s
-            while k < e - 1:
-                t = toks[k]
-                if t.kind == "id" and toks[k + 1].text == "(" \
-                        and t.text not in CONTROL_KEYWORDS:
-                    close = min(_find_matching(toks, k + 1, "(", ")"),
-                                e)
-                    sink_desc = None
-                    if t.text in R7_SINK_CALLS:
-                        sink_desc = f"stats sink '{t.text}()'"
-                    else:
-                        sm = self.summaries.get(t.text)
-                        if sm is not None and sm.param_sinks \
-                                and not self._is_barrier(t.text):
-                            sink_desc = (
-                                f"'{t.text}()', which passes it to "
-                                + next(iter(sorted(
-                                    sm.param_sinks.values()))))
-                    if sink_desc:
-                        for pi, pname in enumerate(param_names):
-                            if any(toks[a].kind == "id"
-                                   and toks[a].text == pname
-                                   for a in range(k + 2, close)):
-                                summary.param_sinks.setdefault(
-                                    pi, sink_desc)
-                        if findings is not None:
-                            reason, _ri, _rc, _d = self._eval(
-                                toks, k + 2, close, env)
-                            if reason:
-                                findings.add(
-                                    scan, t.line, "R7",
-                                    f"nondeterministic value "
-                                    f"({reason}) reaches "
-                                    f"{sink_desc} without a sort/"
-                                    f"normalize barrier; the golden "
-                                    f"output would differ run to "
-                                    f"run", sup)
-                k += 1
-
-            # Inside a JSON/golden/merge emitter, appending or
-            # streaming tainted data is itself a sink.
-            if findings is not None and sink_fn:
-                op_pos = next(
-                    (k for k in range(s, e)
-                     if toks[k].text in ("+=", "<<")), None)
-                if op_pos is not None:
-                    reason, _ri, _rc, _d = self._eval(
-                        toks, op_pos + 1, e, env)
-                    if reason:
-                        findings.add(
-                            scan, toks[op_pos].line, "R7",
-                            f"nondeterministic value ({reason}) is "
-                            f"appended to ordered output inside "
-                            f"'{fn.name}()'; sort or normalize it "
-                            f"first",
-                            sup)
-
-            # R9 whole-statement checks (emit round only).
-            if findings is not None:
-                reason, raw_ids, raw_combo, direct = \
-                    self._eval(toks, s, e, env)
-                if len(raw_ids) + min(direct, 1) >= 2 \
-                        and raw_combo and direct < 2 and raw_ids:
-                    names = ", ".join(sorted(raw_ids))
-                    findings.add(
-                        scan, toks[s].line, "R9",
-                        f"arithmetic combines .raw() escapes that "
-                        f"round-tripped through locals/returns "
-                        f"({names}); keep this math inside the "
-                        f"strong types (util/strong_types.hh)", sup)
-                k = s
-                while k < e - 1:
-                    t = toks[k]
-                    if t.kind == "id" and t.text in STRONG_TYPES \
-                            and toks[k + 1].text == "(" \
-                            and (k == 0 or toks[k - 1].text not in
-                                 ("class", "struct", "::", "new")):
-                        close = min(
-                            _find_matching(toks, k + 1, "(", ")"), e)
-                        a_reason, a_raw, a_combo, a_direct = \
-                            self._eval(toks, k + 2, close, env)
-                        if a_raw and a_direct == 0 and a_combo:
-                            names = ", ".join(sorted(a_raw))
-                            findings.add(
-                                scan, t.line, "R9",
-                                f"strong-type constructor "
-                                f"'{t.text}(...)' re-wraps .raw() "
-                                f"values that escaped earlier "
-                                f"({names}) after arithmetic — an "
-                                f"interprocedural escape-and-"
-                                f"re-enter round trip", sup)
-                    k += 1
-
-            # Assignment / declaration: update the def-use state.
-            depth = 0
-            op_k = None
-            op = None
-            for k in range(s, e):
-                tt = toks[k].text
-                if tt in ("(", "[", "{"):
-                    depth += 1
-                elif tt in (")", "]", "}"):
-                    depth = max(0, depth - 1)
-                elif depth == 0 and tt in ASSIGN_OPS:
-                    op_k = k
-                    op = tt
-                    break
-            if op_k is not None:
-                lhs_ids = []
-                lhs_path = False  # member access / subscript on LHS
-                depth = 0
-                for k in range(s, op_k):
-                    tt = toks[k].text
-                    if tt in ("(", "[", "{"):
-                        lhs_path = lhs_path or tt == "["
-                        depth += 1
-                    elif tt in (")", "]", "}"):
-                        depth = max(0, depth - 1)
-                    elif depth == 0 and tt in (".", "->"):
-                        lhs_path = True
-                    elif depth == 0 and toks[k].kind == "id":
-                        lhs_ids.append(toks[k].text)
-                if not lhs_ids:
-                    continue
-                target = lhs_ids[-1]
-                reason, raw_ids, raw_combo, direct = \
-                    self._eval(toks, op_k + 1, e, env)
-                is_decl = len(lhs_ids) >= 2 and not lhs_path \
-                    and toks[s].text not in ("if", "while")
-                if is_decl:
-                    # `Type name = ...`: record the declared type.
-                    locals_ty.setdefault(
-                        target,
-                        " ".join(lhs_ids[:-1]))
-                uninit.discard(target)
-                # Raw-carrier tracking is restricted to plain scalar
-                # locals: a struct field or strong-typed variable
-                # cannot hold a raw escape, and tracking leaf names
-                # of member paths conflates unrelated state.
-                ty_words = locals_ty.get(target, "").split()
-                scalar_ok = not ty_words or any(
-                    w in SCALAR_TYPES or w == "auto"
-                    for w in ty_words)
-                track_raw = not lhs_path and scalar_ok
-                is_raw = bool(raw_ids) or direct > 0
-                if op == "=":
-                    if not lhs_path:
-                        if reason:
-                            taint[target] = reason
-                        else:
-                            taint.pop(target, None)
-                    if track_raw:
-                        if is_raw:
-                            rawv[target] = \
-                                "arith" if raw_combo else "plain"
-                        else:
-                            rawv.pop(target, None)
-                else:
-                    if reason and not lhs_path:
-                        taint[target] = reason
-                    if track_raw and (is_raw or target in rawv):
-                        rawv[target] = "arith"
-                # Member writes feed the cross-function member map:
-                # `_x = ...` (this-member) or `obj.field = ...` with
-                # a resolvable object type.
-                if reason:
-                    base = lhs_ids[0]
-                    if cls_info is not None \
-                            and base in cls_info.members:
-                        if len(lhs_ids) == 1:
-                            self.member_taint.setdefault(
-                                (fn.cls, base), reason)
-                        else:
-                            for w in self._type_of(
-                                    base, locals_ty,
-                                    cls_info).split():
-                                if w in model.classes:
-                                    self.member_taint.setdefault(
-                                        (w, lhs_ids[1]), reason)
-                    elif len(lhs_ids) >= 2:
-                        for w in self._type_of(
-                                base, locals_ty, cls_info).split():
-                            if w in model.classes:
-                                self.member_taint.setdefault(
-                                    (w, lhs_ids[-1]), reason)
-            else:
-                # Declaration with no initializer: `uint64_t x;`
-                span = toks[s:e]
-                texts = [t.text for t in span]
-                if len(span) >= 2 and span[0].kind == "id" \
-                        and span[0].text not in CONTROL_KEYWORDS \
-                        and "(" not in texts \
-                        and any(w in SCALAR_TYPES for w in texts):
-                    ids = [t.text for t in span if t.kind == "id"
-                           and t.text not in SCALAR_TYPES
-                           and t.text not in ("std", "signed",
-                                              "static")]
-                    if len(ids) == 1:
-                        uninit.add(ids[0])
-                        locals_ty.setdefault(
-                            ids[0], _type_str(span[:-1]))
-
-
-def pass_r7_r9_dataflow(scans, model, findings):
-    """Run the dataflow engine over every scanned file."""
-    Dataflow(scans, model).run(findings)
-
-
 # ------------------------- R8: lock discipline -----------------------
 
 def _r8_member_decls(toks, lo, hi):
@@ -1959,8 +1332,73 @@ def pass_r8_lock_discipline(scan, suppressed, findings):
 _R11_BARE_THROWING = frozenset(
     c for c in R11_THROWING_CALLS if c.startswith("sto"))
 
-#: Rules enforced over the hot-path call graph.
-HOT_RULES = ("R10", "R11", "R12")
+#: Rules enforced over the hot-path call graph, with the rationale
+#: each finding message ends in.
+HOT_RULES = {
+    "R10": "the per-cycle hot path (every function reachable from a "
+           "PSB_HOT_PATH root) must not allocate: no operator new, "
+           "malloc, growing std containers, or string construction "
+           "— preallocate at construction instead",
+    "R11": "the per-cycle hot path must not throw: no throw "
+           "statements, throwing stdlib calls (.at(), stoi, "
+           "optional::value), or recursion cycles reachable from a "
+           "PSB_HOT_PATH root",
+    "R12": "dispatch inside hot-path code must be devirtualizable: "
+           "virtual calls need a complete in-tree override set and "
+           "std::function/function-pointer calls are flagged unless "
+           "explicitly allowed",
+}
+
+
+def _collect_locals(toks, lo, hi):
+    """Very light local-decl harvest: `Type [&|*] name =|{|;` inside a
+    body (the `:` alternative catches range-for bindings)."""
+    out = {}
+    for s, e in _statements(toks, lo, hi):
+        span = toks[s:e]
+        for k in range(1, len(span)):
+            prev_is_type = span[k - 1].kind == "id" or (
+                span[k - 1].text in ("&", "*") and k >= 2
+                and span[k - 2].kind == "id")
+            if span[k].kind == "id" and k + 1 < len(span) \
+                    and span[k + 1].text in ("=", "{", ";", ":") \
+                    and prev_is_type:
+                out.setdefault(span[k].text,
+                               _type_str(span[:k]))
+                break
+    return out
+
+
+def _parse_params(toks, sig_lo, sig_hi):
+    """[(name, type-ish text), ...] for a parameter-list token span."""
+    params = []
+    chunks = []
+    depth = 0
+    start = sig_lo
+    for i in range(sig_lo, sig_hi):
+        t = toks[i].text
+        if t in ("(", "<", "[", "{"):
+            depth += 1
+        elif t in (")", ">", "]", "}"):
+            depth = max(0, depth - 1)
+        elif t == ">>":
+            depth = max(0, depth - 2)
+        elif t == "," and depth == 0:
+            chunks.append((start, i))
+            start = i + 1
+    if sig_hi > start:
+        chunks.append((start, sig_hi))
+    for lo, hi in chunks:
+        span = toks[lo:hi]
+        eq = next((k for k, t in enumerate(span) if t.text == "="),
+                  len(span))
+        span = span[:eq]
+        ids = [t for t in span if t.kind == "id"]
+        if not ids:
+            continue
+        name = ids[-1].text if len(ids) >= 2 else ""
+        params.append((name, _type_str(span)))
+    return params
 
 
 class HotPathGraph:
@@ -1992,9 +1430,7 @@ class HotPathGraph:
 
     Suppression prunes the graph per rule: `allow(Rn)` on a call-site
     line cuts that edge (the sanctioned-subtree escape hatch — e.g.
-    workload trace generation under PSB_ALLOC_GUARD_PAUSE), and
-    `allow(Rn)` on a function's declaration removes the function from
-    rule Rn's graph entirely (matching Model.decl_allows semantics).
+    workload trace generation under PSB_ALLOC_GUARD_PAUSE).
     """
 
     def __init__(self, scans, model):
@@ -2117,15 +1553,8 @@ class HotPathGraph:
 
     # -- extraction ---------------------------------------------------
 
-    def _allows_at(self, sup, line):
-        out = set()
-        for ln in (line, line - 1):
-            out |= sup.get(ln, set())
-        return out
-
     def _edge(self, key, callee, scan, line, sup):
-        allows = self._allows_at(sup, line) | \
-            self.model.decl_allows.get(callee, set())
+        allows = sup.get(line, set()) | sup.get(line - 1, set())
         self.edges.setdefault(key, []).append(
             {"callee": callee, "scan": scan, "line": line,
              "allows": allows})
@@ -2418,17 +1847,11 @@ class HotPathGraph:
 
     def _reach(self, rule):
         """BFS from the hot roots; returns {key: parent-or-None}.
-
-        `allow(rule)` on a call-site line cuts that edge and
-        `allow(rule)` on a declaration removes the function.
-        """
-        def banned(k):
-            return rule in self.model.decl_allows.get(k, ())
-
+        `allow(rule)` on a call-site line cuts that edge."""
         parent = {}
         queue = []
         for r in self.hot_keys:
-            if r not in parent and not banned(r):
+            if r not in parent:
                 parent[r] = None
                 queue.append(r)
         qi = 0
@@ -2439,7 +1862,7 @@ class HotPathGraph:
                 if rule in e["allows"]:
                     continue
                 c = e["callee"]
-                if c not in parent and not banned(c):
+                if c not in parent:
                     parent[c] = k
                     queue.append(c)
         return parent
@@ -2515,7 +1938,7 @@ class HotPathGraph:
                         f"{msg} in '{self._label(fkey)}' on the "
                         f"per-cycle hot path (reachable as "
                         f"{self._path(parent, fkey)}); "
-                        f"{RULES[rule][1]}", sup)
+                        f"{HOT_RULES[rule]}", sup)
             if rule == "R11":
                 self._report_cycles(rule, parent, findings)
 
@@ -2525,7 +1948,7 @@ class HotPathGraph:
 # --------------------------------------------------------------------
 
 def analyze_files(files, root):
-    """Run the token/scope + dataflow engine over `files`.
+    """Run the token/scope engine over `files`.
 
     Every file is scanned, in sorted path order, straight into one
     cross-TU Model; the rule passes run after the whole model exists.
@@ -2548,49 +1971,19 @@ def analyze_files(files, root):
     findings = Findings()
     strong_members = _strong_members(model)
     for scan, sup in scans:
+        carriers_at = _raw_carriers(scan)
         pass_r1_params(scan, model, sup, findings)
-        pass_r1_raw_arith(scan, sup, findings)
-        pass_r1_reentry(scan, strong_members, sup, findings)
+        pass_r1_raw_arith(scan, carriers_at, sup, findings)
+        pass_r1_reentry(scan, strong_members, carriers_at, sup,
+                        findings)
         pass_r3_determinism(scan, model, sup, findings)
         pass_r4_trace_purity(scan, sup, findings)
         pass_r8_raw_primitives(scan, sup, findings)
         pass_r10_marker(scan.rel, scan.toks, sup, findings)
         pass_r8_lock_discipline(scan, sup, findings)
     pass_r2_completeness(model, suppressions, findings)
-    pass_r7_r9_dataflow(scans, model, findings)
-    graph = HotPathGraph(scans, model)
-    graph.run(findings)
-    _apply_decl_allows(scans, model, findings)
+    HotPathGraph(scans, model).run(findings)
     return findings
-
-
-def _apply_decl_allows(scans, model, findings):
-    """Satellite of the allow() contract: a suppression on a
-    function's *declaration* (header) also suppresses findings inside
-    the matching out-of-line *definition* — for every rule, not just
-    the call-graph ones (which already prune their graph on it)."""
-    if not model.decl_allows:
-        return
-    spans = []  # (file, line_lo, line_hi, rules)
-    for scan, _sup in scans:
-        toks = scan.toks
-        for fn in scan.functions:
-            rules = model.decl_allows.get((fn.cls or "", fn.name))
-            if not rules or fn.body_lo >= len(toks):
-                continue
-            lo_line = toks[max(fn.body_lo - 1, 0)].line
-            hi_line = toks[min(fn.body_hi, len(toks) - 1)].line
-            spans.append((str(scan.rel), lo_line, hi_line, rules))
-    if not spans:
-        return
-    kept = []
-    for f in findings.items:
-        drop = any(f["file"] == file and lo <= f["line"] <= hi
-                   and f["rule"] in rules
-                   for file, lo, hi, rules in spans)
-        if not drop:
-            kept.append(f)
-    findings.items = kept
 
 
 def _marker_only_files(root, engine_files):
@@ -2627,11 +2020,6 @@ def run_tree(args):
             pass_r10_marker(path.relative_to(root), toks, sup, findings)
 
     fresh = findings.sorted()
-    if args.json:
-        payload = {"root": str(root), "findings": fresh}
-        pathlib.Path(args.json).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
     for f in fresh:
         print(format_finding(f["file"], f["line"], f["rule"],
                              f["message"]))
@@ -2643,8 +2031,9 @@ def run_tree(args):
     return EXIT_CLEAN
 
 
-#: Rules whose allow() plumbing the self-test proves end to end.
-ROUNDTRIP_RULES = ("R7", "R8", "R9", "R10", "R11", "R12")
+#: Rules whose allow() plumbing the self-test proves end to end: every
+#: rule whose first bad fixture carries at least two findings.
+ROUNDTRIP_RULES = ("R1", "R3", "R8", "R10", "R11", "R12")
 
 
 def run_self_test(args):
@@ -2725,39 +2114,6 @@ def run_self_test(args):
                 f"count {before} -> {after}, expected "
                 f"{before - 1}")
 
-    # Declaration-site suppression round trip: an allow() on a method
-    # *declaration* must also silence the matching out-of-line
-    # *definition*. The clean fixture carries exactly that shape;
-    # stripping the allow comment must surface the finding again —
-    # proving the suppression is doing the work, not the fixture
-    # being accidentally clean.
-    decl_fixture = fixture_dir / "r10_decl_allow_clean.hh"
-    if decl_fixture.exists():
-        text = decl_fixture.read_text()
-        stripped_lines = [
-            ln for ln in text.splitlines(keepends=True)
-            if "psb-analyze:" not in ln]
-        if len(stripped_lines) == len(text.splitlines(keepends=True)):
-            failures.append("decl-allow: r10_decl_allow_clean.hh has "
-                            "no psb-analyze: allow() comment to "
-                            "strip")
-        else:
-            with tempfile.TemporaryDirectory() as td:
-                tmp = pathlib.Path(td) / decl_fixture.name
-                tmp.write_text("".join(stripped_lines))
-                redo = analyze_files([tmp], pathlib.Path(td))
-                surfaced = [f for f in redo.items
-                            if f["rule"] == "R10"]
-            if not surfaced:
-                failures.append(
-                    "decl-allow: stripping the declaration-site "
-                    "allow() from r10_decl_allow_clean.hh surfaced "
-                    "no R10 finding — the clean fixture is not "
-                    "exercising declaration-site suppression")
-    else:
-        failures.append("decl-allow: fixture r10_decl_allow_clean.hh "
-                        "missing")
-
     if failures:
         for f in failures:
             print(f"psb_analyze --self-test FAIL: {f}")
@@ -2766,28 +2122,21 @@ def run_self_test(args):
         return EXIT_FINDINGS
     print(f"psb_analyze: self-test ok "
           f"({len(golden)} fixtures, exact finding match; suppression "
-          f"round trip for {', '.join(ROUNDTRIP_RULES)}; "
-          f"declaration-site allow() round trip)")
+          f"round trip for {', '.join(ROUNDTRIP_RULES)})")
     return EXIT_CLEAN
 
 
 def main():
     ap = argparse.ArgumentParser(
-        description="Static analyzer for the PSB tree (rules R1-R4 "
-                    "and R7-R12; --list-rules prints the catalog).")
+        description="Static analyzer for the PSB tree (rules R1-R4, "
+                    "R8 and R10-R12).")
     ap.add_argument("root", nargs="?", default=".",
                     help="repo root (default .) or, with "
                          "--self-test, the fixture directory")
-    ap.add_argument("--json", help="write findings JSON here")
     ap.add_argument("--self-test", action="store_true",
                     help="run the tests/analyze fixture corpus")
-    ap.add_argument("--list-rules", action="store_true")
     args = ap.parse_args()
 
-    if args.list_rules:
-        for rid, (slug, why) in RULES.items():
-            print(f"{rid}  {slug:22s} {why}")
-        return EXIT_CLEAN
     if args.self_test:
         return run_self_test(args)
     return run_tree(args)
