@@ -77,12 +77,15 @@ OoOCore::tick(Cycle now)
 void
 OoOCore::checkProgress(Cycle now)
 {
-    // A commit pops the head, and sequence numbers only grow, so an
-    // unchanged head means nothing committed for progressBound cycles
-    // or more: a hang (an access no event wakes, a lost fill). Stop
-    // with the state that names it instead of spinning.
-    const uint64_t head = _rob.empty() ? 0 : _rob.front().seq;
-    if (head != 0 && head == _progressHeadSeq) {
+    // The oldest op not yet committed is the ROB head, or the next to
+    // dispatch when the ROB is empty (tick() has returned early if the
+    // trace is done too). A commit pops the head, and sequence numbers
+    // only grow, so an unchanged oldest op means nothing committed for
+    // progressBound cycles or more: a hang (an access no event wakes,
+    // a lost fill, a front end that never resumes). Stop with the
+    // state that names it instead of spinning.
+    const uint64_t oldest = _rob.empty() ? _nextSeq : _rob.front().seq;
+    if (oldest == _progressSeq && !_rob.empty()) {
         const RobEntry &e = _rob.front();
         panic("no forward progress by cycle %llu: the ROB head has "
               "not committed for %llu cycles or more; head seq %llu, "
@@ -93,7 +96,21 @@ OoOCore::checkProgress(Cycle now)
               int(e.issued), (unsigned long long)e.doneAt.raw(),
               int(e.mshrStalled));
     }
-    _progressHeadSeq = head;
+    if (oldest == _progressSeq) {
+        panic("no forward progress by cycle %llu: the ROB is empty and "
+              "nothing has dispatched for %llu cycles or more; next seq "
+              "%llu, fetch %s %llu, fetch block %#llx, op pending %d",
+              (unsigned long long)now.raw(),
+              (unsigned long long)progressBound,
+              (unsigned long long)_nextSeq,
+              _fetchResumeAt == waitingForBranch ? "waits on branch seq"
+                                                 : "resumes at cycle",
+              (unsigned long long)(_fetchResumeAt == waitingForBranch
+                                       ? _redirectBranchSeq
+                                       : _fetchResumeAt.raw()),
+              (unsigned long long)_curFetchBlock.raw(), int(_havePending));
+    }
+    _progressSeq = oldest;
     _progressCheckAt = now + CycleDelta(progressBound);
 }
 

@@ -312,8 +312,9 @@ class OoOCore
     void wakeParked();
     /** Would every recorded MSHR-stalled access repeat exactly? */
     bool stallsRepeat() const;
-    /** Panic if the ROB head has not committed since the last check
-     *  (see _progressCheckAt); otherwise re-arm. */
+    /** Panic if nothing has committed since the last check (see
+     *  _progressCheckAt), naming the ROB head or, with the ROB empty,
+     *  the fetch state; otherwise re-arm. */
     void checkProgress(Cycle now);
 
     bool fuAvailable(OpClass cls, Cycle now);
@@ -389,14 +390,15 @@ class OoOCore
     uint64_t _parkedRetries = 0; ///< see parkedRetries()
     uint64_t _fullRetries = 0;
 
-    /** A non-empty ROB whose head commits nothing for this many
-     *  cycles is hung, never slow: a miss takes hundreds. */
+    /** A ROB head that commits nothing, or an empty ROB that
+     *  dispatches nothing, for this many cycles is hung, never slow:
+     *  a miss takes hundreds. */
     static constexpr uint64_t progressBound = 1'000'000;
     /** tick() calls checkProgress() once it reaches this cycle. */
     Cycle _progressCheckAt{progressBound};
-    /** ROB head at the last check; 0 = none (sequence numbers start
-     *  at 1). */
-    uint64_t _progressHeadSeq = 0;
+    /** Oldest op not yet committed at the last check; 0 = none
+     *  (sequence numbers start at 1). */
+    uint64_t _progressSeq = 0;
 
     bool _traceDone = false;
     MicroOp _pendingOp;

@@ -46,7 +46,7 @@ enum class PredictionSource : uint8_t
     Markov,      ///< differential Markov table (SFM or demand Markov)
     Context,     ///< order-k context predictor
     Sequential,  ///< next-block sequential predictor
-    LastAddress, ///< last-address (stride 0) predictor
+    LastAddress, ///< no producer left; keeps its stats rows
     MinDelta,    ///< Palacharla-Kessler minimum-delta detector
     NextLine,    ///< tagged next-line prefetcher (no stream state)
     NumSources,

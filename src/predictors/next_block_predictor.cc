@@ -1,4 +1,4 @@
-#include "predictors/last_address_predictor.hh"
+#include "predictors/next_block_predictor.hh"
 
 #include "util/bitfield.hh"
 
@@ -61,53 +61,6 @@ NextBlockPredictor::confidence(Addr pc) const
 
 bool
 NextBlockPredictor::twoMissFilterPass(Addr pc, Addr) const
-{
-    return _table.twoCorrectInARow(pc);
-}
-
-LastAddressPredictor::LastAddressPredictor(unsigned block_bytes,
-                                           const StrideTableConfig &table)
-    : _lineBits(floorLog2(block_bytes)),
-      _table(withBlock(table, block_bytes))
-{
-}
-
-void
-LastAddressPredictor::train(Addr pc, Addr addr)
-{
-    BlockAddr block = addr.toBlock(_lineBits);
-    StrideTrainResult result = _table.train(pc, addr);
-    if (result.firstTouch)
-        return;
-    _table.recordOutcome(pc, result.prevAddr == block);
-}
-
-std::optional<BlockAddr>
-LastAddressPredictor::predictNext(StreamState &state) const
-{
-    state.lastSource = PredictionSource::LastAddress;
-    return state.lastAddr;
-}
-
-StreamState
-LastAddressPredictor::allocateStream(Addr pc, Addr addr) const
-{
-    StreamState state;
-    state.loadPc = pc;
-    state.lastAddr = addr.toBlock(_lineBits);
-    state.stride = BlockDelta{};
-    state.confidence = _table.confidence(pc);
-    return state;
-}
-
-uint32_t
-LastAddressPredictor::confidence(Addr pc) const
-{
-    return _table.confidence(pc);
-}
-
-bool
-LastAddressPredictor::twoMissFilterPass(Addr pc, Addr) const
 {
     return _table.twoCorrectInARow(pc);
 }

@@ -12,7 +12,7 @@
 #define PSB_PREFETCH_SEQUENTIAL_STREAM_BUFFERS_HH
 
 #include "core/psb.hh"
-#include "predictors/last_address_predictor.hh"
+#include "predictors/next_block_predictor.hh"
 
 namespace psb
 {

@@ -1,6 +1,8 @@
 #include "sim/sweep.hh"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <deque>
 #include <exception>
@@ -9,6 +11,7 @@
 #include <sstream>
 #include <thread>
 
+#include "util/json.hh"
 #include "util/logging.hh"
 #include "util/thread_annotations.hh"
 #include "util/trace.hh"
@@ -20,9 +23,8 @@ const char *
 jobStatusName(JobStatus status)
 {
     switch (status) {
-      case JobStatus::Ok:       return "ok";
-      case JobStatus::Failed:   return "failed";
-      case JobStatus::TimedOut: return "timed_out";
+      case JobStatus::Ok:     return "ok";
+      case JobStatus::Failed: return "failed";
     }
     return "unknown";
 }
@@ -32,18 +34,17 @@ namespace
 
 /*
  * The engine's only wall-clock access point. Wall time is control
- * plane — timeout enforcement and progress display — and must never
- * reach a job result or the merged document (DESIGN.md §10), which is
- * why this object is the R3 allowlist entry for steady_clock::now() in
+ * plane — the progress line's duration — and must never reach a job
+ * result or the merged document (DESIGN.md §10), which is why this
+ * object is the R3 allowlist entry for steady_clock::now() in
  * tests/symbol_bans/check_symbol_bans.py.
  */
-using WallClock = std::chrono::steady_clock;
-using WallTime = WallClock::time_point;
-
-WallTime
-nowWall()
+double
+wallSeconds()
 {
-    return WallClock::now();
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
 }
 
 /** State shared by the workers and the supervising caller thread. */
@@ -58,9 +59,8 @@ struct Pool
 
 /**
  * Per-job state. A slot is touched by exactly one worker at a time;
- * the `running`/`deadline`/`started` control fields are additionally
- * guarded by the pool mutex because the supervising thread reads them
- * for timeout enforcement.
+ * its duration is handed to the supervising thread under the pool
+ * mutex, with the completion.
  */
 struct JobSlot
 {
@@ -70,113 +70,56 @@ struct JobSlot
     /*
      * `job` and `result` follow the slot-ownership protocol instead
      * of a lock: the cursor hands each slot to exactly one worker,
-     * and the caller reads `result` only after join(). R8 is
-     * suppressed because no lock exists to name.
+     * and the caller reads `result` only once the slot is completed.
+     * R8 is suppressed because no lock exists to name.
      */
     const SweepJob *job = nullptr; // psb-analyze: allow(R8)
-    CancelToken cancel;
     JobResult result; // psb-analyze: allow(R8)
-    bool running PSB_GUARDED_BY(pool->mu) = false;
-    bool deadlineSet PSB_GUARDED_BY(pool->mu) = false;
-    WallTime deadline PSB_GUARDED_BY(pool->mu) = {};
-    WallTime started PSB_GUARDED_BY(pool->mu) = {};
+    double seconds PSB_GUARDED_BY(pool->mu) = 0.0;
 };
 
 void
-runOneJob(JobSlot &slot, const SweepOptions &opts)
+runOneJob(JobSlot &slot)
 {
     JobResult &res = slot.result;
     res.key = slot.job->key;
-    unsigned attempt = 0;
-    while (true) {
-        JobContext ctx{&slot.cancel, attempt};
-        JobOutcome out;
-        ++res.attempts;
-        try {
-            out = slot.job->run(ctx);
-        } catch (const std::exception &e) {
-            out.ok = false;
-            out.error = e.what();
-        } catch (...) {
-            out.ok = false;
-            out.error = "unknown exception";
-        }
-        // Completed work is never discarded: a success that raced the
-        // deadline still counts (and keeps results timing-independent
-        // whenever every job completes).
-        if (out.ok) {
-            res.status = JobStatus::Ok;
-            res.payload = std::move(out.payload);
-            res.error.clear();
-            return;
-        }
-        if (slot.cancel.cancelled()) {
-            res.status = JobStatus::TimedOut;
-            res.error = "timed out after " +
-                        std::to_string(opts.timeout.count()) + "ms";
-            return;
-        }
+    JobOutcome out;
+    try {
+        out = slot.job->run(JobContext{});
+    } catch (const std::exception &e) {
+        out.ok = false;
+        out.error = e.what();
+    } catch (...) {
+        out.ok = false;
+        out.error = "unknown exception";
+    }
+    if (out.ok) {
+        res.status = JobStatus::Ok;
+        res.payload = std::move(out.payload);
+    } else {
         res.status = JobStatus::Failed;
         res.error = out.error.empty() ? "job failed" : out.error;
-        if (attempt >= opts.maxRetries)
-            return;
-        ++attempt;
     }
 }
 
 void
-workerLoop(Pool &pool, std::vector<std::unique_ptr<JobSlot>> &slots,
-           const SweepOptions &opts)
+workerLoop(Pool &pool, std::vector<std::unique_ptr<JobSlot>> &slots)
 {
     while (true) {
         size_t idx = pool.next.fetch_add(1, std::memory_order_relaxed);
         if (idx >= slots.size())
             return;
         JobSlot &slot = *slots[idx];
+        double started = wallSeconds();
+        runOneJob(slot);
+        double seconds = wallSeconds() - started;
         {
             MutexLock lock(pool.mu);
-            slot.running = true;
-            slot.started = nowWall();
-            if (opts.timeout.count() > 0) {
-                slot.deadline = slot.started + opts.timeout;
-                slot.deadlineSet = true;
-            }
-        }
-        runOneJob(slot, opts);
-        {
-            MutexLock lock(pool.mu);
-            slot.running = false;
+            slot.seconds = seconds;
             pool.done.push_back(idx);
         }
         pool.cv.notifyOne();
     }
-}
-
-/** JSON string escaping for job keys and error messages. */
-std::string
-escapeJson(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              unsigned(static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out.push_back(c);
-            }
-        }
-    }
-    return out;
 }
 
 /**
@@ -236,7 +179,7 @@ SweepEngine::run(const std::vector<SweepJob> &jobs)
     workers.reserve(nworkers);
     for (size_t i = 0; i < nworkers; ++i) {
         workers.emplace_back(workerLoop, std::ref(pool),
-                             std::ref(slots), std::cref(_opts));
+                             std::ref(slots));
     }
 
     size_t completed = 0;
@@ -244,20 +187,7 @@ SweepEngine::run(const std::vector<SweepJob> &jobs)
         MutexLock lock(pool.mu);
         while (completed < slots.size()) {
             if (pool.done.empty()) {
-                if (_opts.timeout.count() > 0) {
-                    pool.cv.waitFor(pool.mu,
-                                    std::chrono::milliseconds(10));
-                    WallTime now = nowWall();
-                    for (auto &slot : slots) {
-                        if (slot->running && slot->deadlineSet &&
-                            now >= slot->deadline &&
-                            !slot->cancel.cancelled()) {
-                            slot->cancel.cancel();
-                        }
-                    }
-                } else {
-                    pool.cv.wait(pool.mu);
-                }
+                pool.cv.wait(pool.mu);
                 continue;
             }
             size_t idx = pool.done.front();
@@ -265,21 +195,14 @@ SweepEngine::run(const std::vector<SweepJob> &jobs)
             ++completed;
             if (_opts.progress != nullptr) {
                 const JobSlot &slot = *slots[idx];
-                double secs =
-                    std::chrono::duration<double>(nowWall() -
-                                                  slot.started)
-                        .count();
                 char timing[32];
-                std::snprintf(timing, sizeof(timing), "%.2fs", secs);
+                std::snprintf(timing, sizeof(timing), "%.2fs",
+                              slot.seconds);
                 *_opts.progress
                     << "[" << completed << "/" << slots.size() << "] "
                     << slot.result.key << ": "
-                    << jobStatusName(slot.result.status);
-                if (slot.result.attempts > 1) {
-                    *_opts.progress << " (attempts "
-                                    << slot.result.attempts << ")";
-                }
-                *_opts.progress << " (" << timing << ")" << std::endl;
+                    << jobStatusName(slot.result.status) << " ("
+                    << timing << ")" << std::endl;
             }
         }
     }
@@ -313,7 +236,7 @@ SweepEngine::mergeStatsJson(const std::vector<JobResult> &results,
         out << "    \"" << escapeJson(r.key) << "\": {\n"
             << "      \"status\": \"" << jobStatusName(r.status)
             << "\",\n"
-            << "      \"attempts\": " << r.attempts << ",\n";
+            << "      \"attempts\": 1,\n";
         if (r.status == JobStatus::Ok) {
             out << "      \"stats\": " << indentPayload(r.payload, 6);
         } else {

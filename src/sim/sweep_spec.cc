@@ -424,15 +424,11 @@ makeSimJob(const SweepRun &run)
 {
     SweepJob job;
     job.key = run.key;
-    // The lambda owns a *copy* of the run: every attempt builds its
+    // The lambda owns a *copy* of the run: the job builds its
     // workload, Simulator, and StatsRegistry from scratch on the
     // worker thread — shared-nothing by construction.
-    job.run = [run](const JobContext &ctx) -> JobOutcome {
+    job.run = [run](const JobContext &) -> JobOutcome {
         JobOutcome out;
-        if (ctx.cancelled()) {
-            out.error = "cancelled before start";
-            return out;
-        }
         auto trace = makeWorkload(run.workload, run.seed);
         if (!trace) {
             out.error = "unknown workload '" + run.workload + "'";

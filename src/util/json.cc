@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
@@ -112,6 +113,10 @@ struct Parser
                   case 'n':  out.push_back('\n'); break;
                   case 't':  out.push_back('\t'); break;
                   case 'r':  out.push_back('\r'); break;
+                  case 'u':
+                    if (!parseCodePoint(out))
+                        return false;
+                    break;
                   default:
                     return fail(std::string("unsupported escape '\\") +
                                 esc + "'");
@@ -123,6 +128,35 @@ struct Parser
         if (pos >= text.size())
             return fail("unterminated string");
         ++pos;
+        return true;
+    }
+
+    /** The four hex digits of a \u escape, appended to @p out as
+     *  UTF-8. Surrogates (characters beyond the BMP) are refused: no
+     *  writer in the tree emits them. */
+    bool
+    parseCodePoint(std::string &out)
+    {
+        for (size_t i = pos; i < pos + 4; ++i) {
+            if (i >= text.size() ||
+                !std::isxdigit(static_cast<unsigned char>(text[i])))
+                return fail("\\u escape needs four hex digits");
+        }
+        const auto cp = uint32_t(
+            std::strtoul(text.substr(pos, 4).c_str(), nullptr, 16));
+        if (cp >= 0xd800 && cp <= 0xdfff)
+            return fail("unsupported surrogate \\u escape");
+        pos += 4;
+        if (cp < 0x80) {
+            out.push_back(char(cp));
+        } else if (cp < 0x800) {
+            out.push_back(char(0xc0 | (cp >> 6)));
+            out.push_back(char(0x80 | (cp & 0x3f)));
+        } else {
+            out.push_back(char(0xe0 | (cp >> 12)));
+            out.push_back(char(0x80 | ((cp >> 6) & 0x3f)));
+            out.push_back(char(0x80 | (cp & 0x3f)));
+        }
         return true;
     }
 
@@ -271,6 +305,32 @@ parseJson(const std::string &text, JsonValue &out, std::string &error)
         return false;
     }
     return true;
+}
+
+std::string
+escapeJson(std::string_view s)
+{
+    std::string out;
+    out.reserve(s.size());
+    for (char c : s) {
+        switch (c) {
+          case '"':  out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\t': out += "\\t"; break;
+          case '\r': out += "\\r"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x",
+                              unsigned(static_cast<unsigned char>(c)));
+                out += buf;
+            } else {
+                out.push_back(c);
+            }
+        }
+    }
+    return out;
 }
 
 } // namespace psb

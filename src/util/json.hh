@@ -1,9 +1,10 @@
 /**
  * @file
- * Minimal recursive JSON reader for configuration inputs (the sweep
- * spec, chiefly). Deliberately small: objects, arrays, strings with
- * basic escapes, numbers, booleans, and null — everything a
- * declarative spec needs and nothing more.
+ * Minimal recursive JSON reader for the tree's JSON inputs (sweep
+ * specs, stats dumps, merged sweep documents, interval records), and
+ * the one string escaper its writers share. Deliberately small:
+ * objects, arrays, strings (basic escapes and \uXXXX below the
+ * surrogates), numbers, booleans, and null.
  *
  * Two properties matter here and distinguish this from a generic
  * parser:
@@ -25,6 +26,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -85,6 +87,14 @@ struct JsonValue
  */
 bool parseJson(const std::string &text, JsonValue &out,
                std::string &error);
+
+/**
+ * Escape @p s for the inside of a JSON string literal: '"', '\\',
+ * newline, tab and carriage return by name, every other control
+ * character as \u00XX, all other bytes verbatim. parseJson() reads
+ * the result back to @p s.
+ */
+std::string escapeJson(std::string_view s);
 
 } // namespace psb
 

@@ -1,34 +1,14 @@
 #include "util/stats_json.hh"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
+#include "util/json.hh"
 #include "util/logging.hh"
 
 namespace psb
 {
-
-namespace
-{
-
-/** Minimal escaping; stat paths are [a-z0-9._] but stay safe anyway. */
-std::string
-escapeKey(const std::string &key)
-{
-    std::string out;
-    out.reserve(key.size());
-    for (char c : key) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
-} // namespace
 
 std::string
 formatStatReal(double v)
@@ -51,7 +31,7 @@ statsToJson(const std::map<std::string, StatValue> &snapshot)
         if (!first)
             out << ",\n";
         first = false;
-        out << "  \"" << escapeKey(path) << "\": ";
+        out << "  \"" << escapeJson(path) << "\": ";
         if (value.kind == StatValue::Kind::Scalar) {
             char buf[32];
             std::snprintf(buf, sizeof(buf), "%llu",
@@ -65,131 +45,25 @@ statsToJson(const std::map<std::string, StatValue> &snapshot)
     return out.str();
 }
 
-namespace
-{
-
-/** Cursor over the JSON text with one-line error reporting. */
-struct Parser
-{
-    const std::string &text;
-    size_t pos = 0;
-    std::string error;
-
-    bool
-    fail(const std::string &what)
-    {
-        std::ostringstream msg;
-        msg << what << " at offset " << pos;
-        error = msg.str();
-        return false;
-    }
-
-    void
-    skipSpace()
-    {
-        while (pos < text.size() &&
-               std::isspace(static_cast<unsigned char>(text[pos])))
-            ++pos;
-    }
-
-    bool
-    expect(char c)
-    {
-        skipSpace();
-        if (pos >= text.size() || text[pos] != c)
-            return fail(std::string("expected '") + c + "'");
-        ++pos;
-        return true;
-    }
-
-    bool
-    parseString(std::string &out)
-    {
-        skipSpace();
-        if (pos >= text.size() || text[pos] != '"')
-            return fail("expected string");
-        ++pos;
-        out.clear();
-        while (pos < text.size() && text[pos] != '"') {
-            char c = text[pos++];
-            if (c == '\\') {
-                if (pos >= text.size())
-                    return fail("dangling escape");
-                c = text[pos++];
-            }
-            out.push_back(c);
-        }
-        if (pos >= text.size())
-            return fail("unterminated string");
-        ++pos;
-        return true;
-    }
-
-    bool
-    parseNumber(ParsedStat &out)
-    {
-        skipSpace();
-        size_t start = pos;
-        while (pos < text.size() &&
-               (std::isdigit(static_cast<unsigned char>(text[pos])) ||
-                text[pos] == '-' || text[pos] == '+' ||
-                text[pos] == '.' || text[pos] == 'e' ||
-                text[pos] == 'E'))
-            ++pos;
-        if (pos == start)
-            return fail("expected number");
-        out.raw = text.substr(start, pos - start);
-        char *end = nullptr;
-        out.value = std::strtod(out.raw.c_str(), &end);
-        if (end != out.raw.c_str() + out.raw.size())
-            return fail("malformed number '" + out.raw + "'");
-        return true;
-    }
-};
-
-} // namespace
-
 bool
 parseStatsJson(const std::string &text,
                std::map<std::string, ParsedStat> &out, std::string &error)
 {
     out.clear();
-    Parser p{text, 0, {}};
-
-    if (!p.expect('{')) {
-        error = p.error;
+    JsonValue doc;
+    if (!parseJson(text, doc, error))
+        return false;
+    if (!doc.isObject()) {
+        error = "expected an object of stats";
         return false;
     }
-
-    p.skipSpace();
-    if (p.pos < text.size() && text[p.pos] == '}') {
-        ++p.pos;
-        return true;
-    }
-
-    while (true) {
-        std::string key;
-        ParsedStat stat;
-        if (!p.parseString(key) || !p.expect(':') ||
-            !p.parseNumber(stat)) {
-            error = p.error;
+    // parseJson() has already refused duplicate keys.
+    for (auto &[path, value] : doc.object) {
+        if (!value.isNumber()) {
+            error = "stat \"" + path + "\" is not a number";
             return false;
         }
-        if (!out.emplace(key, std::move(stat)).second) {
-            error = "duplicate key '" + key + "'";
-            return false;
-        }
-        p.skipSpace();
-        if (p.pos < text.size() && text[p.pos] == ',') {
-            ++p.pos;
-            continue;
-        }
-        break;
-    }
-
-    if (!p.expect('}')) {
-        error = p.error;
-        return false;
+        out.emplace(path, ParsedStat{std::move(value.raw), value.number});
     }
     return true;
 }

@@ -1,8 +1,8 @@
 /**
  * @file
  * Deterministic flat-JSON serialisation for stats snapshots, plus the
- * matching parser used by the stats-diff tool and the round-trip
- * tests.
+ * matching reader (built on util/json) used by psb-report, the
+ * stats-diff tool and the round-trip tests.
  *
  * The dump format is deliberately flat — one member per stat, the
  * hierarchical path kept in the key:
@@ -44,7 +44,9 @@ std::string formatStatReal(double v);
 std::string statsToJson(const std::map<std::string, StatValue> &snapshot);
 
 /**
- * Parse a flat-JSON stats dump produced by statsToJson().
+ * Parse a flat-JSON stats dump produced by statsToJson(), with
+ * parseJson(): one object whose members are all numbers. Anything
+ * else, a duplicate key or trailing garbage included, is an error.
  * @param text The JSON document.
  * @param out Parsed stats keyed by path (cleared first).
  * @param error Human-readable parse error when returning false.

@@ -23,7 +23,7 @@
  * Conventions (DESIGN.md §12):
  *  - every mutable member of a class that owns a Mutex is either
  *    PSB_GUARDED_BY that Mutex, a synchronization type itself
- *    (Mutex/CondVar/std::atomic/CancelToken), or carries an inline
+ *    (Mutex/CondVar/std::atomic), or carries an inline
  *    `// psb-analyze: allow(R8)` with the external-synchronization
  *    protocol that replaces the lock (e.g. slot ownership);
  *  - writable namespace-scope state in a sweep or logging object is
@@ -37,7 +37,6 @@
 #ifndef PSB_UTIL_THREAD_ANNOTATIONS_HH
 #define PSB_UTIL_THREAD_ANNOTATIONS_HH
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -153,18 +152,7 @@ class CondVar
         _cv.wait(mu);
     }
 
-    /** As wait(), but wakes after @p rel_time even without a notify. */
-    template <class Rep, class Period>
-    void
-    waitFor(Mutex &mu,
-            const std::chrono::duration<Rep, Period> &rel_time)
-        PSB_REQUIRES(mu)
-    {
-        _cv.wait_for(mu, rel_time);
-    }
-
     void notifyOne() { _cv.notify_one(); }
-    void notifyAll() { _cv.notify_all(); }
 
   private:
     std::condition_variable_any _cv;

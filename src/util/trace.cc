@@ -4,6 +4,7 @@
 #include <fstream>
 #include <iostream>
 
+#include "util/json.hh"
 #include "util/logging.hh"
 
 namespace psb
@@ -19,30 +20,6 @@ const char *const kFlagNames[kNumTraceFlags] = {
     "psb",  "sched", "sfm", "markov",   "bus",
     "cache", "mshr", "cpu", "prefetch",
 };
-
-/** Escape a detail string for embedding in a JSON string literal. */
-std::string
-jsonEscape(const char *s)
-{
-    std::string out;
-    for (const char *p = s; *p; ++p) {
-        switch (*p) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if ((unsigned char)*p < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", *p);
-                out += buf;
-            } else {
-                out += *p;
-            }
-        }
-    }
-    return out;
-}
 
 /** Key identifying one open span for the balance bookkeeping. */
 std::string
@@ -206,15 +183,15 @@ TraceManager::writeEvent(TraceFlag flag, char phase, Cycle cycle,
       case Format::Jsonl:
         *_out << "{\"cycle\":" << cycle.raw() << ",\"flag\":\"" << fname
               << "\",\"kind\":\"" << phase << "\",\"name\":\""
-              << jsonEscape(name) << "\",\"track\":" << track
-              << ",\"args\":\"" << jsonEscape(detail) << "\"}\n";
+              << escapeJson(name) << "\",\"track\":" << track
+              << ",\"args\":\"" << escapeJson(detail) << "\"}\n";
         break;
       case Format::Chrome: {
         if (!_chromeFirst)
             *_out << ",\n";
         _chromeFirst = false;
         const char *ph = phase == 'B' ? "B" : phase == 'E' ? "E" : "i";
-        *_out << "{\"name\":\"" << jsonEscape(name) << "\",\"cat\":\""
+        *_out << "{\"name\":\"" << escapeJson(name) << "\",\"cat\":\""
               << fname << "\",\"ph\":\"" << ph
               << "\",\"ts\":" << cycle.raw()
               << ",\"pid\":" << (unsigned(flag) + 1)
@@ -222,7 +199,7 @@ TraceManager::writeEvent(TraceFlag flag, char phase, Cycle cycle,
         if (phase == 'I')
             *_out << ",\"s\":\"t\"";
         if (phase != 'E' && detail[0])
-            *_out << ",\"args\":{\"detail\":\"" << jsonEscape(detail)
+            *_out << ",\"args\":{\"detail\":\"" << escapeJson(detail)
                   << "\"}";
         *_out << "}";
         break;

@@ -48,7 +48,7 @@ WRITABLE = re.compile(r"\.(bss|data|tbss|tdata)(?!\.rel\.ro)")
 #: the archives keep.
 ALLOW = (
     ("sweep.cc.o", "steady_clock::now()",
-     "the deadline clock; wall time never reaches a result"),
+     "progress timing only; wall time never reaches a result"),
     ("trace.cc.o", "std::cout", "the trace sinks' default stream"),
     ("logging.cc.o", "g_reportMu",
      "the psb::Mutex keeping report lines whole across workers"),

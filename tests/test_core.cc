@@ -263,13 +263,37 @@ TEST(CoreDeathTest, RobHeadWithoutCommitPanics)
 {
     // A fill slower than the forward-progress bound (10^6 cycles)
     // stands in for a hang: the head load does not commit in time, so
-    // tick() stops the run and names the cycle and the head. (The
-    // instruction fetch waits on memory too, with the ROB empty.)
+    // tick() stops the run and names the cycle and the head. The
+    // instruction block is warmed first, so the load dispatches at
+    // once and the ROB is never empty while the core waits.
+    MemoryConfig mem = quietMemory();
+    mem.memLatency = CycleDelta{3'000'000};
+    MemoryHierarchy hier(mem);
+    const Cycle warm = hier.instFetch(Addr{0x1000}, Cycle{});
+    SpyPrefetcher spy;
+    VectorTrace trace({loadOp(Addr{0x1000}, 1, Addr{0x400000})});
+    OoOCore core(CoreConfig{}, hier, spy, trace);
+    EXPECT_DEATH(
+        {
+            Cycle now = warm;
+            while (core.tick(now))
+                ++now;
+        },
+        "no forward progress by cycle [0-9]+: .*head seq 1, Load at pc "
+        "0x1000, issued 1");
+}
+
+TEST(CoreDeathTest, EmptyRobWithoutDispatchPanics)
+{
+    // An instruction fetch slower than the bound stands in for a
+    // front end that never resumes: the ROB stays empty and nothing
+    // dispatches, so tick() stops the run and names the fetch state
+    // instead of spinning.
     MemoryConfig mem = quietMemory();
     mem.memLatency = CycleDelta{3'000'000};
     MemoryHierarchy hier(mem);
     SpyPrefetcher spy;
-    VectorTrace trace({loadOp(Addr{0x1000}, 1, Addr{0x400000})});
+    VectorTrace trace({aluOp(Addr{0x1000}, 1)});
     OoOCore core(CoreConfig{}, hier, spy, trace);
     EXPECT_DEATH(
         {
@@ -277,8 +301,9 @@ TEST(CoreDeathTest, RobHeadWithoutCommitPanics)
             while (core.tick(now))
                 ++now;
         },
-        "no forward progress by cycle [0-9]+: .*head seq 1, Load at pc "
-        "0x1000, issued 1");
+        "no forward progress by cycle [0-9]+: the ROB is empty and "
+        "nothing has dispatched for [0-9]+ cycles or more; next seq 1, "
+        "fetch resumes at cycle [0-9]+");
 }
 
 TEST(CoreTest, LoadMissesAreSlowerThanHits)

@@ -144,6 +144,10 @@ TEST(StatsJson, ParserRejectsMalformedInput)
     EXPECT_FALSE(parseStatsJson("{\"a\": }", parsed, error));
     EXPECT_FALSE(parseStatsJson("{\"a\": 1", parsed, error));
     EXPECT_FALSE(parseStatsJson("{\"a\": 1, \"a\": 2}", parsed, error));
+    EXPECT_FALSE(parseStatsJson("{\"a\": 1} trailing garbage", parsed,
+                                error));
+    EXPECT_FALSE(parseStatsJson("{\"a\": \"1\"}", parsed, error));
+    EXPECT_FALSE(parseStatsJson("[1]", parsed, error));
     EXPECT_TRUE(parseStatsJson("{}", parsed, error));
     EXPECT_TRUE(parsed.empty());
 }

@@ -3,25 +3,24 @@
  * Tests for the parallel sweep engine stack: the strict JSON reader
  * (util/json.hh), the strict config-key grammar (sim/config.hh), the
  * declarative sweep spec (sim/sweep_spec.hh), and the engine itself
- * (sim/sweep.hh) — including the concurrency properties the merged
- * document depends on: key-sorted results, thread-count invariance,
- * bounded retry, cooperative timeout, and poisoned-job isolation.
+ * (sim/sweep.hh) — including the properties the merged document
+ * depends on: key-sorted results, thread-count invariance, one run
+ * per job, and poisoned-job isolation.
  *
- * Every fault in here is injected deterministically (attempt counters
- * and cancel-token polling, never clocks or races), so the suite is
- * stable under TSan and at any worker count.
+ * Every fault in here is injected deterministically (never by clocks
+ * or races), so the suite is stable under TSan and at any worker
+ * count.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <memory>
 #include <stdexcept>
-#include <thread>
 
 #include "sim/config.hh"
+#include "sim/run_report.hh"
 #include "sim/sweep.hh"
 #include "sim/sweep_spec.hh"
 #include "util/json.hh"
@@ -90,6 +89,30 @@ TEST(SweepJsonTest, RejectsTrailingGarbageAndSyntaxErrors)
     EXPECT_FALSE(parseJson("[1,]", v, err));
     EXPECT_FALSE(parseJson("", v, err));
     EXPECT_FALSE(parseJson("{\"a\" 1}", v, err));
+}
+
+TEST(SweepJsonTest, DecodesUnicodeEscapes)
+{
+    JsonValue v;
+    std::string err;
+    ASSERT_TRUE(parseJson(R"("a\u0001b\u00e9\u20AC")", v, err)) << err;
+    EXPECT_EQ(v.str, "a\x01" "b\xc3\xa9\xe2\x82\xac");
+    EXPECT_FALSE(parseJson(R"("\u12")", v, err));
+    EXPECT_FALSE(parseJson(R"("\u12g4")", v, err));
+    EXPECT_FALSE(parseJson(R"("\ud83d\ude00")", v, err));
+}
+
+TEST(SweepJsonTest, EscapedStringsReadBackExactly)
+{
+    std::string raw = "q\"b\\n\nt\tr\r";
+    for (int c = 1; c < 0x20; ++c)
+        raw.push_back(char(c));
+    raw += "\x7f\xc3\xa9";
+    EXPECT_EQ(escapeJson("it \"broke\"\x01"), "it \\\"broke\\\"\\u0001");
+    JsonValue v;
+    std::string err;
+    ASSERT_TRUE(parseJson("\"" + escapeJson(raw) + "\"", v, err)) << err;
+    EXPECT_EQ(v.str, raw);
 }
 
 TEST(SweepJsonTest, NumbersKeepSourceSpelling)
@@ -471,56 +494,27 @@ TEST(SweepEngineTest, ResultsSortedByKeyWhateverTheSubmitOrder)
     EXPECT_EQ(results[0].key, "alpha");
     EXPECT_EQ(results[1].key, "mid");
     EXPECT_EQ(results[2].key, "zeta");
-    for (const JobResult &r : results) {
+    for (const JobResult &r : results)
         EXPECT_EQ(r.status, JobStatus::Ok);
-        EXPECT_EQ(r.attempts, 1u);
-    }
 }
 
-TEST(SweepEngineTest, RetriesFailuresUpToTheBound)
+TEST(SweepEngineTest, FailingJobRunsOnceAndKeepsItsError)
 {
-    // Fails deterministically on the first two attempts.
-    auto tries = std::make_shared<std::atomic<unsigned>>(0);
-    SweepJob flaky;
-    flaky.key = "flaky";
-    flaky.run = [tries](const JobContext &ctx) {
-        unsigned n = tries->fetch_add(1);
-        EXPECT_EQ(ctx.attempt, n);
-        JobOutcome out;
-        if (n < 2) {
-            out.error = "injected failure";
-            return out;
-        }
-        out.ok = true;
-        out.payload = "recovered";
-        return out;
-    };
-
-    SweepOptions opts;
-    opts.maxRetries = 2;
-    std::vector<JobResult> results = SweepEngine(opts).run({flaky});
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_EQ(results[0].status, JobStatus::Ok);
-    EXPECT_EQ(results[0].attempts, 3u);
-    EXPECT_EQ(results[0].payload, "recovered");
-}
-
-TEST(SweepEngineTest, ExhaustedRetriesReportTheLastError)
-{
+    auto runs = std::make_shared<std::atomic<unsigned>>(0);
     SweepJob doomed;
     doomed.key = "doomed";
-    doomed.run = [](const JobContext &) {
+    doomed.run = [runs](const JobContext &) {
+        runs->fetch_add(1);
         JobOutcome out;
         out.error = "always broken";
         return out;
     };
 
-    SweepOptions opts;
-    opts.maxRetries = 3;
-    std::vector<JobResult> results = SweepEngine(opts).run({doomed});
+    std::vector<JobResult> results =
+        SweepEngine(SweepOptions{}).run({doomed});
     ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(runs->load(), 1u);
     EXPECT_EQ(results[0].status, JobStatus::Failed);
-    EXPECT_EQ(results[0].attempts, 4u); // 1 try + 3 retries
     EXPECT_EQ(results[0].error, "always broken");
 }
 
@@ -536,42 +530,8 @@ TEST(SweepEngineTest, ExceptionsBecomeDeterministicFailures)
     std::vector<JobResult> results = SweepEngine(opts).run({thrower});
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0].status, JobStatus::Failed);
-    EXPECT_EQ(results[0].attempts, 1u);
     EXPECT_NE(results[0].error.find("boom"), std::string::npos)
         << results[0].error;
-}
-
-TEST(SweepEngineTest, TimeoutKillsOnlyTheHungJob)
-{
-    // A cooperative hang: spins until the engine sets the token.
-    SweepJob hang;
-    hang.key = "hang";
-    hang.run = [](const JobContext &ctx) {
-        while (!ctx.cancelled())
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        JobOutcome out;
-        out.error = "woke up cancelled";
-        return out;
-    };
-
-    std::vector<SweepJob> jobs;
-    jobs.push_back(hang);
-    jobs.push_back(okJob("quick-a", "a"));
-    jobs.push_back(okJob("quick-b", "b"));
-
-    SweepOptions opts;
-    opts.jobs = 2;
-    opts.maxRetries = 5; // must NOT apply to timeouts
-    opts.timeout = std::chrono::milliseconds(100);
-    std::vector<JobResult> results = SweepEngine(opts).run(jobs);
-    ASSERT_EQ(results.size(), 3u);
-    EXPECT_EQ(results[0].key, "hang");
-    EXPECT_EQ(results[0].status, JobStatus::TimedOut);
-    EXPECT_EQ(results[0].attempts, 1u);
-    EXPECT_NE(results[0].error.find("timed out"), std::string::npos)
-        << results[0].error;
-    EXPECT_EQ(results[1].status, JobStatus::Ok);
-    EXPECT_EQ(results[2].status, JobStatus::Ok);
 }
 
 TEST(SweepEngineTest, PoisonedJobDoesNotContaminateSiblings)
@@ -606,13 +566,11 @@ TEST(SweepEngineTest, MergedDocumentIsByteStable)
     JobResult ok;
     ok.key = "a";
     ok.status = JobStatus::Ok;
-    ok.attempts = 1;
     ok.payload = "{\n  \"core.cycles\": 10\n}\n";
     results.push_back(ok);
     JobResult bad;
     bad.key = "b";
     bad.status = JobStatus::Failed;
-    bad.attempts = 2;
     bad.error = "it \"broke\"";
     results.push_back(bad);
 
@@ -628,11 +586,40 @@ TEST(SweepEngineTest, MergedDocumentIsByteStable)
                    "    },\n"
                    "    \"b\": {\n"
                    "      \"status\": \"failed\",\n"
-                   "      \"attempts\": 2,\n"
+                   "      \"attempts\": 1,\n"
                    "      \"error\": \"it \\\"broke\\\"\"\n"
                    "    }\n"
                    "  }\n"
                    "}\n");
+}
+
+/**
+ * A failed job's error may hold any byte: the merged document escapes
+ * control characters as \u00XX, and psb-report reads them back.
+ */
+TEST(SweepEngineTest, ControlCharactersInErrorsSurviveTheReport)
+{
+    JobResult bad;
+    bad.key = "w/seed=1/";
+    bad.status = JobStatus::Failed;
+    bad.error = "boom\x01tab\there";
+    std::string doc = SweepEngine::mergeStatsJson({bad});
+    EXPECT_NE(doc.find("boom\\u0001tab\\there"), std::string::npos)
+        << doc;
+
+    JsonValue parsed;
+    std::string err;
+    ASSERT_TRUE(parseJson(doc, parsed, err)) << err;
+    const JsonValue *job = parsed.find("jobs")->find(bad.key);
+    ASSERT_NE(job, nullptr);
+    EXPECT_EQ(job->find("error")->str, bad.error);
+
+    RunReportInputs in;
+    in.sweepJson = doc;
+    std::string report;
+    ASSERT_TRUE(renderRunReport(in, ReportFormat::Markdown, report, err))
+        << err;
+    EXPECT_NE(report.find("w/seed=1/"), std::string::npos) << report;
 }
 
 /**

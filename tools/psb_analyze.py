@@ -146,7 +146,7 @@ R8_MUTEX_TYPES = ("Mutex", "mutex", "shared_mutex", "recursive_mutex")
 R8_SYNC_TYPES = ("atomic", "Mutex", "MutexLock", "CondVar", "mutex",
                  "shared_mutex", "recursive_mutex",
                  "condition_variable", "condition_variable_any",
-                 "once_flag", "CancelToken")
+                 "once_flag")
 
 # R10-R12 hot-path vocabulary (DESIGN.md §14).
 

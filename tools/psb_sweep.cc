@@ -8,8 +8,6 @@
  *   psb-sweep SPEC.json [options]
  *     --jobs N        worker threads (overrides the spec's "jobs")
  *     --out PATH      merged stats JSON ("-" = stdout, the default)
- *     --retries N     extra attempts after a job failure (default 0)
- *     --timeout-ms N  per-job deadline, 0 = none (default 0)
  *     --list          print the expanded job keys and exit
  *     --quiet         suppress the per-job progress lines
  *     --help
@@ -50,8 +48,6 @@ usage(int code)
         "  psb-sweep SPEC.json [options]\n"
         "  --jobs N        worker threads (overrides the spec)\n"
         "  --out PATH      merged stats JSON (\"-\" = stdout)\n"
-        "  --retries N     extra attempts after a job failure\n"
-        "  --timeout-ms N  per-job deadline in ms (0 = none)\n"
         "  --list          print the expanded job keys and exit\n"
         "  --quiet         no per-job progress lines\n"
         "  --help\n"
@@ -83,8 +79,6 @@ main(int argc, char **argv)
     std::string specPath;
     std::string outPath = "-";
     uint64_t jobsOverride = 0;
-    uint64_t retries = 0;
-    uint64_t timeoutMs = 0;
     bool quiet = false;
     bool listOnly = false;
 
@@ -109,10 +103,6 @@ main(int argc, char **argv)
             }
         } else if (flag == "--out") {
             outPath = value();
-        } else if (flag == "--retries") {
-            retries = parseNum(value(), "--retries");
-        } else if (flag == "--timeout-ms") {
-            timeoutMs = parseNum(value(), "--timeout-ms");
         } else if (flag == "--quiet") {
             quiet = true;
         } else if (flag == "--list") {
@@ -169,8 +159,6 @@ main(int argc, char **argv)
 
     SweepOptions opts;
     opts.jobs = jobsOverride ? unsigned(jobsOverride) : spec.jobs;
-    opts.maxRetries = unsigned(retries);
-    opts.timeout = std::chrono::milliseconds(timeoutMs);
     opts.progress = quiet ? nullptr : &std::cerr;
 
     if (!quiet) {
