@@ -1,17 +1,10 @@
-#include "prefetch/next_line_prefetcher.hh"
+#include "prefetch/fifo_buffer_prefetcher.hh"
 
 namespace psb
 {
 
-NextLinePrefetcher::NextLinePrefetcher(MemoryHierarchy &hierarchy,
-                                       unsigned buffer_entries,
-                                       unsigned degree)
-    : _hierarchy(hierarchy), _degree(degree), _buffer(buffer_entries)
-{
-}
-
 PrefetchLookup
-NextLinePrefetcher::lookup(Addr addr, Cycle now)
+FifoBufferPrefetcher::lookup(Addr addr, Cycle now)
 {
     ++_stats.lookups;
     PrefetchLookup result;
@@ -31,6 +24,7 @@ NextLinePrefetcher::lookup(Addr addr, Cycle now)
         result.dataPending = e.ready > now;
         if (result.dataPending)
             ++_stats.hitsPending;
+        prefetchRetired(e.sourceBlock, /*used=*/true);
         _attrib.use(e.lineage, now, e.ready);
         e.valid = false;
         return result;
@@ -38,13 +32,22 @@ NextLinePrefetcher::lookup(Addr addr, Cycle now)
     return result;
 }
 
-void
-NextLinePrefetcher::trainLoad(Addr, Addr, bool, bool)
+BlockAddr
+FifoBufferPrefetcher::releaseLateTags(Addr addr)
 {
+    BlockAddr block = _hierarchy.blockOf(addr);
+    for (auto &e : _buffer) {
+        if (e.valid && !e.prefetched && e.block == block) {
+            ++_stats.lateTagHits;
+            e.valid = false;
+        }
+    }
+    ++_stats.allocationRequests;
+    return block;
 }
 
 void
-NextLinePrefetcher::enqueue(BlockAddr block)
+FifoBufferPrefetcher::enqueue(BlockAddr block, BlockAddr source)
 {
     // Already queued or in flight: nothing to do.
     for (const auto &e : _buffer) {
@@ -61,35 +64,19 @@ NextLinePrefetcher::enqueue(BlockAddr block)
         if (e.fifoStamp < victim->fifoStamp)
             victim = &e;
     }
-    if (victim->valid && victim->prefetched)
+    if (victim->valid && victim->prefetched) {
+        prefetchRetired(victim->sourceBlock, /*used=*/false);
         _attrib.terminal(victim->lineage, PrefetchOutcomeKind::Replaced);
+    }
     *victim = BufEntry{};
     victim->block = block;
+    victim->sourceBlock = source;
     victim->valid = true;
     victim->fifoStamp = ++_stamp;
 }
 
 void
-NextLinePrefetcher::demandMiss(Addr, Addr addr, Cycle)
-{
-    // Release any matching prediction whose prefetch never issued.
-    BlockAddr fill_block = _hierarchy.blockOf(addr);
-    for (auto &e : _buffer) {
-        if (e.valid && !e.prefetched && e.block == fill_block) {
-            ++_stats.lateTagHits;
-            e.valid = false;
-        }
-    }
-    ++_stats.allocationRequests;
-    BlockAddr block = _hierarchy.blockOf(addr);
-    for (unsigned d = 1; d <= _degree; ++d) {
-        ++_stats.predictions;
-        enqueue(block + BlockDelta(d));
-    }
-}
-
-void
-NextLinePrefetcher::tick(Cycle now)
+FifoBufferPrefetcher::tick(Cycle now)
 {
     if (!_hierarchy.l1ToL2BusFree(now))
         return;
@@ -107,7 +94,7 @@ NextLinePrefetcher::tick(Cycle now)
     oldest->prefetched = true;
     oldest->ready = outcome.ready;
     PrefetchOrigin origin;
-    origin.source = PredictionSource::NextLine;
+    origin.source = _source;
     origin.slot = int(oldest - _buffer.data());
     oldest->lineage = _attrib.issue(
         origin, oldest->block, now, outcome.ready,
@@ -115,7 +102,7 @@ NextLinePrefetcher::tick(Cycle now)
 }
 
 bool
-NextLinePrefetcher::fastForwardTicks(Cycle from, uint64_t n)
+FifoBufferPrefetcher::fastForwardTicks(Cycle from, uint64_t n)
 {
     // An idle tick here touches no state at all (the bus gate and the
     // empty scan both return without counting), so a span is

@@ -4,19 +4,17 @@ namespace psb
 {
 
 MarkovPrefetcher::MarkovPrefetcher(MemoryHierarchy &hierarchy,
-                                   const MarkovTableConfig &table,
-                                   unsigned buffer_entries,
-                                   bool adaptive)
-    : _hierarchy(hierarchy), _table(table), _buffer(buffer_entries),
-      _adaptive(adaptive), _badness(table.entries, 0)
+                                   const MarkovTableConfig &table)
+    : FifoBufferPrefetcher(hierarchy, PredictionSource::Markov),
+      _table(table), _badness(table.entries, 0)
 {
 }
 
 void
-MarkovPrefetcher::creditSource(BlockAddr source, bool used)
+MarkovPrefetcher::prefetchRetired(BlockAddr source, bool used)
 {
-    if (!_adaptive)
-        return;
+    // "When a prefetch is discarded from the prefetch buffer without
+    // being used, the corresponding counter is incremented."
     uint8_t &ctr = _badness[source.raw() & (_badness.size() - 1)];
     if (used) {
         if (ctr > 0)
@@ -30,40 +28,9 @@ MarkovPrefetcher::creditSource(BlockAddr source, bool used)
 bool
 MarkovPrefetcher::sourceDisabled(BlockAddr source) const
 {
-    if (!_adaptive)
-        return false;
     // "When the sign bit of the counter is set, the relevant entry in
     // the prediction table is disabled."
     return (_badness[source.raw() & (_badness.size() - 1)] & 0x2) != 0;
-}
-
-PrefetchLookup
-MarkovPrefetcher::lookup(Addr addr, Cycle now)
-{
-    ++_stats.lookups;
-    PrefetchLookup result;
-    BlockAddr block = _hierarchy.blockOf(addr);
-
-    for (auto &e : _buffer) {
-        if (!e.valid || e.block != block)
-            continue;
-        if (!e.prefetched) {
-            // Not yet issued: nothing to provide; reconciled on the
-            // demand-fill path.
-            return result;
-        }
-        ++_stats.hits;
-        result.hit = true;
-        result.ready = e.ready;
-        result.dataPending = e.ready > now;
-        if (result.dataPending)
-            ++_stats.hitsPending;
-        creditSource(e.sourceBlock, /*used=*/true);
-        _attrib.use(e.lineage, now, e.ready);
-        e.valid = false;
-        return result;
-    }
-    return result;
 }
 
 void
@@ -80,7 +47,7 @@ MarkovPrefetcher::trainLoad(Addr, Addr addr, bool l1_miss,
         // observed transition.
         if (sourceDisabled(_lastMiss)) {
             if (auto pred = _table.lookup(_lastMiss))
-                creditSource(_lastMiss, *pred == block);
+                prefetchRetired(_lastMiss, *pred == block);
         }
         // Record the global miss-to-miss transition.
         _table.update(_lastMiss, block);
@@ -90,49 +57,11 @@ MarkovPrefetcher::trainLoad(Addr, Addr addr, bool l1_miss,
 }
 
 void
-MarkovPrefetcher::enqueue(BlockAddr block, BlockAddr source)
-{
-    for (const auto &e : _buffer) {
-        if (e.valid && e.block == block)
-            return;
-    }
-    BufEntry *victim = &_buffer[0];
-    for (auto &e : _buffer) {
-        if (!e.valid) {
-            victim = &e;
-            break;
-        }
-        if (e.fifoStamp < victim->fifoStamp)
-            victim = &e;
-    }
-    // "When a prefetch is discarded from the prefetch buffer without
-    // being used, the corresponding counter is incremented."
-    if (victim->valid && victim->prefetched) {
-        creditSource(victim->sourceBlock, /*used=*/false);
-        _attrib.terminal(victim->lineage, PrefetchOutcomeKind::Replaced);
-    }
-    *victim = BufEntry{};
-    victim->block = block;
-    victim->sourceBlock = source;
-    victim->valid = true;
-    victim->fifoStamp = ++_stamp;
-}
-
-void
 MarkovPrefetcher::demandMiss(Addr, Addr addr, Cycle)
 {
-    // Release any matching prediction whose prefetch never issued.
-    BlockAddr fill_block = _hierarchy.blockOf(addr);
-    for (auto &e : _buffer) {
-        if (e.valid && !e.prefetched && e.block == fill_block) {
-            ++_stats.lateTagHits;
-            e.valid = false;
-        }
-    }
-    ++_stats.allocationRequests;
+    BlockAddr block = releaseLateTags(addr);
     // One-shot: predict the successor of this miss, then idle until
     // the next miss. No re-indexing with predicted addresses.
-    BlockAddr block = _hierarchy.blockOf(addr);
     if (auto next = _table.lookup(block)) {
         // Disabled entries issue no prefetch; trainLoad() keeps
         // scoring them so they re-enable once correct again.
@@ -143,43 +72,6 @@ MarkovPrefetcher::demandMiss(Addr, Addr addr, Cycle)
             enqueue(*next, block);
         }
     }
-}
-
-void
-MarkovPrefetcher::tick(Cycle now)
-{
-    if (!_hierarchy.l1ToL2BusFree(now))
-        return;
-    BufEntry *oldest = nullptr;
-    for (auto &e : _buffer) {
-        if (e.valid && !e.prefetched &&
-            (!oldest || e.fifoStamp < oldest->fifoStamp)) {
-            oldest = &e;
-        }
-    }
-    if (!oldest)
-        return;
-    PrefetchOutcome outcome = _hierarchy.prefetch(oldest->block, now);
-    oldest->prefetched = true;
-    oldest->ready = outcome.ready;
-    PrefetchOrigin origin;
-    origin.source = PredictionSource::Markov;
-    origin.slot = int(oldest - _buffer.data());
-    oldest->lineage = _attrib.issue(
-        origin, oldest->block, now, outcome.ready,
-        _hierarchy.demandHasBlock(oldest->block, now));
-}
-
-bool
-MarkovPrefetcher::fastForwardTicks(Cycle from, uint64_t n)
-{
-    // Same reasoning as NextLinePrefetcher: idle ticks are stat-free,
-    // so quiescence (or a bus busy for the whole span) suffices.
-    for (const auto &e : _buffer) {
-        if (e.valid && !e.prefetched)
-            return _hierarchy.l1L2Bus().freeCyclesIn(from, n) == 0;
-    }
-    return true;
 }
 
 void

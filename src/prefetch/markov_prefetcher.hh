@@ -17,9 +17,8 @@
 
 #include <vector>
 
-#include "memory/hierarchy.hh"
 #include "predictors/markov_table.hh"
-#include "prefetch/prefetcher.hh"
+#include "prefetch/fifo_buffer_prefetcher.hh"
 
 namespace psb
 {
@@ -30,33 +29,21 @@ namespace psb
  *  decremented when used; entries whose counter's sign bit is set are
  *  disabled, but their requests keep being tracked so they re-enable
  *  once they start predicting correctly again. */
-class MarkovPrefetcher : public Prefetcher
+class MarkovPrefetcher final : public FifoBufferPrefetcher
 {
   public:
     MarkovPrefetcher(MemoryHierarchy &hierarchy,
-                     const MarkovTableConfig &table = {},
-                     unsigned buffer_entries = 16,
-                     bool adaptive = true);
+                     const MarkovTableConfig &table = {});
 
-    PrefetchLookup lookup(Addr addr, Cycle now) override;
     void trainLoad(Addr pc, Addr addr, bool l1_miss,
                    bool store_forwarded) override;
     void demandMiss(Addr pc, Addr addr, Cycle now) override;
-    void tick(Cycle now) override;
-    bool fastForwardTicks(Cycle from, uint64_t n) override;
-    /** A queued entry becomes prefetched, the only change that
-     *  turns a missing lookup into a hit, through
-     *  MemoryHierarchy::prefetch() (tick()). */
-    uint64_t hitEpoch() const override { return 1; }
-    void replayMissedLookups(uint64_t n) override { _stats.lookups += n; }
-    const PrefetcherStats &stats() const override { return _stats; }
 
     void
     resetStats() override
     {
-        _stats = PrefetcherStats{};
+        FifoBufferPrefetcher::resetStats();
         _disabledSuppressed = 0;
-        _attrib.resetStats();
     }
 
     /** Common prefetcher stats plus the adaptivity suppression
@@ -64,39 +51,20 @@ class MarkovPrefetcher : public Prefetcher
     void registerStats(StatsRegistry &reg,
                        const std::string &prefix) const override;
 
-    const MarkovTable &table() const { return _table; }
+    /** Predictions suppressed by the adaptivity counters (stat). */
+    uint64_t disabledSuppressed() const { return _disabledSuppressed; }
 
   private:
-    struct BufEntry
-    {
-        BlockAddr block{};
-        BlockAddr sourceBlock{}; ///< table entry that predicted this
-        bool valid = false;
-        bool prefetched = false;
-        Cycle ready{};
-        uint64_t fifoStamp = 0;
-        uint64_t lineage = 0; ///< attribution id (0 until issued)
-    };
-
-    void enqueue(BlockAddr block, BlockAddr source);
-    void creditSource(BlockAddr source, bool used);
+    /** Score the table entry of @p source (the adaptivity counter). */
+    void prefetchRetired(BlockAddr source, bool used) override;
     bool sourceDisabled(BlockAddr source) const;
 
-    MemoryHierarchy &_hierarchy;
     MarkovTable _table;
-    std::vector<BufEntry> _buffer;
     BlockAddr _lastMiss{};
     bool _haveLastMiss = false;
-    bool _adaptive;
     /** Two-bit accuracy counters keyed like the Markov table. */
     std::vector<uint8_t> _badness;
     uint64_t _disabledSuppressed = 0;
-    uint64_t _stamp = 0;
-    PrefetcherStats _stats;
-
-  public:
-    /** Predictions suppressed by the adaptivity counters (stat). */
-    uint64_t disabledSuppressed() const { return _disabledSuppressed; }
 };
 
 } // namespace psb

@@ -12,64 +12,27 @@
 #ifndef PSB_PREFETCH_NEXT_LINE_PREFETCHER_HH
 #define PSB_PREFETCH_NEXT_LINE_PREFETCHER_HH
 
-#include <deque>
-#include <vector>
-
-#include "memory/hierarchy.hh"
-#include "prefetch/prefetcher.hh"
+#include "prefetch/fifo_buffer_prefetcher.hh"
 
 namespace psb
 {
 
-/** Demand-triggered next-sequential-block prefetcher. */
-class NextLinePrefetcher : public Prefetcher
+/** Demand-triggered next-sequential-block prefetcher (degree 1). */
+class NextLinePrefetcher final : public FifoBufferPrefetcher
 {
   public:
-    /**
-     * @param buffer_entries Capacity of the FIFO prefetch buffer.
-     * @param degree Sequential blocks prefetched per triggering miss.
-     */
-    NextLinePrefetcher(MemoryHierarchy &hierarchy,
-                       unsigned buffer_entries = 16, unsigned degree = 1);
-
-    PrefetchLookup lookup(Addr addr, Cycle now) override;
-    void trainLoad(Addr pc, Addr addr, bool l1_miss,
-                   bool store_forwarded) override;
-    void demandMiss(Addr pc, Addr addr, Cycle now) override;
-    void tick(Cycle now) override;
-    bool fastForwardTicks(Cycle from, uint64_t n) override;
-    /** A queued entry becomes prefetched, the only change that
-     *  turns a missing lookup into a hit, through
-     *  MemoryHierarchy::prefetch() (tick()). */
-    uint64_t hitEpoch() const override { return 1; }
-    void replayMissedLookups(uint64_t n) override { _stats.lookups += n; }
-    const PrefetcherStats &stats() const override { return _stats; }
-
-    void
-    resetStats() override
+    explicit NextLinePrefetcher(MemoryHierarchy &hierarchy)
+        : FifoBufferPrefetcher(hierarchy, PredictionSource::NextLine)
     {
-        _stats = PrefetcherStats{};
-        _attrib.resetStats();
     }
 
-  private:
-    struct BufEntry
+    void
+    demandMiss(Addr, Addr addr, Cycle) override
     {
-        BlockAddr block{};
-        bool valid = false;
-        bool prefetched = false;
-        Cycle ready{};
-        uint64_t fifoStamp = 0;
-        uint64_t lineage = 0; ///< attribution id (0 until issued)
-    };
-
-    void enqueue(BlockAddr block);
-
-    MemoryHierarchy &_hierarchy;
-    unsigned _degree;
-    std::vector<BufEntry> _buffer;
-    uint64_t _stamp = 0;
-    PrefetcherStats _stats;
+        BlockAddr block = releaseLateTags(addr);
+        ++_stats.predictions;
+        enqueue(block + BlockDelta(1), block);
+    }
 };
 
 } // namespace psb

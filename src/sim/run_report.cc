@@ -214,6 +214,7 @@ buildIntervals(const std::string &jsonl, const StatsMap &stats,
     std::map<std::string, int64_t> delta_sums;
     uint64_t records = 0;
     uint64_t first_start = 0, last_end = 0;
+    std::string broken; ///< the first break in the series, if any
     std::istringstream lines(jsonl);
     std::string line;
     while (std::getline(lines, line)) {
@@ -225,11 +226,21 @@ buildIntervals(const std::string &jsonl, const StatsMap &stats,
                     ": " + error;
             return false;
         }
-        uint64_t start = 0, end = 0;
+        uint64_t index = 0, start = 0, end = 0;
+        const JsonValue *iv = rec.find("interval");
+        bool indexed = iv && iv->asUInt(index);
         if (const JsonValue *v = rec.find("start"))
             v->asUInt(start);
         if (const JsonValue *v = rec.find("end"))
             v->asUInt(end);
+        // The series must be numbered 0, 1, 2, ... with each record
+        // starting where the previous one ended.
+        std::string at = "interval record " + fmtUint(records);
+        if (broken.empty() && (!indexed || index != records))
+            broken = at + " is not numbered " + fmtUint(records);
+        if (broken.empty() && records > 0 && start != last_end)
+            broken = at + " starts at cycle " + fmtUint(start) +
+                     ", not at the previous end " + fmtUint(last_end);
         if (records == 0)
             first_start = start;
         last_end = end;
@@ -251,12 +262,16 @@ buildIntervals(const std::string &jsonl, const StatsMap &stats,
     sec.paragraphs.push_back(
         fmtUint(records) + " interval records covering cycles " +
         fmtUint(first_start) + ".." + fmtUint(last_end) + ".");
-    sec.paragraphs.push_back(
-        mismatches == 0
-            ? "Telescoping check: OK (every scalar delta series sums "
-              "to its final stats value)."
-            : "Telescoping check: FAILED for " + fmtUint(mismatches) +
-                  " stat paths.");
+    if (!broken.empty())
+        sec.paragraphs.push_back("Telescoping check: FAILED: " + broken +
+                                 ".");
+    else
+        sec.paragraphs.push_back(
+            mismatches == 0
+                ? "Telescoping check: OK (every scalar delta series "
+                  "sums to its final stats value)."
+                : "Telescoping check: FAILED for " +
+                      fmtUint(mismatches) + " stat paths.");
     return true;
 }
 
@@ -434,6 +449,7 @@ buildSweep(const std::string &json, std::vector<Section> &sections,
     return true;
 }
 
+/** Added, removed and changed stats; "-" marks the absent side. */
 Section
 buildGoldenDrift(const StatsMap &stats, const StatsMap &golden)
 {
@@ -443,29 +459,36 @@ buildGoldenDrift(const StatsMap &stats, const StatsMap &golden)
     Table t;
     t.header = {"Stat", "Golden", "Current"};
     constexpr size_t kMaxListed = 20;
+    auto list = [&](const std::string &path) {
+        if (t.rows.size() < kMaxListed)
+            t.rows.push_back(
+                {path, statToken(golden, path), statToken(stats, path)});
+    };
     for (const auto &[path, value] : stats) {
         auto it = golden.find(path);
         if (it == golden.end()) {
             ++added;
+            list(path);
         } else if (it->second.raw != value.raw) {
             ++changed;
-            if (t.rows.size() < kMaxListed)
-                t.rows.push_back({path, it->second.raw, value.raw});
+            list(path);
         }
     }
     for (const auto &[path, value] : golden) {
         (void)value;
-        if (stats.find(path) == stats.end())
+        if (stats.find(path) == stats.end()) {
             ++removed;
+            list(path);
+        }
     }
     sec.paragraphs.push_back(
         fmtUint(added) + " stats added, " + fmtUint(removed) +
         " removed, " + fmtUint(changed) +
         " changed relative to the golden document.");
     if (!t.rows.empty()) {
-        if (changed > kMaxListed)
+        if (added + removed + changed > kMaxListed)
             sec.paragraphs.push_back("First " + fmtUint(kMaxListed) +
-                                     " changed stats:");
+                                     " differing stats:");
         sec.tables.push_back(std::move(t));
     }
     return sec;

@@ -13,6 +13,8 @@
  *     coverage / timeliness, per-source breakdown, distance and
  *     lateness percentiles (DESIGN.md §13)
  *   - interval series summary with the telescoping check re-verified
+ *     (deltas sum to the final stats; records numbered 0, 1, 2, ...,
+ *     each starting where the previous one ended)
  *   - the tables a sweep spec declares (sim/sweep_spec.hh), rendered
  *     from the psb-sweep merged document — every paper figure is one
  *     such table — or, for a spec without tables, a per-cell sweep

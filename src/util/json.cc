@@ -101,6 +101,8 @@ struct Parser
         ++pos;
         out.clear();
         while (pos < text.size() && text[pos] != '"') {
+            if (static_cast<unsigned char>(text[pos]) < 0x20)
+                return fail("raw control character in string");
             char c = text[pos++];
             if (c == '\\') {
                 if (pos >= text.size())

@@ -61,13 +61,4 @@ warn(const char *fmt, ...)
     va_end(args);
 }
 
-void
-inform(const char *fmt, ...)
-{
-    va_list args;
-    va_start(args, fmt);
-    vreport(stdout, "info: ", fmt, args);
-    va_end(args);
-}
-
 } // namespace psb

@@ -8,7 +8,6 @@
  * fatal()  — the simulation cannot continue because of a user error
  *            (bad configuration, invalid argument); exits with code 1.
  * warn()   — something is modelled approximately but the run continues.
- * inform() — plain status output.
  *
  * Thread safety: call sites are reachable from sweep-engine worker
  * threads, so every function here emits its whole line under one
@@ -36,9 +35,6 @@ namespace psb
 
 /** Print a formatted warning to stderr and continue. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Print a formatted status message to stdout. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /**
  * warn(), but at most once per call site. For per-event modelling

@@ -12,10 +12,10 @@
  *    live values — including after a warm-up resetStats(). snapshot()
  *    materialises a sorted path -> value map and toJson() renders it
  *    deterministically (sorted keys, fixed float formatting) for the
- *    golden-stats harness and stats-diff tooling.
+ *    golden-stats harness, psb-report and the sweep documents.
  *
  * Modelled loosely on gem5's stats package but kept deliberately
- * small; the bench harnesses still read raw struct fields directly.
+ * small.
  */
 
 #ifndef PSB_UTIL_STATS_HH

@@ -1,8 +1,8 @@
 /**
  * @file
  * Deterministic flat-JSON serialisation for stats snapshots, plus the
- * matching reader (built on util/json) used by psb-report, the
- * stats-diff tool and the round-trip tests.
+ * matching reader (built on util/json) used by psb-report and the
+ * tests.
  *
  * The dump format is deliberately flat — one member per stat, the
  * hierarchical path kept in the key:

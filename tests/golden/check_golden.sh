@@ -1,19 +1,20 @@
 #!/bin/sh
 # Golden-stats regression check for one seed workload.
 #
-#   check_golden.sh PSB_SIM STATS_DIFF WORKLOAD GOLDEN_FILE [--update]
+#   check_golden.sh PSB_SIM PSB_REPORT WORKLOAD GOLDEN_FILE [--update]
 #
 # Runs the simulator at the fixed golden configuration, dumps the
-# stats registry as JSON, and diffs it against the checked-in golden
-# (exactly: the simulation is fully deterministic, so any deviation is
-# a real behaviour change). With --update the golden file is
-# regenerated instead; `cmake --build build --target update-golden`
-# runs this for every workload. See EXPERIMENTS.md ("Golden-stats
-# workflow") for the tolerance policy when comparing across configs.
+# stats registry as JSON, and byte-compares it with the checked-in
+# golden: the simulation is fully deterministic, so any deviation is
+# a real behaviour change. On a mismatch it prints psb-report's golden
+# drift section (every added, removed and changed stat, up to 20) and
+# exits 1. With --update the golden file is regenerated instead;
+# `cmake --build build --target update-golden` runs this for every
+# workload. See EXPERIMENTS.md ("Golden-stats workflow").
 set -eu
 
 PSB_SIM=$1
-STATS_DIFF=$2
+PSB_REPORT=$2
 WORKLOAD=$3
 GOLDEN=$4
 MODE=${5:-check}
@@ -34,4 +35,7 @@ if [ "$MODE" = "--update" ]; then
     exit 0
 fi
 
-exec "$STATS_DIFF" "$GOLDEN" "$TMP"
+cmp -s "$GOLDEN" "$TMP" && exit 0
+echo "check_golden.sh: $WORKLOAD stats differ from $GOLDEN" >&2
+"$PSB_REPORT" --stats-json "$TMP" --golden "$GOLDEN" --md -
+exit 1

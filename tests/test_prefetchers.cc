@@ -126,17 +126,6 @@ TEST(NextLineTest, MissTriggersNextBlockPrefetch)
     EXPECT_FALSE(nlp.lookup(Addr{0x30040}, Cycle{1001}).hit); // degree 1
 }
 
-TEST(NextLineTest, DegreeControlsDepth)
-{
-    MemoryHierarchy hier(quietMemory());
-    NextLinePrefetcher nlp(hier, 16, /*degree=*/3);
-    nlp.demandMiss(pc, Addr{0x30000}, Cycle{});
-    tickRange(nlp, Cycle{1}, Cycle{600});
-    EXPECT_TRUE(nlp.lookup(Addr{0x30020}, Cycle{1000}).hit);
-    EXPECT_TRUE(nlp.lookup(Addr{0x30040}, Cycle{1001}).hit);
-    EXPECT_TRUE(nlp.lookup(Addr{0x30060}, Cycle{1002}).hit);
-}
-
 TEST(NextLineTest, DuplicateRequestsCoalesce)
 {
     MemoryHierarchy hier(quietMemory());
@@ -188,50 +177,63 @@ TEST(MarkovPrefetcherTest, HitsOnlyOnMissStreamTraining)
     EXPECT_FALSE(mp.lookup(Addr{0x55000}, Cycle{1000}).hit);
 }
 
+/**
+ * Train A -> B and 16 transitions C_i -> D_i, whose predictions fill
+ * the 16-entry buffer and so evict the B prefetch.
+ */
+void
+trainEvictors(MarkovPrefetcher &mp)
+{
+    mp.trainLoad(pc, Addr{0x40000}, true, false);
+    mp.trainLoad(pc, Addr{0x55000}, true, false); // A -> B
+    for (int i = 0; i < 16; ++i) {
+        mp.trainLoad(pc, Addr(0x70020 + 0x40 * i), true, false);
+        mp.trainLoad(pc, Addr(0x81000 + 0x40 * i), true, false);
+    }
+}
+
+/**
+ * One round: trigger A, let every queued prediction issue, then evict
+ * the unused B prefetch with the 16 C_i -> D_i predictions (the last
+ * one replaces the FIFO-oldest entry, B).
+ */
+void
+discardRound(MarkovPrefetcher &mp, int round)
+{
+    Cycle start(2000 * round);
+    mp.demandMiss(pc, Addr{0x40000}, start);
+    tickRange(mp, start + CycleDelta(1), start + CycleDelta(1990));
+    for (int i = 0; i < 16; ++i)
+        mp.demandMiss(pc, Addr(0x70020 + 0x40 * i),
+                      start + CycleDelta(1990));
+}
+
 TEST(MarkovPrefetcherTest, AdaptivityDisablesUselessEntries)
 {
     // Joseph & Grunwald's accuracy-based adaptivity: an entry whose
     // prefetches keep being discarded unused is disabled.
     MemoryHierarchy hier(quietMemory());
-    MarkovPrefetcher mp(hier, {}, /*buffer_entries=*/1,
-                        /*adaptive=*/true);
-    // Train A -> B once; then repeatedly trigger A and let the
-    // one-entry buffer discard the unused B-prefetch each round by
-    // triggering an unrelated transition C -> D.
-    mp.trainLoad(pc, Addr{0x40000}, true, false);
-    mp.trainLoad(pc, Addr{0x55000}, true, false); // A -> B
-    mp.trainLoad(pc, Addr{0x70020}, true, false);
-    mp.trainLoad(pc, Addr{0x81000}, true, false); // C -> D
+    MarkovPrefetcher mp(hier);
+    trainEvictors(mp);
     uint64_t preds_before = 0;
     for (int round = 0; round < 6; ++round) {
-        mp.demandMiss(pc, Addr{0x40000}, Cycle(10 * round));
-        for (Cycle c(10 * round + 1); c < Cycle(10 * round + 9); ++c)
-            mp.tick(c);
-        // Evict the B prefetch unused with a second prediction.
-        mp.demandMiss(pc, Addr{0x70020}, Cycle(10 * round + 9));
+        discardRound(mp, round);
         preds_before = mp.stats().predictions;
     }
     EXPECT_GT(mp.disabledSuppressed(), 0u);
     // Once disabled, triggering A adds no new prediction.
-    mp.demandMiss(pc, Addr{0x40000}, Cycle{1000});
+    mp.demandMiss(pc, Addr{0x40000}, Cycle{20000});
     EXPECT_EQ(mp.stats().predictions, preds_before);
 }
 
 TEST(MarkovPrefetcherTest, DisabledEntryReenablesWhenCorrectAgain)
 {
     MemoryHierarchy hier(quietMemory());
-    MarkovPrefetcher mp(hier, {}, 1, true);
-    mp.trainLoad(pc, Addr{0x40000}, true, false);
-    mp.trainLoad(pc, Addr{0x55000}, true, false); // A -> B
-    mp.trainLoad(pc, Addr{0x70020}, true, false);
-    mp.trainLoad(pc, Addr{0x81000}, true, false); // C -> D
+    MarkovPrefetcher mp(hier);
+    trainEvictors(mp);
     // Disable A's entry by discarding its prefetches.
-    for (int round = 0; round < 6; ++round) {
-        mp.demandMiss(pc, Addr{0x40000}, Cycle(10 * round));
-        for (Cycle c(10 * round + 1); c < Cycle(10 * round + 9); ++c)
-            mp.tick(c);
-        mp.demandMiss(pc, Addr{0x70020}, Cycle(10 * round + 9));
-    }
+    for (int round = 0; round < 6; ++round)
+        discardRound(mp, round);
     ASSERT_GT(mp.disabledSuppressed(), 0u);
     // Now the A -> B transition recurs in the miss stream: the
     // suppressed prediction is scored correct and re-enables.
@@ -240,25 +242,8 @@ TEST(MarkovPrefetcherTest, DisabledEntryReenablesWhenCorrectAgain)
         mp.trainLoad(pc, Addr{0x55000}, true, false);
     }
     uint64_t preds = mp.stats().predictions;
-    mp.demandMiss(pc, Addr{0x40000}, Cycle{2000});
+    mp.demandMiss(pc, Addr{0x40000}, Cycle{20000});
     EXPECT_EQ(mp.stats().predictions, preds + 1);
-}
-
-TEST(MarkovPrefetcherTest, NonAdaptiveNeverDisables)
-{
-    MemoryHierarchy hier(quietMemory());
-    MarkovPrefetcher mp(hier, {}, 1, /*adaptive=*/false);
-    mp.trainLoad(pc, Addr{0x40000}, true, false);
-    mp.trainLoad(pc, Addr{0x55000}, true, false);
-    mp.trainLoad(pc, Addr{0x70020}, true, false);
-    mp.trainLoad(pc, Addr{0x81000}, true, false);
-    for (int round = 0; round < 10; ++round) {
-        mp.demandMiss(pc, Addr{0x40000}, Cycle(10 * round));
-        for (Cycle c(10 * round + 1); c < Cycle(10 * round + 9); ++c)
-            mp.tick(c);
-        mp.demandMiss(pc, Addr{0x70020}, Cycle(10 * round + 9));
-    }
-    EXPECT_EQ(mp.disabledSuppressed(), 0u);
 }
 
 TEST(FarkasPredictorTest, FixedPointOnlyForStrideZero)

@@ -196,7 +196,9 @@ TEST(RunReport, GoldenDriftCountsAddsRemovesChanges)
     std::string md = render(in, ReportFormat::Markdown);
     EXPECT_NE(md.find("1 stats added, 1 removed, 1 changed"),
               std::string::npos);
+    EXPECT_NE(md.find("| a | - | 1 |"), std::string::npos);
     EXPECT_NE(md.find("| c | 4 | 3 |"), std::string::npos);
+    EXPECT_NE(md.find("| d | 5 | - |"), std::string::npos);
 }
 
 TEST(RunReport, HtmlEscapesUserStrings)
@@ -247,6 +249,27 @@ TEST(RunReport, IntervalSectionReVerifiesTelescoping)
         "{\"x.hits\":7},\"values\":{}}\n";
     md = render(in, ReportFormat::Markdown);
     EXPECT_NE(md.find("Telescoping check: FAILED for 1 stat paths"),
+              std::string::npos);
+
+    // So is a series whose deltas telescope but whose records are
+    // misnumbered or leave a gap.
+    in.intervalsJsonl =
+        "{\"interval\":0,\"start\":0,\"end\":10,\"delta\":"
+        "{\"core.cycles\":10,\"x.hits\":4},\"values\":{}}\n"
+        "{\"interval\":2,\"start\":10,\"end\":30,\"delta\":"
+        "{\"core.cycles\":20,\"x.hits\":6},\"values\":{}}\n";
+    md = render(in, ReportFormat::Markdown);
+    EXPECT_NE(md.find("Telescoping check: FAILED: interval record 1 is "
+                      "not numbered 1."),
+              std::string::npos);
+    in.intervalsJsonl =
+        "{\"interval\":0,\"start\":0,\"end\":10,\"delta\":"
+        "{\"core.cycles\":10,\"x.hits\":4},\"values\":{}}\n"
+        "{\"interval\":1,\"start\":12,\"end\":30,\"delta\":"
+        "{\"core.cycles\":20,\"x.hits\":6},\"values\":{}}\n";
+    md = render(in, ReportFormat::Markdown);
+    EXPECT_NE(md.find("Telescoping check: FAILED: interval record 1 "
+                      "starts at cycle 12, not at the previous end 10."),
               std::string::npos);
 }
 

@@ -89,6 +89,10 @@ TEST(SweepJsonTest, RejectsTrailingGarbageAndSyntaxErrors)
     EXPECT_FALSE(parseJson("[1,]", v, err));
     EXPECT_FALSE(parseJson("", v, err));
     EXPECT_FALSE(parseJson("{\"a\" 1}", v, err));
+    EXPECT_FALSE(parseJson("\"a\x01" "b\"", v, err));
+    EXPECT_NE(err.find("raw control character in string at offset 2"),
+              std::string::npos)
+        << err;
 }
 
 TEST(SweepJsonTest, DecodesUnicodeEscapes)

@@ -1,7 +1,7 @@
 #!/bin/sh
 # End-to-end smoke check for the event-tracing layer.
 #
-#   check_trace.sh PSB_SIM PYTHON PSB_TRACE_PY
+#   check_trace.sh PSB_SIM PSB_REPORT PYTHON PSB_TRACE_PY
 #
 # Runs the simulator twice with tracing and interval stats enabled and
 # checks the full observability contract:
@@ -9,7 +9,9 @@
 #  1. the JSONL trace passes tools/psb_trace.py validation (schema,
 #     monotonic cycles, balanced stream-buffer lifetimes);
 #  2. the Chrome trace-event export also validates and is well-formed;
-#  3. per-interval stat deltas telescope to the final --stats-json
+#  3. psb-report re-verifies the interval series: records numbered
+#     0, 1, 2, ..., each starting where the previous one ended, and
+#     per-interval stat deltas telescoping to the final --stats-json
 #     counters;
 #  4. both runs are byte-identical (trace, intervals, and stats) — the
 #     determinism contract extends to every observability output;
@@ -19,8 +21,9 @@
 set -eu
 
 PSB_SIM=$1
-PYTHON=$2
-PSB_TRACE_PY=$3
+PSB_REPORT=$2
+PYTHON=$3
+PSB_TRACE_PY=$4
 
 ARGS="--workload health --seed 1 --insts 20000 --warmup 5000"
 
@@ -40,8 +43,13 @@ done
 "$PYTHON" "$PSB_TRACE_PY" "$DIR/trace1.jsonl" --quiet
 "$PYTHON" "$PSB_TRACE_PY" "$DIR/trace.chrome.json" --format chrome \
     --quiet
-"$PYTHON" "$PSB_TRACE_PY" --intervals "$DIR/intervals1.jsonl" \
-    --stats "$DIR/stats1.json" --quiet
+"$PSB_REPORT" --stats-json "$DIR/stats1.json" \
+    --intervals "$DIR/intervals1.jsonl" --md "$DIR/report.md"
+grep -q "Telescoping check: OK" "$DIR/report.md" || {
+    echo "check_trace.sh: the interval series does not verify" >&2
+    grep "Telescoping check" "$DIR/report.md" >&2
+    exit 1
+}
 
 cmp "$DIR/trace1.jsonl" "$DIR/trace2.jsonl" || {
     echo "check_trace.sh: traced runs are not byte-identical" >&2

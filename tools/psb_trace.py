@@ -12,15 +12,10 @@ jsonl|chrome`` and checks it against the schema the simulator promises:
   matching dealloc/replace, with no end before a begin — the lifetime
   accounting the Chrome view depends on.
 
-With ``--intervals FILE --stats STATS.json`` it additionally checks the
-interval-stats invariant: per-interval deltas sum to the final
-``--stats-json`` counter for every scalar stat.
-
 Exit status is 0 when every check passes, 1 otherwise.
 
 Usage:
   tools/psb_trace.py TRACE [--format jsonl|chrome] [--quiet]
-  tools/psb_trace.py --intervals f.jsonl --stats stats.json [--quiet]
 """
 
 import argparse
@@ -208,98 +203,25 @@ def validate_events(events, label):
     return counts, kind_counts, n
 
 
-def check_intervals(interval_path, stats_path):
-    """Check that per-interval scalar deltas sum to the final stats."""
-    with open(stats_path, "r", encoding="utf-8") as fh:
-        final = json.load(fh)
-
-    sums = collections.defaultdict(int)
-    n_intervals = 0
-    prev_end = None
-    with open(interval_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            for field in ("interval", "start", "end", "delta", "values"):
-                if field not in rec:
-                    raise TraceError(
-                        f"{interval_path}:{lineno}: missing '{field}'")
-            if rec["interval"] != n_intervals:
-                raise TraceError(
-                    f"{interval_path}:{lineno}: interval index "
-                    f"{rec['interval']}, expected {n_intervals}")
-            if prev_end is not None and rec["start"] != prev_end:
-                raise TraceError(
-                    f"{interval_path}:{lineno}: start {rec['start']} != "
-                    f"previous end {prev_end}")
-            prev_end = rec["end"]
-            n_intervals += 1
-            for path, delta in rec["delta"].items():
-                sums[path] += delta
-
-    # Every counter-kind stat must telescope: the writer only puts
-    # Scalar stats in "delta", so the delta paths *are* the counter
-    # set (JSON types can't tell — integer-valued reals like
-    # percentiles also parse as int).
-    missing = [p for p in sums if p not in final]
-    if missing:
-        raise TraceError(
-            f"interval stats contain unknown paths: {missing[:5]}")
-    mismatches = []
-    n_checked = 0
-    for path, total in sorted(sums.items()):
-        n_checked += 1
-        if total != final[path]:
-            mismatches.append((path, total, final[path]))
-    if mismatches:
-        lines = "\n".join(
-            f"  {p}: sum(deltas)={s} final={f}"
-            for p, s, f in mismatches[:10])
-        raise TraceError(
-            f"{len(mismatches)} counter(s) whose interval deltas do "
-            f"not sum to the final value:\n{lines}")
-    return n_intervals, n_checked
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("trace", nargs="?", help="trace file to validate")
+    ap.add_argument("trace", help="trace file to validate")
     ap.add_argument("--format", choices=("jsonl", "chrome"),
                     default="jsonl", help="trace format (default jsonl)")
-    ap.add_argument("--intervals", metavar="FILE",
-                    help="interval-stats JSONL to validate")
-    ap.add_argument("--stats", metavar="STATS.json",
-                    help="final --stats-json dump (with --intervals)")
     ap.add_argument("--quiet", action="store_true",
                     help="suppress the summary; errors only")
     args = ap.parse_args()
 
-    if not args.trace and not args.intervals:
-        ap.error("need a trace file and/or --intervals")
-    if bool(args.intervals) != bool(args.stats):
-        ap.error("--intervals and --stats go together")
-
     try:
-        if args.trace:
-            parse = parse_chrome if args.format == "chrome" else \
-                parse_jsonl
-            counts, kinds, n = validate_events(parse(args.trace),
-                                               args.trace)
-            if not args.quiet:
-                print(f"{args.trace}: {n} events OK")
-                for flag in VALID_FLAGS:
-                    if counts[flag]:
-                        print(f"  {flag:8s} {counts[flag]}")
-                print(f"  kinds: instant={kinds['I']} begin="
-                      f"{kinds['B']} end={kinds['E']}")
-        if args.intervals:
-            n_iv, n_stats = check_intervals(args.intervals, args.stats)
-            if not args.quiet:
-                print(f"{args.intervals}: {n_iv} intervals, "
-                      f"{n_stats} counters telescope to the final "
-                      f"stats")
+        parse = parse_chrome if args.format == "chrome" else parse_jsonl
+        counts, kinds, n = validate_events(parse(args.trace), args.trace)
+        if not args.quiet:
+            print(f"{args.trace}: {n} events OK")
+            for flag in VALID_FLAGS:
+                if counts[flag]:
+                    print(f"  {flag:8s} {counts[flag]}")
+            print(f"  kinds: instant={kinds['I']} begin="
+                  f"{kinds['B']} end={kinds['E']}")
     except (TraceError, OSError) as exc:
         print(f"psb_trace: {exc}", file=sys.stderr)
         return 1
